@@ -9,7 +9,9 @@ structured JSON error on stdout), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -385,13 +387,20 @@ def build_parser():
         prog="weylkit",
         description="Weyl group combinatorics, flag positions and "
                     "chamber-valued metrics for discrete matrix groups")
-    p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized property runs")
+    out_help = "write output to this path instead of stdout"
+    p.add_argument("--out", help=out_help)
     sub = p.add_subparsers(dest="command", required=True)
+    # every verb also takes --out after its name; SUPPRESS keeps a verb
+    # from overwriting an --out given before the command with its default
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=argparse.SUPPRESS, help=out_help)
+    verb_parser = functools.partial(argparse.ArgumentParser, parents=[out])
 
-    cox = sub.add_parser("coxeter", help="Weyl group combinatorics")
-    coxsub = cox.add_subparsers(dest="verb", required=True)
+    def verbs(command, summary):
+        return sub.add_parser(command, help=summary).add_subparsers(
+            dest="verb", required=True, parser_class=verb_parser)
+
+    coxsub = verbs("coxeter", "Weyl group combinatorics")
     q = coxsub.add_parser("poset", help="DOT digraph of the Bruhat order")
     q.add_argument("--type", required=True)
     q.add_argument("--highlight", help="balanced:K or JSON member list")
@@ -400,8 +409,7 @@ def build_parser():
     q.add_argument("--type", required=True)
     q.set_defaults(fn=_cmd_coxeter_order)
 
-    th = sub.add_parser("thickenings", help="lower ideals and balance")
-    thsub = th.add_subparsers(dest="verb", required=True)
+    thsub = verbs("thickenings", "lower ideals and balance")
     q = thsub.add_parser("enumerate")
     q.add_argument("--type", required=True)
     q.set_defaults(fn=_cmd_thick_enumerate)
@@ -413,24 +421,21 @@ def build_parser():
     q.add_argument("--members", required=True)
     q.set_defaults(fn=_cmd_thick_check)
 
-    d = sub.add_parser("dist", help="distances between positive forms")
-    dsub = d.add_subparsers(dest="verb", required=True)
+    dsub = verbs("dist", "distances between positive forms")
     for name in ("delta", "finsler", "riemannian"):
         q = dsub.add_parser(name)
         q.add_argument("--x", required=True)
         q.add_argument("--y", required=True)
         q.set_defaults(fn=_cmd_dist, metric=name)
 
-    s = sub.add_parser("seq", help="sequence diagnostics")
-    ssub = s.add_subparsers(dest="verb", required=True)
+    ssub = verbs("seq", "sequence diagnostics")
     q = ssub.add_parser("regularity")
     q.add_argument("--gens", required=True)
     q.add_argument("--threshold", type=float, default=1.0)
     q.add_argument("--margin", type=float, default=None)
     q.set_defaults(fn=_cmd_seq_regularity)
 
-    h = sub.add_parser("horo", help="horofunction estimates")
-    hsub = h.add_subparsers(dest="verb", required=True)
+    hsub = verbs("horo", "horofunction estimates")
     q = hsub.add_parser("estimate")
     q.add_argument("--p", required=True)
     q.add_argument("--x", required=True)
@@ -439,8 +444,7 @@ def build_parser():
     q.add_argument("--t", default="5,10,20,40")
     q.set_defaults(fn=_cmd_horo_estimate)
 
-    f = sub.add_parser("flags", help="relative position of flags")
-    fsub = f.add_subparsers(dest="verb", required=True)
+    fsub = verbs("flags", "relative position of flags")
     q = fsub.add_parser("position")
     q.add_argument("--a", required=True)
     q.add_argument("--b", required=True)
@@ -451,40 +455,35 @@ def build_parser():
     q.add_argument("--b", required=True)
     q.set_defaults(fn=_cmd_flags_antipodal)
 
-    li = sub.add_parser("limits", help="sampled chamber limit sets")
-    lisub = li.add_subparsers(dest="verb", required=True)
+    lisub = verbs("limits", "sampled chamber limit sets")
     q = lisub.add_parser("sample")
     q.add_argument("--gens", required=True)
     q.add_argument("--max-len", type=int, default=5)
     q.add_argument("--margin", type=float, default=1.0)
     q.set_defaults(fn=_cmd_limits_sample)
 
-    dom = sub.add_parser("domain", help="discontinuity domain membership")
-    domsub = dom.add_subparsers(dest="verb", required=True)
+    domsub = verbs("domain", "discontinuity domain membership")
     q = domsub.add_parser("membership")
     q.add_argument("--flag", required=True)
     q.add_argument("--sample", required=True, help="JSON file from limits sample")
     q.add_argument("--thickening", required=True)
     q.set_defaults(fn=_cmd_domain_membership)
 
-    ex = sub.add_parser("expand", help="flag manifold expansion")
-    exsub = ex.add_subparsers(dest="verb", required=True)
+    exsub = verbs("expand", "flag manifold expansion")
     q = exsub.add_parser("factor")
     q.add_argument("--gen", required=True)
     q.add_argument("--flag", required=True)
     q.add_argument("--step", type=float, default=1e-5)
     q.set_defaults(fn=_cmd_expand_factor)
 
-    dis = sub.add_parser("discreteness", help="nondiscreteness probe")
-    dissub = dis.add_subparsers(dest="verb", required=True)
+    dissub = verbs("discreteness", "nondiscreteness probe")
     q = dissub.add_parser("probe")
     q.add_argument("--gens", required=True)
     q.add_argument("--epsilon", type=float, default=0.1)
     q.add_argument("--max-len", type=int, default=12)
     q.set_defaults(fn=_cmd_discreteness_probe)
 
-    mo = sub.add_parser("morse", help="straightness and defect reports")
-    mosub = mo.add_subparsers(dest="verb", required=True)
+    mosub = verbs("morse", "straightness and defect reports")
     q = mosub.add_parser("straightness")
     q.add_argument("--path", required=True)
     q.add_argument("--epsilon", type=float, default=0.2)
@@ -506,8 +505,7 @@ def build_parser():
     q.add_argument("--margin", type=float, default=0.05)
     q.set_defaults(fn=_cmd_morse_schottky)
 
-    co = sub.add_parser("config", help="weighted configurations")
-    cosub = co.add_subparsers(dest="verb", required=True)
+    cosub = verbs("config", "weighted configurations")
     q = cosub.add_parser("stability")
     q.add_argument("--config", required=True)
     q.set_defaults(fn=_cmd_config_stability)
@@ -527,19 +525,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if os.environ.get(ENV_TOL):
         try:
-            flagdyn.RANK_TOL = float(os.environ[ENV_TOL])
+            tol = float(os.environ[ENV_TOL])
         except ValueError:
-            pass
+            tol = math.nan
+        if not 0 < tol < math.inf:
+            parser.error(f"{ENV_TOL} must be a positive finite number, "
+                         f"not {os.environ[ENV_TOL]!r}")
+        flagdyn.RANK_TOL = tol
     try:
         return args.fn(args)
-    except WeylkitError as exc:
-        sys.stdout.write(render_json({
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "argv": list(argv) if argv is not None else sys.argv[1:],
-        }))
-        return 1
-    except (json.JSONDecodeError, OSError, ValueError, KeyError) as exc:
+    except (WeylkitError, OSError, ValueError, KeyError) as exc:
+        # json.JSONDecodeError is a ValueError
         sys.stdout.write(render_json({
             "error": type(exc).__name__,
             "message": str(exc),

@@ -79,12 +79,10 @@ class WeightedConfig:
             and _is_exact(self.weights)
 
 
-def _coincide(config, i, j, tol):
-    if config.sphere:
-        a = np.asarray(config.points[i])
-        b = np.asarray(config.points[j])
-        return float(np.linalg.norm(a - b)) <= tol
-    a, b = config.points[i], config.points[j]
+def _coincide(a, b, sphere, tol):
+    """Do two points (of a sphere, or angles on the circle) coincide?"""
+    if sphere:
+        return float(np.linalg.norm(np.asarray(a) - np.asarray(b))) <= tol
     if tol == 0:
         return a == b
     d = abs(float(a) - float(b))
@@ -110,7 +108,8 @@ def aggregate_masses(config, tol=None):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if _coincide(config, i, j, tol):
+            if _coincide(config.points[i], config.points[j], config.sphere,
+                         tol):
                 parent[find(i)] = find(j)
     clusters = {}
     for i in range(n):
@@ -145,19 +144,8 @@ def relpos_config(z, zp, tol=None):
         raise ValueError("configurations must have the same shape")
     if tol is None:
         tol = Fraction(0) if z.exact() and zp.exact() else FLOAT_TOL
-    return tuple(1 if _same_point(z, zp, i, tol) else -1 for i in range(z.n))
-
-
-def _same_point(z, zp, i, tol):
-    if z.sphere:
-        a = np.asarray(z.points[i])
-        b = np.asarray(zp.points[i])
-        return float(np.linalg.norm(a - b)) <= tol
-    a, b = z.points[i], zp.points[i]
-    if tol == 0:
-        return a == b
-    d = abs(float(a) - float(b))
-    return min(d, TWO_PI - d) <= tol
+    return tuple(1 if _coincide(a, b, z.sphere, tol) else -1
+                 for a, b in zip(z.points, zp.points))
 
 
 def diagonal_thickening_check(z, weights=None, strict=True, tol=None):

@@ -2,11 +2,17 @@
 
 Elements are fully enumerated with canonical indices (sorted breadth-first
 by word length), so word length, reduced words, inverses and the Bruhat
-order are all table lookups after construction.  The reflection
-representation is kept in exact arithmetic: signed permutation matrices
-for the classical families and matrices over Q(sqrt 3) for G2
-(half-integer entries suffice for F4), so orthogonality and the
-homomorphism property hold with zero tolerance.
+order are all table lookups after construction.
+
+Every irreducible factor is a permutation group on one small finite set
+S: the orbit of the standard basis vectors under the simple reflections
+of the exact ambient realization (rationals, and Q(sqrt 3) for G2).  S
+has n+1 vectors for A(n), 2n for B(n) and D(n), 12 for G2 and 24 for F4.
+An element is the permutation it induces on S, so composition is a tuple
+lookup, and its reflection matrix is read off from the images of the
+basis vectors, which keeps orthogonality and the homomorphism property
+exact.  A product group enumerates tuples of factor indices with the
+same breadth-first enumerator.
 
 For type A(n) the matrices are (n+1) x (n+1) permutation matrices; they
 act on the trace-zero hyperplane, which is the rank-n model flat.  All
@@ -17,10 +23,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import GroupMismatch, GroupTooLarge, UnsupportedType
 
@@ -49,6 +56,13 @@ class QSqrt3:
     def __mul__(self, other):
         return QSqrt3(self.a * other.a + 3 * self.b * other.b,
                       self.a * other.b + self.b * other.a)
+
+    def __truediv__(self, other):
+        norm = other.a * other.a - 3 * other.b * other.b
+        return self * QSqrt3(other.a / norm, -other.b / norm)
+
+    def __bool__(self):
+        return bool(self.a or self.b)
 
     def __neg__(self):
         return QSqrt3(-self.a, -self.b)
@@ -89,41 +103,31 @@ def _mat_transpose(x):
     return tuple(tuple(x[j][i] for j in range(n)) for i in range(n))
 
 
-def _mat_key(x):
-    return tuple(e.key() for row in x for e in row)
+def _dot(u, v):
+    return reduce(operator.add, map(operator.mul, u, v))
 
 
-def _sp_compose(x, g):
-    # group law "x then g" on signed permutations: (x*g)(i) = g(x(i)).
-    # This convention makes left multiplication by the longest element of
-    # a type A group act on one-line strings by reversal, matching the
-    # usual poset pictures.
-    return tuple(g[v - 1] if v > 0 else -g[-v - 1] for v in x)
+def _as_q(x):
+    return x if isinstance(x, QSqrt3) else QSqrt3(x)
 
 
-def _sp_inverse(x):
-    out = [0] * len(x)
-    for i, v in enumerate(x, 1):
-        if v > 0:
-            out[v - 1] = i
-        else:
-            out[-v - 1] = -i
-    return tuple(out)
+def _compose(x, g):
+    # group law "x then g" on permutations of S: (x*g)(k) = g(x(k)).  An
+    # element moves row vectors, v -> v M, so the matrix of a product is
+    # the product of the matrices.  This convention makes left
+    # multiplication by the longest element of a type A group act on
+    # one-line strings by reversal, matching the usual poset pictures.
+    return tuple(map(g.__getitem__, x))
 
 
-def _sp_matrix(x):
-    # matrix of the inverse permutation action, so that the matrix of a
-    # product is the product of the matrices under the group law above
-    n = len(x)
-    rows = [[_Q0] * n for _ in range(n)]
-    for i, v in enumerate(x):
-        rows[i][abs(v) - 1] = _Q1 if v > 0 else -_Q1
-    return tuple(tuple(r) for r in rows)
+def _factor_step(x, g):
+    fi, column = g
+    return x[:fi] + (column[x[fi]],) + x[fi + 1:]
 
 
 @dataclass(frozen=True)
 class _Family:
-    """One irreducible factor: its rank and concrete realization."""
+    """One irreducible factor: its rank and exact ambient realization."""
 
     name: str
     rank: int
@@ -144,10 +148,6 @@ class _Family:
         raise UnsupportedType(self.name)
 
     @property
-    def uses_matrices(self):
-        return self.name in ("G", "F")
-
-    @property
     def ambient_dim(self):
         if self.name == "A":
             return self.rank + 1
@@ -157,90 +157,93 @@ class _Family:
             return 4
         return self.rank
 
-    def identity(self):
-        if self.uses_matrices:
-            n = self.ambient_dim
-            return tuple(tuple(_Q1 if i == j else _Q0 for j in range(n))
-                         for i in range(n))
-        return tuple(range(1, self.ambient_dim + 1))
-
-    def generators(self):
-        n = self.rank
-        if self.name == "A":
-            gens = []
-            for i in range(n):
-                g = list(range(1, n + 2))
-                g[i], g[i + 1] = g[i + 1], g[i]
-                gens.append(tuple(g))
-            return gens
-        if self.name == "B":
-            gens = []
-            for i in range(n - 1):
-                g = list(range(1, n + 1))
-                g[i], g[i + 1] = g[i + 1], g[i]
-                gens.append(tuple(g))
-            g = list(range(1, n + 1))
-            g[n - 1] = -n
-            gens.append(tuple(g))
-            return gens
-        if self.name == "D":
-            gens = []
-            for i in range(n - 1):
-                g = list(range(1, n + 1))
-                g[i], g[i + 1] = g[i + 1], g[i]
-                gens.append(tuple(g))
-            # reflection in e_{n-1} + e_n
-            g = list(range(1, n + 1))
-            g[n - 2], g[n - 1] = -n, -(n - 1)
-            gens.append(tuple(g))
-            return gens
+    def simple_roots(self):
         if self.name == "G":
-            half = QSqrt3(Fraction(1, 2))
-            rhalf = QSqrt3(0, Fraction(1, 2))
-            sa = ((_Q1, _Q0), (_Q0, -_Q1))
-            sb = ((half, rhalf), (rhalf, -half))
-            return [sa, sb]
+            return [(_Q0, _Q1), (_Q1, QSqrt3(0, -1))]
+        n, dim = self.rank, self.ambient_dim
         if self.name == "F":
-            # simple roots e2-e3, e3-e4, e4, (e1-e2-e3-e4)/2
-            roots = [
-                (Fraction(0), Fraction(1), Fraction(-1), Fraction(0)),
-                (Fraction(0), Fraction(0), Fraction(1), Fraction(-1)),
-                (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
-                (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2)),
-            ]
-            gens = []
-            for alpha in roots:
-                norm2 = sum(a * a for a in alpha)
-                rows = []
-                for i in range(4):
-                    row = []
-                    for j in range(4):
-                        e = Fraction(1 if i == j else 0) - 2 * alpha[i] * alpha[j] / norm2
-                        row.append(QSqrt3(e))
-                    rows.append(tuple(row))
-                gens.append(tuple(rows))
-            return gens
-        raise UnsupportedType(self.name)
+            h = Fraction(1, 2)
+            roots = [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (h, -h, -h, -h)]
+        else:
+            # e_i - e_{i+1}, then e_n for B and e_{n-1} + e_n for D
+            roots = [tuple((k == i) - (k == i + 1) for k in range(dim))
+                     for i in range(dim - 1)]
+            if self.name == "B":
+                roots.append(tuple(int(k == n - 1) for k in range(n)))
+            if self.name == "D":
+                roots.append(tuple(int(k >= n - 2) for k in range(n)))
+        return [tuple(map(Fraction, r)) for r in roots]
 
-    def compose(self, x, g):
-        if self.uses_matrices:
-            return _mat_mul(x, g)
-        return _sp_compose(x, g)
+    def vector_key(self, v):
+        """Sort key of S.  It fixes the canonical element order: signed
+        index order for A, B, D, entry-wise exact keys for G2 and F4."""
+        if self.name in ("G", "F"):
+            return tuple(_as_q(x).key() for x in v)
+        return v[::-1]
 
-    def inverse(self, x):
-        if self.uses_matrices:
-            return _mat_transpose(x)
-        return _sp_inverse(x)
+    def permutation_model(self):
+        """S sorted by :meth:`vector_key`, the simple reflections as
+        permutations of S, and the positions of the basis vectors in S."""
+        roots = self.simple_roots()
+        # reflection in alpha: v -> v - (v . coroot) alpha, with the
+        # coroot 2 alpha / (alpha . alpha)
+        coroots = [tuple((a + a) / _dot(alpha, alpha) for a in alpha)
+                   for alpha in roots]
+        scalar = type(roots[0][0])
+        dim = self.ambient_dim
+        basis = [tuple(scalar(int(k == j)) for k in range(dim))
+                 for j in range(dim)]
+        orbit = list(basis)
+        seen = set(orbit)
+        image = {}
+        for v in orbit:
+            for s, (alpha, coroot) in enumerate(zip(roots, coroots)):
+                c = _dot(v, coroot)
+                w = tuple(x - c * a for x, a in zip(v, alpha)) if c else v
+                if w not in seen:
+                    seen.add(w)
+                    orbit.append(w)
+                image[v, s] = w
+        orbit.sort(key=self.vector_key)
+        pos = {v: k for k, v in enumerate(orbit)}
+        gens = [tuple(pos[image[v, s]] for v in orbit)
+                for s in range(len(roots))]
+        return orbit, gens, tuple(pos[b] for b in basis)
 
-    def key(self, x):
-        if self.uses_matrices:
-            return _mat_key(x)
-        return x
 
-    def matrix(self, x):
-        if self.uses_matrices:
-            return x
-        return _sp_matrix(x)
+def _enumerate(ident, gens, compose, key):
+    """Breadth-first closure of ``ident`` under right multiplication by
+    the generators.  Each length level is sorted by ``key``, which makes
+    the indices canonical; an element's parent is its first predecessor
+    in index order.  Returns the elements, the index of each key, the
+    lengths, the parents and the generator multiplication table."""
+    elements = [ident]
+    index = {key(ident): 0}
+    lengths = [0]
+    parents = [(-1, -1)]
+    neighbours = []  # per element, in index order: keys of x*g
+    frontier = [0]
+    while frontier:
+        new = {}
+        for ei in frontier:
+            ks = []
+            for s, g in enumerate(gens):
+                y = compose(elements[ei], g)
+                k = key(y)
+                ks.append(k)
+                if k not in index and k not in new:
+                    new[k] = (y, ei, s)
+            neighbours.append(ks)
+        frontier = []
+        for k in sorted(new):
+            y, parent, s = new[k]
+            index[k] = len(elements)
+            frontier.append(len(elements))
+            elements.append(y)
+            lengths.append(lengths[parent] + 1)
+            parents.append((parent, s))
+    gen_mult = [[index[k] for k in ks] for ks in neighbours]
+    return elements, index, lengths, parents, gen_mult
 
 
 @dataclass(frozen=True)
@@ -358,11 +361,28 @@ class WeylGroup:
         self.ctype = ctype
         self._factor_groups = None
         if len(ctype.factors) > 1:
-            self._factor_groups = [WeylGroup(CoxeterType((f,)), max_order)
-                                   for f in ctype.factors]
-            self._build_product()
+            fgs = [WeylGroup(CoxeterType((f,)), max_order)
+                   for f in ctype.factors]
+            self._factor_groups = fgs
+            # elements are tuples of factor indices; a generator is a
+            # factor position with that factor's column of gen_mult
+            gens = [(fi, [row[s] for row in fg.gen_mult])
+                    for fi, fg in enumerate(fgs)
+                    for s in range(fg.num_generators)]
+            built = _enumerate((0,) * len(fgs), gens, _factor_step,
+                               lambda x: x)
         else:
-            self._build_single(ctype.factors[0])
+            self._family = fam = ctype.factors[0]
+            orbit, gens, self._basis = fam.permutation_model()
+            self._rows = [tuple(map(_as_q, v)) for v in orbit]
+            # the key of a permutation is where it sends the basis vectors
+            # (every factor has ambient dimension >= 2, so this is a tuple)
+            built = _enumerate(tuple(range(len(orbit))), gens, _compose,
+                               operator.itemgetter(*self._basis))
+        (self.elements, self._index, self.lengths, self._parents,
+         self.gen_mult) = built
+        assert len(self.elements) == ctype.order, (ctype, len(self.elements))
+        self.num_generators = len(gens)
         self._finish()
         self._leq_masks = None
         self._reflections = None
@@ -370,113 +390,18 @@ class WeylGroup:
 
     # --- construction -------------------------------------------------------
 
-    def _build_single(self, fam):
-        self._family = fam
-        gens = fam.generators()
-        ident = fam.identity()
-        self.num_generators = len(gens)
-
-        elements = [ident]
-        index = {fam.key(ident): 0}
-        lengths = [0]
-        parents = [(-1, -1)]
-        frontier = [0]
-        while frontier:
-            new = {}
-            for ei in frontier:
-                x = elements[ei]
-                for s, g in enumerate(gens):
-                    y = fam.compose(x, g)
-                    k = fam.key(y)
-                    if k not in index and k not in new:
-                        new[k] = (y, ei, s)
-            frontier = []
-            for k in sorted(new):
-                y, parent, s = new[k]
-                index[k] = len(elements)
-                elements.append(y)
-                lengths.append(lengths[parent] + 1)
-                parents.append((parent, s))
-                frontier.append(index[k])
-        assert len(elements) == fam.order, (fam, len(elements))
-
-        self.elements = elements
-        self._index = index
-        self.lengths = lengths
-        self._parents = parents
-        self.gen_mult = [
-            [index[fam.key(fam.compose(x, g))] for g in gens] for x in elements
-        ]
-        self.inverse_table = [index[fam.key(fam.inverse(x))] for x in elements]
-
-    def _build_product(self):
-        fgs = self._factor_groups
-        self.num_generators = sum(g.num_generators for g in fgs)
-        gen_map = []  # global generator -> (factor position, local generator)
-        for fi, g in enumerate(fgs):
-            gen_map.extend((fi, s) for s in range(g.num_generators))
-        self._gen_map = gen_map
-
-        ident = tuple(0 for _ in fgs)
-        elements = [ident]
-        index = {ident: 0}
-        lengths = [0]
-        parents = [(-1, -1)]
-        frontier = [0]
-        while frontier:
-            new = {}
-            for ei in frontier:
-                x = elements[ei]
-                for s, (fi, ls) in enumerate(gen_map):
-                    y = list(x)
-                    y[fi] = fgs[fi].gen_mult[x[fi]][ls]
-                    y = tuple(y)
-                    if y not in index and y not in new:
-                        new[y] = (ei, s)
-            frontier = []
-            for y in sorted(new):
-                parent, s = new[y]
-                index[y] = len(elements)
-                elements.append(y)
-                lengths.append(lengths[parent] + 1)
-                parents.append((parent, s))
-                frontier.append(index[y])
-        assert len(elements) == self.ctype.order
-
-        self.elements = elements
-        self._index = index
-        self.lengths = lengths
-        self._parents = parents
-        gen_mult = []
-        for x in elements:
-            row = []
-            for fi, ls in gen_map:
-                y = list(x)
-                y[fi] = fgs[fi].gen_mult[x[fi]][ls]
-                row.append(index[tuple(y)])
-            gen_mult.append(row)
-        self.gen_mult = gen_mult
-        self.inverse_table = [
-            index[tuple(fg.inverse_table[c] for fg, c in zip(fgs, x))]
-            for x in elements
-        ]
-
     def _finish(self):
-        self.words = [None] * len(self.elements)
-        for i in range(len(self.elements)):
-            w = []
-            j = i
-            while j != 0:
-                parent, s = self._parents[j]
-                w.append(s)
-                j = parent
-            self.words[i] = tuple(reversed(w))
+        words = [()]
+        for parent, s in self._parents[1:]:
+            words.append(words[parent] + (s,))
+        self.words = words
         top = self.lengths[-1]
         tops = [i for i, l in enumerate(self.lengths) if l == top]
         assert len(tops) == 1, "longest element must be unique"
         self.w0_index = tops[0]
         assert self.gen_fold(self.w0_index, self.words[self.w0_index]) == 0, \
             "w0 must be an involution"
+        self.inverse_table = [self.gen_fold(0, reversed(w)) for w in self.words]
 
     # --- basic accessors ----------------------------------------------------
 
@@ -517,7 +442,9 @@ class WeylGroup:
 
     def matrix(self, index):
         if self._factor_groups is None:
-            return self._family.matrix(self.elements[index])
+            # row j is the image of the j-th basis vector under v -> v M
+            x = self.elements[index]
+            return tuple(self._rows[x[b]] for b in self._basis)
         blocks = [fg.matrix(c)
                   for fg, c in zip(self._factor_groups, self.elements[index])]
         dim = sum(len(b) for b in blocks)
@@ -543,7 +470,7 @@ class WeylGroup:
         if self.ctype.is_a1_power:
             return "".join("+" if s > 0 else "-" for s in self.sign_vector(index))
         if self._factor_groups is None and self._family.name == "A":
-            return "".join(str(v) for v in self.elements[index])
+            return "".join(map(str, self.one_line(index)))
         return self.word_label(index)
 
     def word_label(self, index):
@@ -565,7 +492,7 @@ class WeylGroup:
                 [1 if c == "+" else -1 for c in text])
         if self._factor_groups is None and self._family.name == "A" \
                 and text.isdigit():
-            key = tuple(int(c) for c in text)
+            key = tuple(int(c) - 1 for c in text)
             if key in self._index:
                 return WeylElement(self, self._index[key])
         if re.fullmatch(r"[a-z]+", text) and self.num_generators <= 26:
@@ -593,12 +520,13 @@ class WeylGroup:
         """Type A element as a one-line permutation tuple."""
         if self._factor_groups is not None or self._family.name != "A":
             raise GroupMismatch("one-line form only exists for type A")
-        return self.elements[index]
+        # S is the basis itself, so an element is its 0-based one-line form
+        return tuple(v + 1 for v in self.elements[index])
 
     def element_from_one_line(self, perm):
         if self._factor_groups is not None or self._family.name != "A":
             raise GroupMismatch("one-line form only exists for type A")
-        return WeylElement(self, self._index[tuple(perm)])
+        return WeylElement(self, self._index[tuple(v - 1 for v in perm)])
 
     # --- Bruhat order ---------------------------------------------------------
 

@@ -158,13 +158,6 @@ def straightness_check(path, cone, zeta=None, epsilon=0.2, spacing=10.0):
 
 # --- free group certificates -------------------------------------------------
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-def _letter(i, s):
-    return _LETTERS[i] if s > 0 else _LETTERS[i].upper()
-
-
 def _eig_power(g, N):
     evals, evecs = np.linalg.eig(np.asarray(g, dtype=float))
     return (evecs * evals ** N @ np.linalg.inv(evecs)).real
@@ -331,7 +324,7 @@ def schottky_certificate(generators, N, cone=None, zeta=None, epsilon=0.2,
                             _orbit_frame(mb_inv, b), zeta)
         passed = (seg1 >= spacing and seg2 >= spacing and reg1 and reg2
                   and ang1 < epsilon / 2 and ang2 < epsilon / 2)
-        name = "".join(_letter(*w) for w in (alpha, beta, gamma))
+        name = flagdyn._word_label((alpha, beta, gamma))
         report.triples.append(TripleReport(
             name, (float(seg1), float(seg2)), (reg1, reg2),
             (float(ang1), float(ang2)), bool(passed)))

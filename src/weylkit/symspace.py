@@ -136,10 +136,6 @@ def delta_iota(v):
     return -v[::-1]
 
 
-def opposition_involution(v):
-    return delta_iota(v)
-
-
 class FinslerFunctional:
     """Linear functional on the chamber; dual vector must be regular
     (strictly decreasing coefficients) and symmetric under the

@@ -1,0 +1,78 @@
+"""The canonical element order, pinned by digests.
+
+Group construction fixes one index per element.  Labels, DOT output, the
+order-matrix export and the order of the balanced enumeration all follow
+that index, so the digests below pin it together with the word tables
+and the exact reflection matrices.  A change to how groups are built
+must leave every one of them unchanged.
+"""
+
+import hashlib
+
+import pytest
+
+from weylkit.cli import main
+from weylkit.coxeter import WeylGroup, poset_dot
+
+GROUP_DIGESTS = {
+    "A1": "c9fa3a440f85c7c68ca16a2650257b9363919b7a9f3f8086e1ca990697105e98",
+    "A2": "93a77e834010a8b64578cd3ddb8248bde44e9e04a7c0b4e2a522d433586c2367",
+    "A3": "30a3e907aba5e758ebe00f22dca5a0685cccf872b18cefb46b0b1f19ef51d040",
+    "A4": "b4c0b8d6ccef79905a2374d47c7b5eb00bfdde1ba5d4725da55873482177ba01",
+    "A5": "1de7b28a5556cf1d99c5414c80053dcb1f35217ae9e4f356c92d0cf9c3a49145",
+    "A6": "c95654b653c3c386af44070209d7e857a3cd068281c313188a866d7214e60943",
+    "B2": "22ae2dccf464b27a3f24d1c5213a19424acc3cc4cd0d8853e028657b9bdb85e9",
+    "B3": "dcb8d2281bd941a14af75e00e4f0707fa6f78644ada7fd30dc496b754b88f45a",
+    "B4": "41760a19c6c659d37ff0c728dfa0d06fedc1daa8a3563f0b935c80847721be39",
+    "D2": "828a5f857a64b6b8f1f0d5430dc9e11c8e071894995f44e0ea4e5d9fa14cbad7",
+    "D3": "5fd8f6008cfded408af4eec35856b2e64f5f1cb69753308e6e70b1f483e501a7",
+    "D4": "f21ba09e12ea3a489addf6eb451c24ffa0ec066b4d2dbef97f6d6cec9bd1f2a4",
+    "G2": "235ac6275ae09b8361afdcfd4d194668fd68c524294ea14f98cde3c5324503ff",
+    "F4": "5858fce2b20f3905c6dea16d88f381724397a36035b9912809b8db9a48ccb4a3",
+    "A1^6": "3d7d8b64fd9b1ba35484f830ce39a57e97b1d65688666c27c39baf368756fa05",
+    "A2xG2": "0fb7a3e7f5970055fac85965d9d9effd84cc020f7f3ddb27c941faae0ad253a3",
+    "B3xA1": "69fc52be315a8dfeb1a6285bbd0c94ac0d8098e7a1aa153ea920a75fad8bf0fe",
+}
+
+DOT_DIGESTS = {
+    "A2": "fa3f13a9c2d2511eb94ad4d1b5df9ec2b1dee234f8114df106d2cb33be833017",
+    "A3": "b204fa4f96837a1444ccfbfed8633691f4fdf599974b63bb60c65dd5a43ec8c5",
+    "B2": "af8908af245d710ccd04c3b0d7de27d206b80619d9795db8f976770429c0adf9",
+    "B3": "cf36d28f124f66afe6998443d58a1b4a3ffa03f245d6fdfa1cffe66608db5469",
+    "G2": "795e86da7929e3084a3b1a1ca9d6aba49fca9da2f6ce579390ce1bbe887fe339",
+}
+
+ENUMERATE_DIGESTS = {
+    "A2": "83ef8dad8a4c4f65212b89489b5dbf8c4c7e76cd3e984a3987d2848a2d1edc62",
+    "A3": "90b8a276ebad0ba5355668c78b9e3fd9e655cdc9df6e3141fd3ac8238aa3dbc4",
+    "B2": "b0ae7d79f896cd51357b0152af416d0474cb29c5e952e4f4ac718c9cf996c3ba",
+    "B3": "c2f077c7c8646f1b4bf82112f96e9ba245a987c246aa7ac1c8ef005f0ee20ea5",
+    "G2": "4fcd7c3998e54e79b4f114606c08b5ea8f1035e3f5fcf6907337aa20baca62c4",
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def group_digest(W):
+    matrix_keys = [tuple(e.key() for row in W.matrix(i) for e in row)
+                   for i in range(len(W))]
+    return _sha(repr((W.lengths, W.words, W.gen_mult, W.inverse_table,
+                      matrix_keys)))
+
+
+@pytest.mark.parametrize("descriptor", sorted(GROUP_DIGESTS))
+def test_group_tables_pinned(descriptor):
+    assert group_digest(WeylGroup(descriptor)) == GROUP_DIGESTS[descriptor]
+
+
+@pytest.mark.parametrize("descriptor", sorted(DOT_DIGESTS))
+def test_poset_dot_pinned(descriptor):
+    assert _sha(poset_dot(WeylGroup(descriptor))) == DOT_DIGESTS[descriptor]
+
+
+@pytest.mark.parametrize("descriptor", sorted(ENUMERATE_DIGESTS))
+def test_balanced_enumeration_pinned(capsys, descriptor):
+    assert main(["thickenings", "enumerate", "--type", descriptor]) == 0
+    assert _sha(capsys.readouterr().out) == ENUMERATE_DIGESTS[descriptor]

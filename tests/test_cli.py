@@ -1,6 +1,8 @@
 """Command line coverage: every verb, plus error paths and determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,12 +210,23 @@ def test_output_to_file(capsys, tmp_path):
     assert code == 0 and out_file.read_text().strip() == "1"
 
 
+def test_readme_limits_sample_line(capsys, tmp_path, monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    line = next(l for l in readme.read_text().splitlines()
+                if l.startswith("weylkit limits sample"))
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, *shlex.split(line)[1:])
+    assert code == 0 and out == ""
+    sample = json.loads((tmp_path / "sample.json").read_text())
+    assert sample["flags"]
+
+
 def test_determinism_byte_identical(capsys):
     args = ["thickenings", "enumerate", "--type", "A3"]
     _, out1 = run(capsys, *args)
     _, out2 = run(capsys, *args)
     assert out1 == out2
-    args = ["--seed", "7", "limits", "sample", "--gens",
+    args = ["limits", "sample", "--gens",
             json.dumps([np.diag([4.0, 1.0, 0.25]).tolist()]),
             "--max-len", "3", "--margin", "1.0"]
     _, out1 = run(capsys, *args)
@@ -237,6 +250,18 @@ def test_env_tolerance_override(capsys, monkeypatch):
         assert flagdyn.RANK_TOL == 1e-6
     finally:
         flagdyn.RANK_TOL = old
+
+
+def test_env_tolerance_rejects_garbage(capsys, monkeypatch):
+    from weylkit import flagdyn
+    old = flagdyn.RANK_TOL
+    monkeypatch.setenv("WEYLKIT_TOLERANCE", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["thickenings", "count", "--type", "A2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "WEYLKIT_TOLERANCE" in captured.err
+    assert flagdyn.RANK_TOL == old
 
 
 def test_help_exits_zero():

@@ -118,7 +118,8 @@ def _mat_is_identity(m):
                for i in range(len(m)) for j in range(len(m)))
 
 
-@pytest.mark.parametrize("descriptor", ["A2", "B2", "G2", "A1^2", "A2xA1"])
+@pytest.mark.parametrize("descriptor", ["A2", "B2", "G2", "A1^2", "A2xA1",
+                                        "B3", "D4", "F4", "A2xG2"])
 def test_reflection_rep_exactly_orthogonal(descriptor):
     from weylkit.coxeter import _mat_mul, _mat_transpose
     W = build_group(descriptor)
