@@ -675,20 +675,12 @@ def bruhat_covers(v):
     return out
 
 
-def opposition_involution_element(w):
-    """The automorphism w -> w0 w w0 induced by the chamber duality."""
+def opposition_involution(w):
+    """The automorphism w -> w0 w w0 induced by the chamber duality.  On
+    chamber vectors the duality is symspace.delta_iota."""
     W = w.group
     i = W.mult_indices(W.w0_index, w.index)
     return WeylElement(W, W.mult_indices(i, W.w0_index))
-
-
-def opposition_involution(v):
-    """Chamber duality, on either kind of argument: conjugation by the
-    longest element for group elements, reverse-and-negate for chamber
-    vectors of a type A flat."""
-    if isinstance(v, WeylElement):
-        return opposition_involution_element(v)
-    return tuple(-x for x in reversed(list(v)))
 
 
 def subword_leq(u, v):

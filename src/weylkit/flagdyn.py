@@ -7,6 +7,12 @@ transversal pair gives the longest element.  Rank decisions use a hard
 threshold with a mandatory safety factor: when a singular value falls in
 the gray zone the computation refuses to guess and raises instead.  For
 rational inputs an exact fraction-arithmetic oracle path is available.
+
+Limit-set samples and the nondiscreteness probe (and the Schottky
+certificate in ``morse``) walk reduced words through one enumerator,
+``reduced_words``.  Letter a is generator 0 and A its inverse, b is
+generator 1, and so on; words come in shortlex order, shorter first and
+then by letters ordered a < A < b < B < ...
 """
 
 from __future__ import annotations
@@ -249,16 +255,62 @@ def repelling_flag(g):
         raise NotRegular("eigenbasis is degenerate") from exc
 
 
-# --- sampled limit sets -----------------------------------------------------
+# --- reduced words ------------------------------------------------------------
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
+def stack_letters(gens, pair=lambda g: (g, np.linalg.inv(g))):
+    """Letters g0, g0^-1, g1, g1^-1, ... as one array: letter a is
+    ``pair(g_{a // 2})[a % 2]`` and its inverse is letter a ^ 1."""
+    if len(gens) > len(_LETTERS):
+        raise ValueError(f"at most {len(_LETTERS)} generators can be "
+                         f"labelled, got {len(gens)}")
+    return np.array([m for g in gens for m in pair(g)])
+
+
+def reduced_words(letters, max_len, max_words=None):
+    """Reduced words in stacked ``letters``, one length at a time in
+    shortlex order.
+
+    Yields ``(parent, letter, products)`` per length: word i is word
+    ``parent[i]`` of the previous length followed by ``letter[i]``, and
+    ``products[i]`` is its matrix.  Raises BudgetExceeded before building
+    a length that would take the count of words past ``max_words``.
+    """
+    inverse = np.arange(len(letters)) ^ 1
+    mats = np.eye(letters.shape[1])[None]
+    last = np.array([-1])
+    total = 0
+    for _ in range(max_len):
+        keep = last[:, None] != inverse
+        total += int(keep.sum())
+        if max_words is not None and total > max_words:
+            raise BudgetExceeded(f"word budget {max_words} exhausted")
+        parent, last = np.nonzero(keep)
+        mats = (mats[:, None] @ letters)[keep]
+        yield parent, last, mats
+
+
+def word_of(levels, row):
+    """Letter indices of word ``row`` of the last of ``levels``, a list
+    of the ``(parent, letter)`` arrays of reduced_words."""
+    word = []
+    for parent, letter in reversed(levels):
+        word.append(int(letter[row]))
+        row = int(parent[row])
+    return word[::-1]
+
+
 def _word_label(word):
+    """Letter a is generator 0 and A its inverse, b generator 1, ..."""
     if not word:
         return "e"
-    return "".join(_LETTERS[i] if s > 0 else _LETTERS[i].upper()
-                   for i, s in word)
+    return "".join(_LETTERS[a // 2].upper() if a % 2 else _LETTERS[a // 2]
+                   for a in word)
+
+
+# --- sampled limit sets -----------------------------------------------------
 
 
 @dataclass
@@ -300,24 +352,11 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
     sample = FlagSample([], [], [])
     if not gens:
         return sample
-    alphabet = []
-    for i, g in enumerate(gens):
-        alphabet.append(((i, 1), g))
-        alphabet.append(((i, -1), np.linalg.inv(g)))
-    frontier = [((), np.eye(gens[0].shape[0]))]
-    total = 0
-    for _ in range(max_word_length):
-        new = []
-        for word, mat in frontier:
-            for letter, gmat in alphabet:
-                if word and word[-1] == (letter[0], -letter[1]):
-                    continue  # immediate cancellation
-                total += 1
-                if total > max_words:
-                    raise BudgetExceeded(f"word budget {max_words} exhausted")
-                new.append((word + (letter,), mat @ gmat))
-        frontier = new
-        for word, mat in frontier:
+    levels = []
+    for parent, letter, mats in reduced_words(stack_letters(gens),
+                                              max_word_length, max_words):
+        levels.append((parent, letter))
+        for row, mat in enumerate(mats):
             u, mu, _ = np.linalg.svd(mat)
             lo = np.log(mu)
             margins = lo[:-1] - lo[1:]
@@ -327,7 +366,7 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
             if any(flag_distance(flag, f) < DEDUP_ANGLE for f in sample.flags):
                 continue
             sample.flags.append(flag)
-            sample.words.append(_word_label(word))
+            sample.words.append(_word_label(word_of(levels, row)))
             sample.margins.append(margins)
     return sample
 
@@ -453,51 +492,20 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
         return NondiscretenessResult(None, 0, False)
     n = gens[0].shape[0]
     ident = np.eye(n)
-    mats = []
-    for g in gens:
-        mats.append(g)
-        mats.append(np.linalg.inv(g))
-    mats = np.array(mats)
-    k = len(mats)  # letter i has inverse i ^ 1
-
-    # breadth-first over reduced words, one batched level at a time;
-    # words are reconstructed from (parent, letter) arrays on demand
     levels = []
-    cur_mats = ident[None, :, :]
-    cur_last = np.array([-1])
     searched = 0
     exhausted = False
-    small = []  # (level, row) indices of elements near the identity
-    for _ in range(max_len):
-        chunks, parents, letters = [], [], []
-        for a in range(k):
-            allowed = np.nonzero(cur_last != (a ^ 1))[0]
-            if allowed.size == 0:
-                continue
-            chunks.append(cur_mats[allowed] @ mats[a])
-            parents.append(allowed)
-            letters.append(np.full(allowed.size, a))
-        nxt = np.concatenate(chunks)
-        if searched + len(nxt) > max_words:
-            exhausted = True
-            break
-        searched += len(nxt)
-        levels.append((np.concatenate(parents), np.concatenate(letters)))
-        cur_mats = nxt
-        cur_last = np.concatenate(letters)
-        dist = np.linalg.svd(cur_mats - ident, compute_uv=False).max(axis=1)
-        for row in np.nonzero((dist > 1e-12) & (dist < epsilon))[0]:
-            small.append((len(levels) - 1, int(row), cur_mats[row].copy()))
-
-    def word_of(level, row):
-        out = []
-        while level >= 0:
-            parent, letter = levels[level]
-            a = int(letter[row])
-            out.append((a // 2, 1 if a % 2 == 0 else -1))
-            row = int(parent[row])
-            level -= 1
-        return tuple(reversed(out))
+    small = []  # (levels up to the word, row, matrix) of elements near 1
+    try:
+        for parent, letter, mats in reduced_words(stack_letters(gens),
+                                                  max_len, max_words):
+            levels.append((parent, letter))
+            searched += len(mats)
+            dist = np.linalg.svd(mats - ident, compute_uv=False).max(axis=1)
+            for row in np.nonzero((dist > 1e-12) & (dist < epsilon))[0]:
+                small.append((len(levels), int(row), mats[row].copy()))
+    except BudgetExceeded:
+        exhausted = True
 
     tried = 0
     for i, (li, ri, mi) in enumerate(small):
@@ -516,6 +524,7 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
             norm = _spectral_norm(cm - ident)
             if norm > comm_tol:
                 cert = NondiscretenessCertificate(
-                    [_word_label(word_of(l, r)) for l, r in chain], norm)
+                    [_word_label(word_of(levels[:l], r)) for l, r in chain],
+                    norm)
                 return NondiscretenessResult(cert, searched, exhausted)
     return NondiscretenessResult(None, searched, exhausted)

@@ -163,6 +163,12 @@ def _eig_power(g, N):
     return (evecs * evals ** N @ np.linalg.inv(evecs)).real
 
 
+def _power_letters(gens, N):
+    """Stacked letters g0^N, g0^-N, g1^N, ... for flagdyn.reduced_words."""
+    return flagdyn.stack_letters(
+        gens, lambda g: (_eig_power(g, N), _eig_power(g, -N)))
+
+
 def _graded_svd(k):
     """Left frame and descending log singular values of k.
 
@@ -289,25 +295,19 @@ def schottky_certificate(generators, N, cone=None, zeta=None, epsilon=0.2,
         cone = RegularityCone(0.05)
     if zeta is None:
         zeta = ZetaType.default(n)
-    powers = {}
-    for i, g in enumerate(gens):
-        powers[(i, 1)] = _eig_power(g, N)
-        powers[(i, -1)] = _eig_power(g, -N)
-    alphabet = list(powers.keys())
+    powers = _power_letters(gens, N)
     ident = np.eye(n)
 
     report = SchottkyReport(N, epsilon, spacing)
-    for alpha, beta, gamma in product(alphabet, repeat=3):
-        if alpha == beta:
-            continue
-        if gamma == (beta[0], -beta[1]):
-            continue  # beta gamma = 1
+    for alpha, beta, gamma in product(range(len(powers)), repeat=3):
+        if alpha == beta or gamma == beta ^ 1:
+            continue  # alpha = beta, or beta gamma = 1
         # orbit quadruple (alpha o, o, beta o, beta gamma o), handled by
         # group representatives throughout: the points themselves are too
         # ill-conditioned to materialize for large N
-        a_inv = powers[(alpha[0], -alpha[1])]
+        a_inv = powers[alpha ^ 1]
         b = powers[beta]
-        b_inv = powers[(beta[0], -beta[1])]
+        b_inv = powers[beta ^ 1]
         c = b @ powers[gamma]
         ma, ma_inv = _orbit_midpoint(powers[alpha], a_inv, ident)
         mb, mb_inv = _orbit_midpoint(ident, ident, b)
@@ -343,24 +343,13 @@ def orbit_growth(generators, N, max_word_length):
     """Word length vs orbit distance for all short reduced words of the
     N-th powers: the undistortion witness data."""
     gens = [np.asarray(g, dtype=float) for g in generators]
-    n = gens[0].shape[0]
-    alphabet = []
-    for g in gens:
-        alphabet.append(_eig_power(g, N))
-        alphabet.append(_eig_power(g, -N))
     out = []
-    frontier = [(-1, np.eye(n))]
-    for length in range(1, max_word_length + 1):
-        new = []
-        for last, mat in frontier:
-            for a, gmat in enumerate(alphabet):
-                if last >= 0 and a == (last ^ 1):
-                    continue
-                m = mat @ gmat
-                new.append((a, m))
-                _, logs = _graded_svd(m)
-                out.append((length, 2.0 * float(np.linalg.norm(logs))))
-        frontier = new
+    for length, (_, _, mats) in enumerate(
+            flagdyn.reduced_words(_power_letters(gens, N), max_word_length),
+            start=1):
+        for m in mats:
+            _, logs = _graded_svd(m)
+            out.append((length, 2.0 * float(np.linalg.norm(logs))))
     return out
 
 

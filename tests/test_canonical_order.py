@@ -5,12 +5,18 @@ order-matrix export and the order of the balanced enumeration all follow
 that index, so the digests below pin it together with the word tables
 and the exact reflection matrices.  A change to how groups are built
 must leave every one of them unchanged.
+
+Reduced words are enumerated in shortlex order (a < A < b < B < ...), and
+the limit-set sample, the orbit growth data and the Schottky triples
+follow that order; their digests pin it together with every float.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from weylkit import flagdyn, morse
 from weylkit.cli import main
 from weylkit.coxeter import WeylGroup, poset_dot
 
@@ -50,6 +56,12 @@ ENUMERATE_DIGESTS = {
     "G2": "4fcd7c3998e54e79b4f114606c08b5ea8f1035e3f5fcf6907337aa20baca62c4",
 }
 
+WORD_DIGESTS = {
+    "limit_set_sample": "403cdfa24b504689f4468e5dc07378e4442dd009bf602b4ed432a89cb0cb99d4",
+    "orbit_growth": "916096d7b5efd5cfe0d04eb2398671ce895f1e577ca6820e1142a2a542794824",
+    "schottky_certificate": "f380554aad0c2d2894de7d4f14eed97b915c1ad12f029236e2d2289fa256aa80",
+}
+
 
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -76,3 +88,32 @@ def test_poset_dot_pinned(descriptor):
 def test_balanced_enumeration_pinned(capsys, descriptor):
     assert main(["thickenings", "enumerate", "--type", descriptor]) == 0
     assert _sha(capsys.readouterr().out) == ENUMERATE_DIGESTS[descriptor]
+
+
+def _standard_pair():
+    def rot(t, i, j):
+        m = np.eye(3)
+        m[i, i] = m[j, j] = np.cos(t)
+        m[j, i] = np.sin(t)
+        m[i, j] = -m[j, i]
+        return m
+    g1 = np.diag([4.0, 1.0, 0.25])
+    h = rot(0.8, 0, 1) @ rot(0.5, 1, 2) @ rot(0.3, 0, 1)
+    return [g1, h @ g1 @ h.T]
+
+
+def test_limit_set_sample_pinned():
+    sample = flagdyn.limit_set_sample(_standard_pair(), 4, 1.0)
+    assert _sha(repr(sample.to_json_obj())) == WORD_DIGESTS["limit_set_sample"]
+
+
+def test_orbit_growth_pinned():
+    data = morse.orbit_growth(_standard_pair(), 1, 5)
+    assert _sha(repr(data)) == WORD_DIGESTS["orbit_growth"]
+
+
+def test_schottky_rows_pinned():
+    rep = morse.schottky_certificate(_standard_pair(), 6)
+    rows = [(t.triple, t.spacing, t.regular, t.angles, t.passed)
+            for t in rep.triples]
+    assert _sha(repr(rows)) == WORD_DIGESTS["schottky_certificate"]

@@ -203,6 +203,21 @@ def test_error_paths(capsys):
     assert exc.value.code == 2
 
 
+def test_more_generators_than_letters(capsys):
+    # words are labelled a..z, so a 27th generator is refused up front
+    g = np.diag([4.0, 1.0, 0.25])
+    gens = []
+    for k in range(27):
+        c, s = np.cos(0.1 * k), np.sin(0.1 * k)
+        h = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        gens.append((h @ g @ h.T).tolist())
+    code, out = run(capsys, "limits", "sample", "--gens", json.dumps(gens),
+                    "--max-len", "1")
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "ValueError" and "26" in data["message"]
+
+
 def test_output_to_file(capsys, tmp_path):
     out_file = tmp_path / "c.txt"
     code, _ = run(capsys, "--out", str(out_file),

@@ -205,6 +205,58 @@ def test_not_regular_inputs():
         fd.attracting_flag(np.diag([2.0, 2.0, 0.25]))
 
 
+# --- reduced words ------------------------------------------------------------------------
+
+def _three_generators():
+    rng = np.random.default_rng(7)
+    return [np.eye(3) + 0.3 * rng.standard_normal((3, 3)) for _ in range(3)]
+
+
+def test_reduced_words_levels():
+    gens = _three_generators()
+    letters = fd.stack_letters(gens)
+    k = len(gens)
+    rank = {ch: i for i, ch in enumerate("aAbBcC")}
+    levels = []
+    for length, (parent, letter, mats) in enumerate(
+            fd.reduced_words(letters, 4), start=1):
+        levels.append((parent, letter))
+        assert len(mats) == len(parent) == 2 * k * (2 * k - 1) ** (length - 1)
+        labels = [fd._word_label(fd.word_of(levels, row))
+                  for row in range(len(mats))]
+        keys = [[rank[ch] for ch in label] for label in labels]
+        assert keys == sorted(keys) and len(set(labels)) == len(labels)
+        for label, mat in zip(labels, mats):
+            replay = np.eye(3)
+            for ch in label:
+                base = gens["abc".index(ch.lower())]
+                replay = replay @ (base if ch.islower() else np.linalg.inv(base))
+            assert np.abs(replay - mat).max() < 1e-12
+            assert all(a.lower() != b.lower() or a == b
+                       for a, b in zip(label, label[1:]))
+    assert len(levels) == 4
+
+
+@pytest.mark.parametrize("max_words", [0, 5, 6, 35, 36, 185, 186, None])
+def test_reduced_words_budget(max_words):
+    # three generators: 6 * 5 ** (L - 1) words of length L, so 6, 36 and
+    # 186 words up to lengths 1, 2 and 3
+    letters = fd.stack_letters(_three_generators())
+    fits = [c for c in (6, 36, 186) if max_words is None or c <= max_words]
+    counts = []
+
+    def enumerate_all():
+        for _, _, mats in fd.reduced_words(letters, 3, max_words):
+            counts.append(len(mats))
+
+    if len(fits) == 3:
+        enumerate_all()
+    else:
+        with pytest.raises(BudgetExceeded):
+            enumerate_all()
+    assert np.cumsum(counts).tolist() == fits
+
+
 # --- limit set samples ----------------------------------------------------------------
 
 def test_limit_set_sample_cyclic():
@@ -444,6 +496,14 @@ def test_probe_dense_rotations_certificate():
             base = mats[ch.lower()]
             m = m @ (base if ch.islower() else np.linalg.inv(base))
         assert np.linalg.svd(m - np.eye(3), compute_uv=False).max() < 0.1
+
+
+def test_probe_budget_exhausted():
+    # levels of 4, 12, 36 words fit in 100; the fourth (108 more) does not
+    res = fd.nondiscreteness_certificate([_rot_z(2.4), _rot_z(1.7).T],
+                                         max_len=8, max_words=100)
+    assert res.words_searched == 52
+    assert res.budget_exhausted is True
 
 
 def test_probe_integer_generators_find_nothing():
