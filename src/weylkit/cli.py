@@ -231,8 +231,8 @@ def _cmd_flags_position(args):
             [[_num(x) for x in row] for row in a],
             [[_num(x) for x in row] for row in b])
     else:
-        res = flagdyn.relative_position(flagdyn.flag_from_basis(_matrix(a)),
-                                        flagdyn.flag_from_basis(_matrix(b)))
+        fa, fb = (flagdyn.flag_from_basis(_matrix(m)) for m in (a, b))
+        res = flagdyn.relative_position(fa, fb, tol=args.tol)
     out = {"position": res.w.label(), "length": res.w.length,
            "rank_matrix": res.rank_matrix[1:, 1:],
            "confidence": res.confidence, "exact": exact}
@@ -243,7 +243,8 @@ def _cmd_flags_position(args):
 def _cmd_flags_antipodal(args):
     a = flagdyn.flag_from_basis(_matrix_arg(args.a))
     b = flagdyn.flag_from_basis(_matrix_arg(args.b))
-    _emit(render_json({"antipodal": flagdyn.is_antipodal(a, b)}), args)
+    antipodal = flagdyn.is_antipodal(a, b, tol=args.tol)
+    _emit(render_json({"antipodal": antipodal}), args)
     return 0
 
 
@@ -259,7 +260,8 @@ def _cmd_domain_membership(args):
     sample = flagdyn.FlagSample.from_json_obj(_load_json(args.sample))
     W = flagdyn.position_group(flag.n)
     th = _thickening_arg(args.thickening, W)
-    member, witness = flagdyn.thickening_membership(flag, sample, th)
+    member, witness = flagdyn.thickening_membership(flag, sample, th,
+                                                    tol=args.tol)
     out = {"in_thickened_limit_set": member,
            "in_domain": not member,
            "witness": witness.basis if witness is not None else None}
@@ -523,15 +525,14 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if os.environ.get(ENV_TOL):
-        try:
-            tol = float(os.environ[ENV_TOL])
-        except ValueError:
-            tol = math.nan
-        if not 0 < tol < math.inf:
-            parser.error(f"{ENV_TOL} must be a positive finite number, "
-                         f"not {os.environ[ENV_TOL]!r}")
-        flagdyn.RANK_TOL = tol
+    env = os.environ.get(ENV_TOL)
+    try:
+        args.tol = float(env) if env else flagdyn.RANK_TOL
+    except ValueError:
+        args.tol = math.nan
+    if not 0 < args.tol < math.inf:
+        parser.error(f"{ENV_TOL} must be a positive finite number, "
+                     f"not {env!r}")
     try:
         return args.fn(args)
     except (WeylkitError, OSError, ValueError, KeyError) as exc:

@@ -3,10 +3,14 @@
 The relative position of two flags is the permutation read off the rank
 matrix d[i][j] = dim(V_i intersect W_j): column j jumps at row w(j).
 With this convention a flag against itself gives the identity and a
-transversal pair gives the longest element.  Rank decisions use a hard
-threshold with a mandatory safety factor: when a singular value falls in
-the gray zone the computation refuses to guess and raises instead.  For
-rational inputs an exact fraction-arithmetic oracle path is available.
+transversal pair gives the longest element.  Both the float path and the
+exact fraction-arithmetic oracle read d[i][j] = j - rank(C[i:, :j]) from
+C = A^-1 B, for bases A and B adapted to the flags, and differ only in
+the rank.  The exact path refuses a singular basis.  The float path takes
+C = A^T B and maps each singular value sin(theta) of a corner to
+sqrt(1 - cos(theta)) before the threshold ``tol`` (RANK_TOL unless passed
+in; WEYLKIT_TOLERANCE on the command line): a value in the gray band
+[tol, 2 tol], or a gap below RANK_SAFETY, makes it refuse to guess.
 
 Limit-set samples and the nondiscreteness probe (and the Schottky
 certificate in ``morse``) walk reduced words through one enumerator,
@@ -109,112 +113,100 @@ class PositionResult:
     confidence: float
 
 
-def _numeric_intersection_dims(a, b):
-    """d[i][j] = dim(span of first i cols of a, meet, first j cols of b),
-    via rank of the stacked basis; refuses ambiguous rank decisions."""
-    n = a.shape[0]
-    d = np.zeros((n + 1, n + 1), dtype=int)
-    confidence = np.inf
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            stacked = np.hstack([a[:, :i], b[:, :j]])
-            s = np.linalg.svd(stacked, compute_uv=False)
-            if np.any((s >= RANK_TOL) & (s <= 2 * RANK_TOL)):
-                raise AmbiguousRank(
-                    f"singular value inside the gray band "
-                    f"[{RANK_TOL:.0e}, {2 * RANK_TOL:.0e}]")
-            rejected = s[s < RANK_TOL]
-            accepted = s[s >= RANK_TOL]
-            if rejected.size and accepted.size:
-                ratio = float(accepted.min() / max(rejected.max(), 1e-300))
-                if ratio < RANK_SAFETY:
-                    raise AmbiguousRank(
-                        f"singular value gap {ratio:.2e} below safety factor")
-                confidence = min(confidence, ratio)
-            d[i][j] = i + j - int(accepted.size)
-    return d, confidence
+def _svd_rank(corner, tol):
+    """Numerical rank of a corner of the orthogonal C = A^T B and the gap
+    between its kept and dropped singular values, or AmbiguousRank."""
+    s = np.linalg.svd(corner, compute_uv=False)
+    # s = sin(theta) -> sqrt(1 - cos(theta)), the value of a stacked basis
+    s = s / np.sqrt(1.0 + np.sqrt(np.maximum(0.0, 1.0 - s * s)))
+    if np.any((s >= tol) & (s <= 2 * tol)):
+        raise AmbiguousRank(
+            f"singular value inside the gray band [{tol:.0e}, {2 * tol:.0e}]")
+    rejected = s[s < tol]
+    accepted = s[s >= tol]
+    ratio = np.inf
+    if rejected.size:
+        # a corner of the orthogonal C has no singular value above 1
+        ratio = float(accepted.min(initial=1.0) / max(rejected.max(), 1e-300))
+        if ratio < RANK_SAFETY:
+            raise AmbiguousRank(
+                f"singular value gap {ratio:.2e} below safety factor")
+    return int(accepted.size), ratio
 
 
-def _exact_intersection_dims(a, b):
-    n = len(a)
-    d = np.zeros((n + 1, n + 1), dtype=int)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            cols = [[row[k] for k in range(i)] + [brow[k] for k in range(j)]
-                    for row, brow in zip(a, b)]
-            d[i][j] = i + j - _exact_rank(cols)
-    return d
-
-
-def _exact_rank(rows):
+def _gauss_jordan(rows):
+    """Reduced row echelon form of exact ``rows`` and its pivot columns."""
     m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank, col = 0, 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
+    pivots = []
+    for col in range(len(m[0])):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(m)) if m[r][col] != 0), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank][col]
-        for r in range(nrows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col] / lead
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+        m[top], m[piv] = m[piv], m[top]
+        m[top] = [x / m[top][col] for x in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[top])]
+        pivots.append(col)
+    return m, pivots
 
 
-def _dims_to_permutation(d):
-    n = d.shape[0] - 1
-    w = []
-    for j in range(1, n + 1):
-        i = next((i for i in range(1, n + 1) if d[i][j] > d[i][j - 1]), None)
-        if i is None:
-            raise AmbiguousRank("rank matrix has a jumpless column")
-        w.append(i)
+def _exact_rank(corner):
+    return len(_gauss_jordan(corner)[1]), np.inf
+
+
+def _position(c, rank):
+    """Relative position read from the corners of C = A^-1 B; ``rank``
+    gives the rank of a corner and the gap behind that decision."""
+    n = c.shape[0]
+    d = np.zeros((n + 1, n + 1), dtype=int)
+    d[n] = np.arange(n + 1)
+    confidence = np.inf
+    for i in range(1, n):
+        for j in range(1, n + 1):
+            r, gap = rank(c[i:, :j])
+            d[i][j] = j - r
+            confidence = min(confidence, gap)
+    for steps in (np.diff(d, axis=0), np.diff(d, axis=1)):
+        if steps.min() < 0 or steps.max() > 1:
+            raise AmbiguousRank("intersection dimensions violate monotonicity")
+    # row n is 0, 1, ..., n, so every column jumps at some row
+    w = tuple(int(i) for i in np.argmax(np.diff(d, axis=1) > 0, axis=0))
     if len(set(w)) != n:
         raise AmbiguousRank("rank matrix is not a consistent jump pattern")
-    return tuple(w)
-
-
-def _validate_rank_matrix(d):
-    n = d.shape[0] - 1
-    ok = (d[n][n] == n
-          and np.all(np.diff(d, axis=0) >= 0)
-          and np.all(np.diff(d, axis=1) >= 0)
-          and np.all(np.diff(d, axis=1) <= 1)
-          and np.all(np.diff(d, axis=0) <= 1))
-    if not ok:
-        raise AmbiguousRank("intersection dimensions violate monotonicity")
-
-
-def relative_position(f, g):
-    """Permutation-valued position of flag f relative to flag g."""
-    d, confidence = _numeric_intersection_dims(f.basis, g.basis)
-    _validate_rank_matrix(d)
-    w = _dims_to_permutation(d)
-    W = position_group(f.n)
+    W = position_group(n)
     return PositionResult(W.element_from_one_line(w), d, confidence)
+
+
+def relative_position(f, g, *, tol=RANK_TOL):
+    """Permutation-valued position of flag f relative to flag g; singular
+    values below ``tol`` count as zero."""
+    return _position(f.basis.T @ g.basis, lambda m: _svd_rank(m, tol))
 
 
 def relative_position_exact(basis_a, basis_b):
     """Exact oracle: same position from raw rational bases (the spans of
-    the leading columns define the flags; no orthonormalization needed)."""
-    a = [[Fraction(x) for x in row] for row in basis_a]
-    b = [[Fraction(x) for x in row] for row in basis_b]
-    d = _exact_intersection_dims(a, b)
-    _validate_rank_matrix(d)
-    w = _dims_to_permutation(d)
-    W = position_group(len(a))
-    return PositionResult(W.element_from_one_line(w), d, float("inf"))
+    the leading columns define the flags; no orthonormalization needed).
+    C = A^-1 B comes from one Gauss-Jordan pass over [A | B]."""
+    n = len(basis_a)
+    if not np.shape(basis_a) == np.shape(basis_b) == (n, n):
+        raise NearSingular("basis must be square")
+    m, pivots = _gauss_jordan([[Fraction(x) for x in [*ra, *rb]]
+                               for ra, rb in zip(basis_a, basis_b)])
+    if pivots != list(range(n)):
+        raise NearSingular("basis a is singular")
+    c = np.array([row[n:] for row in m], dtype=object)
+    if _exact_rank(c)[0] < n:
+        raise NearSingular("basis b is singular")
+    return _position(c, _exact_rank)
 
 
-def is_antipodal(f, g):
+def is_antipodal(f, g, *, tol=RANK_TOL):
     """True iff the flags are transversal: all complementary
     intersections vanish, i.e. the position is the longest element."""
-    res = relative_position(f, g)
+    res = relative_position(f, g, tol=tol)
     return res.w == res.w.group.w0
 
 
@@ -288,7 +280,11 @@ def reduced_words(letters, max_len, max_words=None):
         if max_words is not None and total > max_words:
             raise BudgetExceeded(f"word budget {max_words} exhausted")
         parent, last = np.nonzero(keep)
-        mats = (mats[:, None] @ letters)[keep]
+        out = np.empty((len(parent),) + letters.shape[1:])
+        for a, letter in enumerate(letters):
+            sel = last == a
+            out[sel] = mats[parent[sel]] @ letter
+        mats = out
         yield parent, last, mats
 
 
@@ -380,11 +376,11 @@ def iterate_flag(g, flag, steps):
     return flag
 
 
-def thickening_membership(f, sample, th):
+def thickening_membership(f, sample, th, *, tol=RANK_TOL):
     """Is the flag inside the thickened sampled limit set?  Returns the
     verdict together with the first witness limit flag."""
     for lam in sample.flags:
-        res = relative_position(f, lam)
+        res = relative_position(f, lam, tol=tol)
         if res.w in th:
             return True, lam
     return False, None

@@ -343,6 +343,8 @@ def orbit_growth(generators, N, max_word_length):
     """Word length vs orbit distance for all short reduced words of the
     N-th powers: the undistortion witness data."""
     gens = [np.asarray(g, dtype=float) for g in generators]
+    if not gens:
+        raise ValueError("need at least one generator")
     out = []
     for length, (_, _, mats) in enumerate(
             flagdyn.reduced_words(_power_letters(gens, N), max_word_length),

@@ -236,6 +236,24 @@ def test_readme_limits_sample_line(capsys, tmp_path, monkeypatch):
     assert sample["flags"]
 
 
+def test_readme_quick_tour(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "10"
+    assert lines[3].startswith("(True, ")
+    assert lines[-1] == "True"
+
+
+def test_exact_position_of_singular_basis(capsys):
+    code, out = run(capsys, "flags", "position",
+                    "--a", "[[0,1,0],[0,0,1],[0,0,0]]",
+                    "--b", "[[0,0,1],[0,1,0],[1,0,0]]")
+    assert code == 1
+    assert json.loads(out)["error"] == "NearSingular"
+
+
 def test_determinism_byte_identical(capsys):
     args = ["thickenings", "enumerate", "--type", "A3"]
     _, out1 = run(capsys, *args)
@@ -255,16 +273,20 @@ def test_float_formatting_17_digits():
 
 
 def test_env_tolerance_override(capsys, monkeypatch):
+    # a first line turned by 5e-7: a turn at the default threshold 1e-8,
+    # no turn at 1e-6; the threshold is passed in, never written back
     from weylkit import flagdyn
-    old = flagdyn.RANK_TOL
-    try:
-        monkeypatch.setenv("WEYLKIT_TOLERANCE", "1e-6")
-        a = json.dumps(np.eye(3).tolist())
-        code, _ = run(capsys, "flags", "antipodal", "--a", a, "--b", a)
-        assert code == 0
-        assert flagdyn.RANK_TOL == 1e-6
-    finally:
-        flagdyn.RANK_TOL = old
+    monkeypatch.delenv("WEYLKIT_TOLERANCE", raising=False)
+    c, s = np.cos(5e-7), np.sin(5e-7)
+    a = json.dumps([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    b = json.dumps(np.eye(3).tolist())
+    args = ("flags", "position", "--a", a, "--b", b)
+    code, out = run(capsys, *args)
+    assert code == 0 and json.loads(out)["position"] == "213"
+    monkeypatch.setenv("WEYLKIT_TOLERANCE", "1e-6")
+    code, out = run(capsys, *args)
+    assert code == 0 and json.loads(out)["position"] == "123"
+    assert flagdyn.RANK_TOL == 1e-8
 
 
 def test_env_tolerance_rejects_garbage(capsys, monkeypatch):

@@ -135,6 +135,52 @@ def test_ambiguous_rank_raises():
         fd.relative_position(f, fd.standard_flag(3))
 
 
+def _turned_flag(theta):
+    """The standard flag of R^3 with its first line turned by theta
+    inside the first plane."""
+    c, s = np.cos(theta), np.sin(theta)
+    return fd.Flag(np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]).T)
+
+
+def test_rank_band_edge():
+    # the stacked-basis singular value of a first-line turn by theta is
+    # sqrt(2) sin(theta / 2); the position refuses exactly when it lies in
+    # the gray band [RANK_TOL, 2 RANK_TOL] and reads 123 below it, 213 above
+    tol = fd.RANK_TOL
+    for theta in np.geomspace(0.5 * tol, 6 * tol, 25):
+        value = np.sqrt(2) * np.sin(theta / 2)
+        f = _turned_flag(theta)
+        if tol <= value <= 2 * tol:
+            with pytest.raises(AmbiguousRank):
+                fd.relative_position(f, fd.standard_flag(3))
+        else:
+            res = fd.relative_position(f, fd.standard_flag(3))
+            assert res.w.label() == ("123" if value < tol else "213")
+
+
+def test_rank_tolerance_is_a_parameter():
+    f, g = _turned_flag(5e-7), fd.standard_flag(3)
+    assert fd.relative_position(f, g).w.label() == "213"
+    assert fd.relative_position(f, g, tol=1e-6).w.label() == "123"
+    assert fd.RANK_TOL == 1e-8
+    sample = fd.FlagSample([g], ["e"], [np.zeros(2)])
+    identity = {fd.position_group(3).identity}
+    assert fd.thickening_membership(f, sample, identity) == (False, None)
+    assert fd.thickening_membership(f, sample, identity, tol=1e-6)[0]
+    assert not fd.is_antipodal(f, g, tol=1e-6)
+
+
+def test_exact_position_refuses_singular_basis():
+    # V_1 of the first basis is the span of a zero column
+    singular = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    antidiagonal = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    for a, b in ((singular, antidiagonal), (antidiagonal, singular)):
+        with pytest.raises(NearSingular):
+            fd.relative_position_exact(a, b)
+    with pytest.raises(NearSingular):
+        fd.relative_position_exact([[1, 0], [0, 1]], antidiagonal)
+
+
 # --- antipodality ----------------------------------------------------------------
 
 def test_antipodal_examples():

@@ -235,6 +235,11 @@ def test_orbit_growth_ratio_band():
     assert max(ratios) <= 3.0 * min(ratios)
 
 
+def test_orbit_growth_needs_a_generator():
+    with pytest.raises(ValueError, match="at least one generator"):
+        morse.orbit_growth([], 6, 2)
+
+
 # --- defect reports ------------------------------------------------------------------
 
 def test_defect_report_geodesic_samples():
