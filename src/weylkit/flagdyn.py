@@ -12,11 +12,11 @@ sqrt(1 - cos(theta)) before the threshold ``tol`` (RANK_TOL unless passed
 in; WEYLKIT_TOLERANCE on the command line): a value in the gray band
 [tol, 2 tol], or a gap below RANK_SAFETY, makes it refuse to guess.
 
-Limit-set samples and the nondiscreteness probe (and the Schottky
-certificate in ``morse``) walk reduced words through one enumerator,
-``reduced_words``.  Letter a is generator 0 and A its inverse, b is
-generator 1, and so on; words come in shortlex order, shorter first and
-then by letters ordered a < A < b < B < ...
+Limit-set samples and the nondiscreteness probe (and the orbit growth
+data in ``morse``, on graded products) walk reduced words through one
+enumerator, ``reduced_words``.  Letter a is generator 0 and A its
+inverse, b is generator 1, and so on; words come in shortlex order,
+shorter first and then by letters ordered a < A < b < B < ...
 """
 
 from __future__ import annotations
@@ -125,9 +125,9 @@ def _svd_rank(corner, tol):
     rejected = s[s < tol]
     accepted = s[s >= tol]
     ratio = np.inf
-    if rejected.size:
+    if rejected.any():  # dropped values that are all exactly 0: gap inf
         # a corner of the orthogonal C has no singular value above 1
-        ratio = float(accepted.min(initial=1.0) / max(rejected.max(), 1e-300))
+        ratio = float(accepted.min(initial=1.0) / rejected.max())
         if ratio < RANK_SAFETY:
             raise AmbiguousRank(
                 f"singular value gap {ratio:.2e} below safety factor")
@@ -191,8 +191,10 @@ def relative_position_exact(basis_a, basis_b):
     the leading columns define the flags; no orthonormalization needed).
     C = A^-1 B comes from one Gauss-Jordan pass over [A | B]."""
     n = len(basis_a)
-    if not np.shape(basis_a) == np.shape(basis_b) == (n, n):
-        raise NearSingular("basis must be square")
+    for name, basis in (("a", basis_a), ("b", basis_b)):
+        if len(basis) != n or any(np.ndim(row) != 1 or len(row) != n
+                                  for row in basis):
+            raise NearSingular(f"basis {name} is not a square {n} x {n} matrix")
     m, pivots = _gauss_jordan([[Fraction(x) for x in [*ra, *rb]]
                                for ra, rb in zip(basis_a, basis_b)])
     if pivots != list(range(n)):
@@ -252,13 +254,13 @@ def repelling_flag(g):
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def stack_letters(gens, pair=lambda g: (g, np.linalg.inv(g))):
+def stack_letters(gens):
     """Letters g0, g0^-1, g1, g1^-1, ... as one array: letter a is
-    ``pair(g_{a // 2})[a % 2]`` and its inverse is letter a ^ 1."""
+    generator a // 2 or its inverse, and its inverse is letter a ^ 1."""
     if len(gens) > len(_LETTERS):
         raise ValueError(f"at most {len(_LETTERS)} generators can be "
                          f"labelled, got {len(gens)}")
-    return np.array([m for g in gens for m in pair(g)])
+    return np.array([m for g in gens for m in (g, np.linalg.inv(g))])
 
 
 def reduced_words(letters, max_len, max_words=None):
@@ -269,9 +271,11 @@ def reduced_words(letters, max_len, max_words=None):
     ``parent[i]`` of the previous length followed by ``letter[i]``, and
     ``products[i]`` is its matrix.  Raises BudgetExceeded before building
     a length that would take the count of words past ``max_words``.
+    ``letters`` is a stack of matrices or any stack with the same
+    indexing and batched ``@``, such as a ``graded.Graded``.
     """
     inverse = np.arange(len(letters)) ^ 1
-    mats = np.eye(letters.shape[1])[None]
+    mats = None
     last = np.array([-1])
     total = 0
     for _ in range(max_len):
@@ -280,10 +284,12 @@ def reduced_words(letters, max_len, max_words=None):
         if max_words is not None and total > max_words:
             raise BudgetExceeded(f"word budget {max_words} exhausted")
         parent, last = np.nonzero(keep)
-        out = np.empty((len(parent),) + letters.shape[1:])
-        for a, letter in enumerate(letters):
-            sel = last == a
-            out[sel] = mats[parent[sel]] @ letter
+        # a stack of the right length and kind; every row is overwritten
+        out = letters[last]
+        if mats is not None:
+            for a in range(len(letters)):
+                sel = last == a
+                out[sel] = mats[parent[sel]] @ letters[a]
         mats = out
         yield parent, last, mats
 

@@ -7,6 +7,13 @@ adjacent diamonds.  The free-group certificate checks the standard
 midpoint-path reduction: for every non-backtracking triple of generator
 letters, the midpoints of consecutive orbit segments must be spaced,
 regular, and bend by less than half the allowed straightness defect.
+
+The certificate and the orbit growth data work on long word products,
+whose small singular values float64 matrices cannot hold.  Both keep
+letters and products in the graded form of ``weylkit.graded`` and read
+distances and frames from it, so no ill-conditioned matrix is ever
+formed and no multiprecision arithmetic is needed; a product the kernel
+cannot vouch for raises SingularInput.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from . import flagdyn, symspace
+from . import flagdyn, graded, symspace
 from .errors import DegenerateSegment, NotAntipodalGenerators, TieError
 from .symspace import (FinslerFunctional, RegularityCone,
                        finsler_distance, riemannian_distance)
@@ -158,57 +165,49 @@ def straightness_check(path, cone, zeta=None, epsilon=0.2, spacing=10.0):
 
 # --- free group certificates -------------------------------------------------
 
-def _eig_power(g, N):
-    evals, evecs = np.linalg.eig(np.asarray(g, dtype=float))
-    return (evecs * evals ** N @ np.linalg.inv(evecs)).real
-
-
 def _power_letters(gens, N):
-    """Stacked letters g0^N, g0^-N, g1^N, ... for flagdyn.reduced_words."""
-    return flagdyn.stack_letters(
-        gens, lambda g: (_eig_power(g, N), _eig_power(g, -N)))
+    """Letters g0^N, g0^-N, g1^N, ... as one graded stack for
+    flagdyn.reduced_words."""
+    return graded.power(flagdyn.stack_letters(gens), N)
 
 
-def _graded_svd(k):
-    """Left frame and descending log singular values of k.
+def _segments(left, x, right):
+    """Left frames and chamber vectors of diag(e^left) x diag(e^right),
+    x orthogonal, for stacks of each."""
+    frames, logs, _ = (graded.Graded.diag(left)
+                       @ graded.Graded(x, right, np.eye(x.shape[-1]))).svd()
+    return frames, logs - logs.mean(axis=-1, keepdims=True)
 
-    High powers give singular value spreads beyond float conditioning,
-    so the decomposition switches to multiprecision when the spread
-    (bounded through the determinant) gets large.
+
+def _midpoint_segments(letters):
+    """The segments of the midpoint path, seen from its middle midpoint.
+
+    With the letter x = u_x e^{l_x} w_x^T and h_x = l_x / 2, the midpoint
+    of o and x.o is m_x.o for m_x = u_x e^{h_x} (a representative up to a
+    right orthogonal factor, which changes no distance or angle).  Seen
+    from m_b, that is after applying m_b^-1, the other points are
+    m_a -> e^{-h_b} u_b^T u_a e^{h_a}, o -> e^{-h_b} u_b^T,
+    b.o -> e^{h_b} w_b^T and b m_c -> e^{h_b} w_b^T u_c e^{h_c}.
+    Returns (frames, chamber vectors) of these four, indexed [b, a],
+    [b], [b] and [b, c].
     """
-    k = np.asarray(k, dtype=float)
-    n = k.shape[0]
-    smax = n * float(np.abs(k).max())
-    _, logdet = np.linalg.slogdet(k)
-    if not np.isfinite(logdet):
-        logdet = 0.0  # all callers pass unimodular products
-    span = max(0.0, n * np.log(smax) - float(logdet))
-    if span < 20.0:
-        u, s, _ = np.linalg.svd(k)
-        return u, np.log(s)
-    import mpmath as mp
-    with mp.workdps(int(span * 0.4343) + 40):
-        mu, ms, _ = mp.svd_r(mp.matrix(k.tolist()))
-        logs = np.array([float(mp.log(ms[i])) for i in range(n)])
-        u = np.array([[float(mu[i, j]) for j in range(n)] for i in range(n)])
-    return u, logs
+    u, logs, w = letters.svd()
+    h = logs / 2.0
+    ut, wt = np.swapaxes(u, -1, -2), np.swapaxes(w, -1, -2)
+    zero = np.zeros_like(h)
+    return (_segments(-h[:, None], ut[:, None] @ u[None], h[None]),
+            _segments(-h, ut, zero),
+            _segments(h, wt, zero),
+            _segments(h[:, None], wt[:, None] @ u[None], h[None]))
 
 
-def _orbit_delta(p_inv, q):
-    """Chamber-valued distance between orbit points p.o and q.o."""
-    _, logs = _graded_svd(p_inv @ q)
-    return logs - logs.mean()
-
-
-def _orbit_frame(p_inv, q, tol=GAP_TOL):
-    """Chamber frame of the segment p.o -> q.o seen from p.o, up to the
-    common orthogonal factor of p (which cancels in angles)."""
-    u, logs = _graded_svd(p_inv @ q)
-    logs = logs - logs.mean()
-    gaps = logs[:-1] - logs[1:]
-    if np.linalg.norm(logs) < tol or gaps.min() < tol:
+def _frame(frames, vectors, tol=GAP_TOL):
+    """Chamber frame of a segment, refused when it is degenerate or lies
+    on a wall."""
+    gaps = vectors[:-1] - vectors[1:]
+    if np.linalg.norm(vectors) < tol or gaps.min() < tol:
         raise TieError("orbit segment is degenerate or on a wall")
-    return u
+    return frames
 
 
 def _orbit_angle(u1, u2, zeta):
@@ -216,15 +215,6 @@ def _orbit_angle(u1, u2, zeta):
     w2 = (u2 * zeta.array) @ u2.T
     cosang = float(np.trace(w1 @ w2))
     return float(np.arccos(min(1.0, max(-1.0, cosang))))
-
-
-def _orbit_midpoint(p, p_inv, q):
-    """Representative of the geodesic midpoint of p.o and q.o, plus its
-    inverse (kept explicitly for stability)."""
-    u, logs = _graded_svd(p_inv @ q)
-    half = (u * np.exp(logs / 2.0)) @ u.T
-    half_inv = (u * np.exp(-logs / 2.0)) @ u.T
-    return p @ half, half_inv @ p_inv
 
 
 @dataclass
@@ -295,33 +285,26 @@ def schottky_certificate(generators, N, cone=None, zeta=None, epsilon=0.2,
         cone = RegularityCone(0.05)
     if zeta is None:
         zeta = ZetaType.default(n)
-    powers = _power_letters(gens, N)
-    ident = np.eye(n)
+    (back, back_v), (to_o, to_o_v), (to_b, to_b_v), (ahead, ahead_v) = \
+        _midpoint_segments(_power_letters(gens, N))
 
     report = SchottkyReport(N, epsilon, spacing)
-    for alpha, beta, gamma in product(range(len(powers)), repeat=3):
+    for alpha, beta, gamma in product(range(len(back)), repeat=3):
         if alpha == beta or gamma == beta ^ 1:
             continue  # alpha = beta, or beta gamma = 1
-        # orbit quadruple (alpha o, o, beta o, beta gamma o), handled by
-        # group representatives throughout: the points themselves are too
-        # ill-conditioned to materialize for large N
-        a_inv = powers[alpha ^ 1]
-        b = powers[beta]
-        b_inv = powers[beta ^ 1]
-        c = b @ powers[gamma]
-        ma, ma_inv = _orbit_midpoint(powers[alpha], a_inv, ident)
-        mb, mb_inv = _orbit_midpoint(ident, ident, b)
-        mc, mc_inv = _orbit_midpoint(b, b_inv, c)
-        d1 = _orbit_delta(ma_inv, mb)
-        d2 = _orbit_delta(mb_inv, mc)
+        # midpoints of the orbit quadruple (alpha o, o, beta o,
+        # beta gamma o), handled in graded form throughout: the points
+        # themselves are too ill-conditioned to materialize for large N
+        d1 = back_v[alpha, beta]
+        d2 = ahead_v[beta, gamma]
         seg1 = 2.0 * float(np.linalg.norm(d1))
         seg2 = 2.0 * float(np.linalg.norm(d2))
         reg1 = cone.contains(d1)
         reg2 = cone.contains(d2)
-        ang1 = _orbit_angle(_orbit_frame(mb_inv, ma),
-                            _orbit_frame(mb_inv, ident), zeta)
-        ang2 = _orbit_angle(_orbit_frame(mb_inv, mc),
-                            _orbit_frame(mb_inv, b), zeta)
+        ang1 = _orbit_angle(_frame(back[beta, alpha], back_v[beta, alpha]),
+                            _frame(to_o[beta], to_o_v[beta]), zeta)
+        ang2 = _orbit_angle(_frame(ahead[beta, gamma], d2),
+                            _frame(to_b[beta], to_b_v[beta]), zeta)
         passed = (seg1 >= spacing and seg2 >= spacing and reg1 and reg2
                   and ang1 < epsilon / 2 and ang2 < epsilon / 2)
         name = flagdyn._word_label((alpha, beta, gamma))
@@ -346,12 +329,12 @@ def orbit_growth(generators, N, max_word_length):
     if not gens:
         raise ValueError("need at least one generator")
     out = []
-    for length, (_, _, mats) in enumerate(
+    for length, (_, _, words) in enumerate(
             flagdyn.reduced_words(_power_letters(gens, N), max_word_length),
             start=1):
-        for m in mats:
-            _, logs = _graded_svd(m)
-            out.append((length, 2.0 * float(np.linalg.norm(logs))))
+        _, logs, _ = words.svd()
+        out.extend((length, 2.0 * float(d))
+                   for d in np.linalg.norm(logs, axis=-1))
     return out
 
 

@@ -6,7 +6,10 @@ descending vector of half log eigenvalues of x^{-1} y; composing it with
 a dual-regular linear functional gives the polyhedral Finsler distance,
 and twice its euclidean norm is the Riemannian distance for the trace
 form metric (the doubling constant is pinned by a geodesic-integration
-cross-check in the tests).
+cross-check in the tests).  Horofunction estimates read distances to far
+ray points through the graded kernel of ``weylkit.graded``, which keeps
+full relative accuracy where the exponent spread exceeds float
+conditioning.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graded
 from .errors import (DegenerateSegment, NonRegularDirection,
                      NotPositiveDefinite, SingularInput)
 
@@ -287,22 +291,11 @@ def chamber_ray_point(p, direction, t):
 
 def _graded_delta(m, exponents):
     """Chamber vector of the form m diag(e^exponents) m^T relative to the
-    identity, i.e. descending half log eigenvalues, computed in
-    multiprecision: the exponent spread can exceed float conditioning."""
-    import mpmath as mp
-
+    identity: the log singular values of m diag(e^(exponents / 2)), read
+    by the graded kernel because the exponent spread can exceed float
+    conditioning."""
     exponents = np.asarray(exponents, dtype=float)
-    k = m.T @ m
-    span = float(exponents.max() - exponents.min())
-    with mp.workdps(int(span * 0.4343) + 50):
-        n = k.shape[0]
-        s = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                s[i, j] = mp.exp((exponents[i] + exponents[j]) / 2) * k[i, j]
-        evals, _ = mp.eigsy(s)
-        logs = sorted((0.5 * mp.log(evals[i]) for i in range(n)), reverse=True)
-        v = np.array([float(l) for l in logs])
+    _, v, _ = graded.Graded(np.eye(m.shape[0]), exponents / 2.0, m.T).svd()
     return v - v.mean()
 
 

@@ -8,14 +8,18 @@ must leave every one of them unchanged.
 
 Reduced words are enumerated in shortlex order (a < A < b < B < ...), and
 the limit-set sample, the orbit growth data and the Schottky triples
-follow that order; their digests pin it together with every float.
+follow that order; their digests pin it together with every float.  The
+orbit growth data and the Schottky rows are also checked against
+mpmath products to 1e-12, so the digests pin correct values.
 """
 
 import hashlib
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import mp_oracle
 from weylkit import flagdyn, morse
 from weylkit.cli import main
 from weylkit.coxeter import WeylGroup, poset_dot
@@ -58,8 +62,8 @@ ENUMERATE_DIGESTS = {
 
 WORD_DIGESTS = {
     "limit_set_sample": "403cdfa24b504689f4468e5dc07378e4442dd009bf602b4ed432a89cb0cb99d4",
-    "orbit_growth": "916096d7b5efd5cfe0d04eb2398671ce895f1e577ca6820e1142a2a542794824",
-    "schottky_certificate": "f380554aad0c2d2894de7d4f14eed97b915c1ad12f029236e2d2289fa256aa80",
+    "orbit_growth": "f98f945f576c85fce72bc81f982c4beb170338d699f232f432972b4fe1bcaf8e",
+    "schottky_certificate": "2f44438e8afe4c4b19a7837d92645a8591805885245358a45f35d641a763bd91",
 }
 
 
@@ -108,12 +112,30 @@ def test_limit_set_sample_pinned():
 
 
 def test_orbit_growth_pinned():
-    data = morse.orbit_growth(_standard_pair(), 1, 5)
+    gens = _standard_pair()
+    data = morse.orbit_growth(gens, 1, 5)
+    levels, want = [], []
+    with mp.workdps(30):
+        letters = mp_oracle.power_letters(gens, 1)
+        for parent, letter, _ in flagdyn.reduced_words(
+                flagdyn.stack_letters(gens), 5):
+            levels.append((parent, letter))
+            want += [(len(levels), 2 * np.linalg.norm(mp_oracle.word_logs(
+                letters, flagdyn.word_of(levels, row))))
+                for row in range(len(parent))]
+    assert [length for length, _ in data] == [length for length, _ in want]
+    assert np.allclose([d for _, d in data], [d for _, d in want],
+                       rtol=1e-12, atol=0)
     assert _sha(repr(data)) == WORD_DIGESTS["orbit_growth"]
 
 
 def test_schottky_rows_pinned():
-    rep = morse.schottky_certificate(_standard_pair(), 6)
+    gens = _standard_pair()
+    rep = morse.schottky_certificate(gens, 6)
     rows = [(t.triple, t.spacing, t.regular, t.angles, t.passed)
             for t in rep.triples]
+    want = mp_oracle.schottky_rows(gens, 6, morse.ZetaType.default(3).array)
+    for t, (s1, s2, c1, c2) in zip(rep.triples, want, strict=True):
+        assert np.allclose(t.spacing, (s1, s2), rtol=1e-12, atol=0)
+        assert np.allclose(np.cos(t.angles), (c1, c2), rtol=0, atol=1e-12)
     assert _sha(repr(rows)) == WORD_DIGESTS["schottky_certificate"]

@@ -236,6 +236,53 @@ def test_readme_limits_sample_line(capsys, tmp_path, monkeypatch):
     assert sample["flags"]
 
 
+def _readme_inputs(directory):
+    """The @file inputs of the README's command examples."""
+    def rot(t, i, j):
+        r = np.eye(3)
+        r[[i, j], [i, j]] = np.cos(t)
+        r[i, j], r[j, i] = -np.sin(t), np.sin(t)
+        return r
+
+    g1 = np.diag([4.0, 1.0, 0.25])
+    h = rot(0.8, 0, 1) @ rot(0.5, 1, 2) @ rot(0.3, 0, 1)
+    generic = rot(0.4, 0, 1) @ rot(1.1, 1, 2) @ rot(0.7, 0, 2)
+    files = {
+        "x.json": np.diag([2.0, 1.0, 0.5]),
+        "y.json": h @ np.diag([3.0, 1.0, 1 / 3]) @ h.T,
+        "p.json": generic @ np.diag([1.5, 1.0, 2 / 3]) @ generic.T,
+        "gens.json": [g1, h @ g1 @ h.T],
+        "a.json": h,
+        "b.json": generic,
+        "flag.json": generic,
+        "g.json": g1,
+        "path.json": [np.diag(np.exp([2.0 * t, 0.0, -2.0 * t]))
+                      for t in range(8)],
+        "za.json": {"angles": ["0", "1", "2"], "weights": [1, 1, 1]},
+        "zb.json": {"angles": ["0", "1", "3"], "weights": [1, 1, 1]},
+    }
+    for name, value in files.items():
+        if not isinstance(value, dict):
+            value = np.asarray(value).tolist()
+        (directory / name).write_text(json.dumps(value))
+
+
+def test_readme_command_examples(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = [shlex.split(line, comments=True)
+             for line in block.split("```", 1)[0].splitlines()]
+    lines = [argv for argv in lines if argv]
+    assert len(lines) == 21 and all(argv[0] == "weylkit" for argv in lines)
+    _readme_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        code, out = run(capsys, *argv[1:])
+        assert code == 0, (argv, out)
+        if argv[1:3] == ["thickenings", "count"]:
+            assert out == "10\n"  # as the README says
+
+
 def test_readme_quick_tour(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
@@ -252,6 +299,17 @@ def test_exact_position_of_singular_basis(capsys):
                     "--b", "[[0,0,1],[0,1,0],[1,0,0]]")
     assert code == 1
     assert json.loads(out)["error"] == "NearSingular"
+
+
+def test_position_confidence_with_exact_zero(capsys):
+    # float flags that share a line exactly: a dropped singular value is
+    # exactly zero, so no rank decision came near the threshold
+    code, out = run(capsys, "flags", "position",
+                    "--a", "[[1.5,0.3,0],[0,1,0.2],[0,0,1]]",
+                    "--b", "[[1.5,0.1,0],[0,1,0],[0,0.7,1]]")
+    data = json.loads(out)
+    assert code == 0 and not data["exact"]
+    assert data["position"] == "132" and data["confidence"] == "inf"
 
 
 def test_determinism_byte_identical(capsys):

@@ -181,6 +181,14 @@ def test_exact_position_refuses_singular_basis():
         fd.relative_position_exact([[1, 0], [0, 1]], antidiagonal)
 
 
+def test_exact_position_refuses_ragged_basis():
+    ragged = [[1, 0], [0, 1, 2]]
+    square = [[1, 0], [0, 1]]
+    for a, b, name in ((ragged, square, "a"), (square, ragged, "b")):
+        with pytest.raises(NearSingular, match=f"basis {name} "):
+            fd.relative_position_exact(a, b)
+
+
 # --- antipodality ----------------------------------------------------------------
 
 def test_antipodal_examples():

@@ -5,10 +5,12 @@ closed-form oracle for configurations inside the diagonal flat, and the
 |x|-graph vs bounded-slope-graph dichotomy is measured directly.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from weylkit import morse
+import mp_oracle
+from weylkit import flagdyn, morse
 from weylkit import symspace as ss
 from weylkit.errors import NotAntipodalGenerators, TieError
 from weylkit.morse import (ZetaType, diamond_membership,
@@ -215,10 +217,49 @@ def test_schottky_spacing_monotone_in_N():
     g1, g2 = _schottky_pair()
     N0 = morse.find_schottky_threshold([g1, g2], max_power=40,
                                        epsilon=0.2, spacing=10.0)
-    vals = [schottky_certificate([g1, g2], N, epsilon=0.2,
-                                 spacing=10.0).min_spacing
-            for N in range(N0, N0 + 6)]
+    reps = [schottky_certificate([g1, g2], N, epsilon=0.2, spacing=10.0)
+            for N in range(N0, 41)]
+    assert all(rep.passed for rep in reps)
+    vals = [rep.min_spacing for rep in reps]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+def _relative_error(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def test_graded_logs_match_mpmath_on_criterion_6_words():
+    # the words of orbit_growth(pair, 6, 8): all of length <= 3 and every
+    # 101st longer one, against products formed in mpmath
+    gens = list(_schottky_pair())
+    levels = []
+    worst = 0.0
+    with mp.workdps(100):  # the longest words span about e^133
+        letters = mp_oracle.power_letters(gens, 6)
+        for parent, letter, words in flagdyn.reduced_words(
+                morse._power_letters(gens, 6), 8):
+            levels.append((parent, letter))
+            _, logs, _ = words.svd()
+            rows = range(len(parent)) if len(levels) <= 3 else \
+                range(0, len(parent), 101)
+            for row in rows:
+                want = mp_oracle.word_logs(letters,
+                                           flagdyn.word_of(levels, row))
+                worst = max(worst, _relative_error(logs[row], want))
+    assert worst < 1e-9
+
+
+@pytest.mark.parametrize("N", [10, 20, 30, 40])
+def test_graded_logs_match_mpmath_on_long_powers(N):
+    # g1^N g2^N g1^N spans about e^(8.3 N): float64 products lose every
+    # small singular value from N = 10 on
+    gens = list(_schottky_pair())
+    letters = morse._power_letters(gens, N)
+    _, logs, _ = (letters[0] @ letters[2] @ letters[0]).svd()
+    with mp.workdps(40 + 4 * N):
+        want = mp_oracle.word_logs(mp_oracle.power_letters(gens, N),
+                                   [0, 2, 0])
+    assert _relative_error(logs, want) < 1e-9
 
 
 def test_schottky_shared_eigenvector_rejected():
@@ -317,25 +358,33 @@ def test_zeta_angle_symmetric_and_invariant():
 
 
 def test_orbit_internals_match_point_computations():
-    # at moderate powers, the group-representative path (used because
-    # large powers cannot be materialized as points) must agree with the
-    # direct point-based computation
+    # at moderate powers, the graded midpoint path (used because large
+    # powers cannot be materialized as points) must agree with the direct
+    # point-based computation
     g1, g2 = _schottky_pair()
-    N = 2
-    A = morse._eig_power(g1, N)
-    A_inv = morse._eig_power(g1, -N)
-    B = morse._eig_power(g2, N)
-    ident = np.eye(3)
-    ma, ma_inv = morse._orbit_midpoint(A, A_inv, ident)
-    mb, mb_inv = morse._orbit_midpoint(ident, ident, B)
-    d_rep = 2 * np.linalg.norm(morse._orbit_delta(ma_inv, mb))
+    N = 1  # SymPoint refuses the orbit points of higher powers
+    letters = morse._power_letters([g1, g2], N)
+    (back, back_v), (to_o, _), (to_b, _), (ahead, ahead_v) = \
+        morse._midpoint_segments(letters)
+    a, b, c = 0, 2, 1  # alpha = g1^N, beta = g2^N, gamma = g1^-N
+    A = np.linalg.matrix_power(g1, N)
+    B = np.linalg.matrix_power(g2, N)
+    u, logs, w = letters.svd()
+    assert np.abs((u[a] * np.exp(logs[a])) @ w[a].T - A).max() < 1e-12
     o = ss.origin(3)
     ma_pt = ss.midpoint(ss.point_from_group(A), o)
     mb_pt = ss.midpoint(o, ss.point_from_group(B))
-    assert np.abs(ss.point_from_group(ma).mat - ma_pt.mat).max() < 1e-10
-    assert abs(d_rep - ss.riemannian_distance(ma_pt, mb_pt)) < 1e-9
+    mc_pt = ss.midpoint(ss.point_from_group(B),
+                        ss.point_from_group(B @ np.linalg.inv(A)))
+    mb = u[b] * np.exp(logs[b] / 2)
+    assert np.abs(ss.point_from_group(mb).mat - mb_pt.mat).max() < 1e-10
+    d1 = 2 * np.linalg.norm(back_v[a, b])
+    assert abs(d1 - ss.riemannian_distance(ma_pt, mb_pt)) < 1e-9
+    d2 = 2 * np.linalg.norm(ahead_v[b, c])
+    assert abs(d2 - ss.riemannian_distance(mb_pt, mc_pt)) < 1e-9
     zeta = ZetaType.default(3)
-    ang_rep = morse._orbit_angle(morse._orbit_frame(mb_inv, ma),
-                                 morse._orbit_frame(mb_inv, ident), zeta)
-    ang_pt = zeta_angle(mb_pt, ma_pt, o, zeta)
-    assert abs(ang_rep - ang_pt) < 1e-9
+    ang1 = morse._orbit_angle(back[b, a], to_o[b], zeta)
+    assert abs(ang1 - zeta_angle(mb_pt, ma_pt, o, zeta)) < 1e-9
+    ang2 = morse._orbit_angle(ahead[b, c], to_b[b], zeta)
+    b_pt = ss.point_from_group(B)
+    assert abs(ang2 - zeta_angle(mb_pt, mc_pt, b_pt, zeta)) < 1e-9

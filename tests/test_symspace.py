@@ -356,8 +356,8 @@ def test_polyhedral_norm_properties():
 
 
 def test_graded_distance_matches_plain_path():
-    # the multiprecision distance used inside horofunction estimates must
-    # agree with the float path while both are well conditioned
+    # the graded distance used inside horofunction estimates must agree
+    # with the float path while both are well conditioned
     rng = _rng()
     phi = ss.FinslerFunctional.default(3)
     for _ in range(5):
@@ -370,6 +370,32 @@ def test_graded_distance_matches_plain_path():
             ss.origin(3), pt, phi)
         est = ss.horofunction_estimate(p, direction, x, [t], phi)
         assert abs(est.estimates[0] - direct) < 1e-7
+
+
+def test_graded_delta_matches_mpmath():
+    # the inputs of horofunction_estimate at ray parameters up to 40:
+    # exponent spreads up to about 260, far beyond float conditioning
+    import mpmath as mp
+
+    rng = _rng()
+    worst = 0.0
+    for _ in range(40):
+        p = _random_point(rng)
+        x = _random_point(rng)
+        gaps = 1.0 + rng.random(2)
+        direction = np.array([gaps[0] + gaps[1], gaps[1], 0.0])
+        exponents = 2.0 * rng.uniform(5.0, 40.0) * (direction - direction.mean())
+        m = np.linalg.cholesky(np.linalg.inv(x.mat)).T @ p.sqrt()
+        got = ss._graded_delta(m, exponents)
+        with mp.workdps(50 + int(np.ptp(exponents))):
+            graded = mp.matrix(m.tolist()) * mp.diag(
+                [mp.exp(mp.mpf(e) / 2) for e in exponents])
+            s = mp.svd_r(graded, compute_uv=False)
+            want = np.sort([float(mp.log(v)) for v in s])[::-1]
+        want -= want.mean()
+        worst = max(worst, float(np.abs(got - want).max()
+                                 / np.abs(want).max()))
+    assert worst < 1e-12
 
 
 def test_cone_constraints_must_be_involution_closed():
