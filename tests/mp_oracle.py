@@ -24,18 +24,14 @@ def _svd(m):
     return u, [s[i] for i in order], order
 
 
-def log_singular_values(m):
-    _, s, _ = _svd(m)
-    return np.array([float(mp.log(x)) for x in s])
-
-
 def word_logs(letters, word):
     """Descending log singular values of the product of ``letters``
     along ``word`` (letter indices, left to right)."""
     prod = mp.eye(letters[0].rows)
     for a in word:
         prod = prod * letters[a]
-    return log_singular_values(prod)
+    _, s, _ = _svd(prod)
+    return np.array([float(mp.log(x)) for x in s])
 
 
 def _chamber(m):
