@@ -1,8 +1,12 @@
 """Command line front end.
 
-All structured output is JSON rendered by a deterministic writer
-(floats with 17 significant digits, rationals as "p/q" strings); the
-poset verb emits DOT.  Exit codes: 0 success, 1 domain error (with a
+Every verb is one row of ``VERBS``: its name, help text, function and
+options, from which ``build_parser`` builds the parser.  A verb function
+takes the parsed arguments and returns its output: text (the DOT poset,
+the order matrix JSON, the balanced count) or an object, which ``main``
+renders with a deterministic JSON writer (floats with 17 significant
+digits, rationals as "p/q" strings).  ``main`` emits that output once,
+to ``--out`` or stdout.  Exit codes: 0 success, 1 domain error (with a
 structured JSON error on stdout), 2 usage error.
 """
 
@@ -60,15 +64,6 @@ def render_json(obj):
     return _render(obj) + "\n"
 
 
-def _emit(text, args):
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # --- input parsing -----------------------------------------------------------
 
 def _load_json(path):
@@ -106,10 +101,6 @@ def _matrices_arg(text):
     return [_matrix(m) for m in _json_arg(text)]
 
 
-def _vector_arg(text):
-    return np.array([float(x) for x in text.split(",")])
-
-
 def _is_rational(data):
     if isinstance(data, list):
         return all(_is_rational(x) for x in data)
@@ -121,7 +112,7 @@ def _thickening_arg(text, group):
     if text.startswith("balanced:"):
         idx = int(text.split(":", 1)[1])
         ths = thickenings.enumerate_balanced(group)
-        if idx >= len(ths):
+        if not 0 <= idx < len(ths):
             raise WeylkitError(f"only {len(ths)} balanced thickenings exist")
         return ths[idx]
     data = _json_arg(text)
@@ -138,38 +129,38 @@ def _config_arg(text):
     return cfg.WeightedConfig.circle(angles, weights)
 
 
-# --- verb implementations ----------------------------------------------------
+# --- verbs -------------------------------------------------------------------
 
-def _cmd_coxeter_poset(args):
+def _fields(obj, *names):
+    """{name: obj.name} for the given attribute names, in order, leaving
+    out the attributes that are None."""
+    return {name: getattr(obj, name) for name in names
+            if getattr(obj, name) is not None}
+
+
+def _coxeter_poset(args):
     W = coxeter.build_group(args.type)
     highlight = None
     if args.highlight:
         highlight = _thickening_arg(args.highlight, W)
-    _emit(coxeter.poset_dot(W, highlight), args)
-    return 0
+    return coxeter.poset_dot(W, highlight)
 
 
-def _cmd_coxeter_order(args):
-    W = coxeter.build_group(args.type)
-    _emit(W.order_matrix_json() + "\n", args)
-    return 0
+def _coxeter_order(args):
+    return coxeter.build_group(args.type).order_matrix_json() + "\n"
 
 
-def _cmd_thick_enumerate(args):
+def _thickenings_enumerate(args):
     W = coxeter.build_group(args.type)
     ths = thickenings.enumerate_balanced(W)
-    out = [{"type": W.ctype.descriptor, "members": t.labels()} for t in ths]
-    _emit(render_json(out), args)
-    return 0
+    return [{"type": W.ctype.descriptor, "members": t.labels()} for t in ths]
 
 
-def _cmd_thick_count(args):
-    W = coxeter.build_group(args.type)
-    _emit(f"{thickenings.count_balanced(W)}\n", args)
-    return 0
+def _thickenings_count(args):
+    return f"{thickenings.count_balanced(coxeter.build_group(args.type))}\n"
 
 
-def _cmd_thick_check(args):
+def _thickenings_check(args):
     W = coxeter.build_group(args.type)
     th = _thickening_arg(args.members, W)
     ideal = th.is_ideal()
@@ -178,51 +169,37 @@ def _cmd_thick_check(args):
         out["slim"] = thickenings.is_slim(th)
         out["fat"] = thickenings.is_fat(th)
         out["balanced"] = thickenings.is_balanced(th)
-    _emit(render_json(out), args)
-    return 0
+    return out
 
 
-def _cmd_dist(args):
+def _dist(metric, args):
     x = symspace.SymPoint(_matrix_arg(args.x))
     y = symspace.SymPoint(_matrix_arg(args.y))
-    if args.metric == "delta":
-        out = {"delta": symspace.delta_distance(x, y)}
-    elif args.metric == "finsler":
-        out = {"finsler": symspace.finsler_distance(x, y)}
-    else:
-        out = {"riemannian": symspace.riemannian_distance(x, y)}
-    _emit(render_json(out), args)
-    return 0
+    return {args.verb: metric(x, y)}
 
 
-def _cmd_seq_regularity(args):
+def _cone(margin):
+    return symspace.RegularityCone(margin) if margin is not None else None
+
+
+def _seq_regularity(args):
     gs = _matrices_arg(args.gens)
-    cone = symspace.RegularityCone(args.margin) if args.margin else None
-    rep = symspace.sequence_regularity(gs, threshold=args.threshold, cone=cone)
-    out = {
-        "margins": rep.margins,
-        "regular_trend": rep.regular_trend,
-        "threshold": rep.threshold,
-    }
-    if rep.theta_flags is not None:
-        out["theta_flags"] = rep.theta_flags
-    _emit(render_json(out), args)
-    return 0
+    rep = symspace.sequence_regularity(gs, threshold=args.threshold,
+                                       cone=_cone(args.margin))
+    return _fields(rep, "margins", "regular_trend", "threshold", "theta_flags")
 
 
-def _cmd_horo_estimate(args):
+def _horo_estimate(args):
     p = symspace.SymPoint(_matrix_arg(args.p))
     x = symspace.SymPoint(_matrix_arg(args.x))
-    direction = _vector_arg(args.direction)
+    direction = np.array([float(x) for x in args.direction.split(",")])
     ts = [float(t) for t in args.t.split(",")]
     est = symspace.horofunction_estimate(p, direction, x, ts)
-    out = {"t": est.t_values, "estimates": est.estimates,
-           "converged": est.converged, "value": est.value}
-    _emit(render_json(out), args)
-    return 0
+    return {"t": est.t_values,
+            **_fields(est, "estimates", "converged", "value")}
 
 
-def _cmd_flags_position(args):
+def _flags_position(args):
     a = _json_arg(args.a)
     b = _json_arg(args.b)
     exact = args.exact or (_is_rational(a) and _is_rational(b))
@@ -233,156 +210,179 @@ def _cmd_flags_position(args):
     else:
         fa, fb = (flagdyn.flag_from_basis(_matrix(m)) for m in (a, b))
         res = flagdyn.relative_position(fa, fb, tol=args.tol)
-    out = {"position": res.w.label(), "length": res.w.length,
-           "rank_matrix": res.rank_matrix[1:, 1:],
-           "confidence": res.confidence, "exact": exact}
-    _emit(render_json(out), args)
-    return 0
+    return {"position": res.w.label(), "length": res.w.length,
+            "rank_matrix": res.rank_matrix[1:, 1:],
+            "confidence": res.confidence, "exact": exact}
 
 
-def _cmd_flags_antipodal(args):
+def _flags_antipodal(args):
     a = flagdyn.flag_from_basis(_matrix_arg(args.a))
     b = flagdyn.flag_from_basis(_matrix_arg(args.b))
-    antipodal = flagdyn.is_antipodal(a, b, tol=args.tol)
-    _emit(render_json({"antipodal": antipodal}), args)
-    return 0
+    return {"antipodal": flagdyn.is_antipodal(a, b, tol=args.tol)}
 
 
-def _cmd_limits_sample(args):
+def _limits_sample(args):
     gens = _matrices_arg(args.gens)
-    sample = flagdyn.limit_set_sample(gens, args.max_len, args.margin)
-    _emit(render_json(sample.to_json_obj()), args)
-    return 0
+    return flagdyn.limit_set_sample(gens, args.max_len,
+                                    args.margin).to_json_obj()
 
 
-def _cmd_domain_membership(args):
+def _domain_membership(args):
     flag = flagdyn.flag_from_basis(_matrix_arg(args.flag))
     sample = flagdyn.FlagSample.from_json_obj(_load_json(args.sample))
     W = flagdyn.position_group(flag.n)
     th = _thickening_arg(args.thickening, W)
     member, witness = flagdyn.thickening_membership(flag, sample, th,
                                                     tol=args.tol)
-    out = {"in_thickened_limit_set": member,
-           "in_domain": not member,
-           "witness": witness.basis if witness is not None else None}
-    _emit(render_json(out), args)
-    return 0
+    return {"in_thickened_limit_set": member,
+            "in_domain": not member,
+            "witness": witness.basis if witness is not None else None}
 
 
-def _cmd_expand_factor(args):
+def _expand_factor(args):
     g = _matrix_arg(args.gen)
     flag = flagdyn.flag_from_basis(_matrix_arg(args.flag))
-    factor = flagdyn.expansion_factor(g, flag, step=args.step)
-    _emit(render_json({"expansion": factor}), args)
-    return 0
+    return {"expansion": flagdyn.expansion_factor(g, flag, step=args.step)}
 
 
-def _cmd_discreteness_probe(args):
+def _discreteness_probe(args):
     gens = _matrices_arg(args.gens)
     res = flagdyn.nondiscreteness_certificate(
         gens, epsilon=args.epsilon, max_len=args.max_len)
-    out = {
-        "nondiscrete_certificate": None,
-        "words_searched": res.words_searched,
-        "budget_exhausted": res.budget_exhausted,
-    }
+    out = {"nondiscrete_certificate": None,
+           **_fields(res, "words_searched", "budget_exhausted")}
     if res.certificate:
-        out["nondiscrete_certificate"] = {
-            "words": res.certificate.words,
-            "commutator_norm": res.certificate.commutator_norm,
-        }
-    _emit(render_json(out), args)
-    return 0
+        out["nondiscrete_certificate"] = _fields(res.certificate, "words",
+                                                 "commutator_norm")
+    return out
 
 
 def _path_points(data):
     return [symspace.SymPoint(_matrix(m)) for m in data]
 
 
-def _cmd_morse_straightness(args):
+def _morse_straightness(args):
     pts = _path_points(_json_arg(args.path))
-    cone = symspace.RegularityCone(args.margin)
-    cert = morse.straightness_check(pts, cone, epsilon=args.epsilon,
-                                    spacing=args.s)
-    out = {
-        "pass": cert.verdict,
-        "spacing_margin": cert.spacing_margin,
-        "straightness_margin": cert.straightness_margin,
-        "regularity_flags": cert.regularity_flags,
-        "first_violation": list(cert.first_violation)
-        if cert.first_violation else None,
-    }
-    _emit(render_json(out), args)
-    return 0
+    cert = morse.straightness_check(pts, _cone(args.margin),
+                                    epsilon=args.epsilon, spacing=args.s)
+    return {"pass": cert.verdict,
+            **_fields(cert, "spacing_margin", "straightness_margin",
+                      "regularity_flags"),
+            "first_violation": list(cert.first_violation)
+            if cert.first_violation else None}
 
 
-def _cmd_morse_defect(args):
+def _morse_defect(args):
     pts = _path_points(_json_arg(args.path))
-    cone = symspace.RegularityCone(args.margin) if args.margin else None
-    rep = morse.morse_defect_report(pts, cone=cone, window=args.B,
-                                    L=args.L, A=args.A)
-    out = {
-        "qi_lower_margin": rep.qi_lower_margin,
-        "qi_upper_margin": rep.qi_upper_margin,
-        "window_lengths": rep.window_lengths,
-        "window_defects": rep.window_defects,
-    }
-    if rep.segment_regular is not None:
-        out["segment_regular"] = rep.segment_regular
-    _emit(render_json(out), args)
-    return 0
+    rep = morse.morse_defect_report(pts, cone=_cone(args.margin),
+                                    window=args.B, L=args.L, A=args.A)
+    return _fields(rep, "qi_lower_margin", "qi_upper_margin",
+                   "window_lengths", "window_defects", "segment_regular")
 
 
-def _cmd_morse_schottky(args):
+def _morse_schottky(args):
     gens = _matrices_arg(args.gens)
-    cone = symspace.RegularityCone(args.margin)
-    rep = morse.schottky_certificate(gens, args.N, cone=cone,
+    rep = morse.schottky_certificate(gens, args.N, cone=_cone(args.margin),
                                      epsilon=args.epsilon, spacing=args.s)
-    out = {
-        "N": rep.N,
-        "pass": rep.passed,
-        "min_spacing": rep.min_spacing,
-        "max_angle": rep.max_angle,
-        "triples": [
-            {"triple": t.triple, "spacing": t.spacing,
-             "regular": list(t.regular), "angles": t.angles, "pass": t.passed}
-            for t in rep.triples
-        ],
-    }
-    _emit(render_json(out), args)
-    return 0
+    return {"N": rep.N, "pass": rep.passed,
+            **_fields(rep, "min_spacing", "max_angle"),
+            "triples": [{"triple": t.triple, "spacing": t.spacing,
+                         "regular": list(t.regular), "angles": t.angles,
+                         "pass": t.passed} for t in rep.triples]}
 
 
-def _cmd_config_stability(args):
+def _config_stability(args):
     z = _config_arg(args.config)
-    out = {"stable": cfg.is_stable(z), "semistable": cfg.is_semistable(z),
-           "masses": [[m[0], m[1]] for m in cfg.aggregate_masses(z)]}
-    _emit(render_json(out), args)
-    return 0
+    return {"stable": cfg.is_stable(z), "semistable": cfg.is_semistable(z),
+            "masses": [[m[0], m[1]] for m in cfg.aggregate_masses(z)]}
 
 
-def _cmd_config_relpos(args):
+def _config_relpos(args):
     a = _config_arg(args.a)
     b = _config_arg(args.b)
-    _emit(render_json({"relpos": list(cfg.relpos_config(a, b))}), args)
-    return 0
+    return {"relpos": list(cfg.relpos_config(a, b))}
 
 
-def _cmd_config_walls(args):
+def _config_walls(args):
     weights = [Fraction(w) for w in args.weights.split(",")]
     rep = cfg.wall_chamber_report(weights)
-    out = {
+    return {
         "weights": list(rep.weights),
         "walls": [list(w) for w in rep.walls],
         "in_open_chamber": rep.in_open_chamber,
         "chamber_signs": {",".join(map(str, k)): v
                           for k, v in sorted(rep.chamber_signs.items())},
     }
-    _emit(render_json(out), args)
-    return 0
 
 
-# --- parser ------------------------------------------------------------------
+# --- the verb table ----------------------------------------------------------
+# An option is a bare flag (a required option), (flag, type, default), or
+# (flag, keyword arguments of add_argument).  Options that several verbs
+# take are spelled once.
+
+TYPE = "--type"
+GENS = "--gens"
+AB = ["--a", "--b"]
+XY = ["--x", "--y"]
+OPTIONAL_MARGIN = ("--margin", float, None)
+CERTIFICATE = [("--epsilon", float, 0.2), ("--s", float, 10.0),
+               ("--margin", float, 0.05)]
+
+# {command: (help, [(verb, help or None, function, options)])}
+VERBS = {
+    "coxeter": ("Weyl group combinatorics", [
+        ("poset", "DOT digraph of the Bruhat order", _coxeter_poset,
+         [TYPE, ("--highlight", {"help": "balanced:K or JSON member list"})]),
+        ("order", "JSON export of the order matrix", _coxeter_order, [TYPE])]),
+    "thickenings": ("lower ideals and balance", [
+        ("enumerate", None, _thickenings_enumerate, [TYPE]),
+        ("count", None, _thickenings_count, [TYPE]),
+        ("check", None, _thickenings_check, [TYPE, "--members"])]),
+    "dist": ("distances between positive forms", [
+        (name, None, functools.partial(_dist, metric), XY)
+        for name, metric in [("delta", symspace.delta_distance),
+                             ("finsler", symspace.finsler_distance),
+                             ("riemannian", symspace.riemannian_distance)]]),
+    "seq": ("sequence diagnostics", [
+        ("regularity", None, _seq_regularity,
+         [GENS, ("--threshold", float, 1.0), OPTIONAL_MARGIN])]),
+    "horo": ("horofunction estimates", [
+        ("estimate", None, _horo_estimate,
+         ["--p", "--x", ("--direction", {"required": True, "help":
+                                         "comma separated chamber vector"}),
+          ("--t", {"default": "5,10,20,40"})])]),
+    "flags": ("relative position of flags", [
+        ("position", None, _flags_position,
+         [*AB, ("--exact", {"action": "store_true"})]),
+        ("antipodal", None, _flags_antipodal, AB)]),
+    "limits": ("sampled chamber limit sets", [
+        ("sample", None, _limits_sample,
+         [GENS, ("--max-len", int, 5), ("--margin", float, 1.0)])]),
+    "domain": ("discontinuity domain membership", [
+        ("membership", None, _domain_membership,
+         ["--flag", ("--sample", {"required": True,
+                                  "help": "JSON file from limits sample"}),
+          "--thickening"])]),
+    "expand": ("flag manifold expansion", [
+        ("factor", None, _expand_factor,
+         ["--gen", "--flag", ("--step", float, 1e-5)])]),
+    "discreteness": ("nondiscreteness probe", [
+        ("probe", None, _discreteness_probe,
+         [GENS, ("--epsilon", float, 0.1), ("--max-len", int, 12)])]),
+    "morse": ("straightness and defect reports", [
+        ("straightness", None, _morse_straightness, ["--path", *CERTIFICATE]),
+        ("defect", None, _morse_defect,
+         ["--path", ("--B", float, 10.0), ("--L", float, 2.0),
+          ("--A", float, 1.0), OPTIONAL_MARGIN]),
+        ("schottky", None, _morse_schottky,
+         [GENS, ("--N", {"type": int, "required": True}), *CERTIFICATE])]),
+    "config": ("weighted configurations", [
+        ("stability", None, _config_stability, ["--config"]),
+        ("relpos", None, _config_relpos, AB),
+        ("walls", None, _config_walls,
+         [("--weights", {"required": True, "help": "comma separated"})])]),
+}
+
 
 def build_parser():
     p = argparse.ArgumentParser(
@@ -392,133 +392,24 @@ def build_parser():
     out_help = "write output to this path instead of stdout"
     p.add_argument("--out", help=out_help)
     sub = p.add_subparsers(dest="command", required=True)
-    # every verb also takes --out after its name; SUPPRESS keeps a verb
-    # from overwriting an --out given before the command with its default
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default=argparse.SUPPRESS, help=out_help)
-    verb_parser = functools.partial(argparse.ArgumentParser, parents=[out])
-
-    def verbs(command, summary):
-        return sub.add_parser(command, help=summary).add_subparsers(
-            dest="verb", required=True, parser_class=verb_parser)
-
-    coxsub = verbs("coxeter", "Weyl group combinatorics")
-    q = coxsub.add_parser("poset", help="DOT digraph of the Bruhat order")
-    q.add_argument("--type", required=True)
-    q.add_argument("--highlight", help="balanced:K or JSON member list")
-    q.set_defaults(fn=_cmd_coxeter_poset)
-    q = coxsub.add_parser("order", help="JSON export of the order matrix")
-    q.add_argument("--type", required=True)
-    q.set_defaults(fn=_cmd_coxeter_order)
-
-    thsub = verbs("thickenings", "lower ideals and balance")
-    q = thsub.add_parser("enumerate")
-    q.add_argument("--type", required=True)
-    q.set_defaults(fn=_cmd_thick_enumerate)
-    q = thsub.add_parser("count")
-    q.add_argument("--type", required=True)
-    q.set_defaults(fn=_cmd_thick_count)
-    q = thsub.add_parser("check")
-    q.add_argument("--type", required=True)
-    q.add_argument("--members", required=True)
-    q.set_defaults(fn=_cmd_thick_check)
-
-    dsub = verbs("dist", "distances between positive forms")
-    for name in ("delta", "finsler", "riemannian"):
-        q = dsub.add_parser(name)
-        q.add_argument("--x", required=True)
-        q.add_argument("--y", required=True)
-        q.set_defaults(fn=_cmd_dist, metric=name)
-
-    ssub = verbs("seq", "sequence diagnostics")
-    q = ssub.add_parser("regularity")
-    q.add_argument("--gens", required=True)
-    q.add_argument("--threshold", type=float, default=1.0)
-    q.add_argument("--margin", type=float, default=None)
-    q.set_defaults(fn=_cmd_seq_regularity)
-
-    hsub = verbs("horo", "horofunction estimates")
-    q = hsub.add_parser("estimate")
-    q.add_argument("--p", required=True)
-    q.add_argument("--x", required=True)
-    q.add_argument("--direction", required=True,
-                   help="comma separated chamber vector")
-    q.add_argument("--t", default="5,10,20,40")
-    q.set_defaults(fn=_cmd_horo_estimate)
-
-    fsub = verbs("flags", "relative position of flags")
-    q = fsub.add_parser("position")
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q.add_argument("--exact", action="store_true")
-    q.set_defaults(fn=_cmd_flags_position)
-    q = fsub.add_parser("antipodal")
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q.set_defaults(fn=_cmd_flags_antipodal)
-
-    lisub = verbs("limits", "sampled chamber limit sets")
-    q = lisub.add_parser("sample")
-    q.add_argument("--gens", required=True)
-    q.add_argument("--max-len", type=int, default=5)
-    q.add_argument("--margin", type=float, default=1.0)
-    q.set_defaults(fn=_cmd_limits_sample)
-
-    domsub = verbs("domain", "discontinuity domain membership")
-    q = domsub.add_parser("membership")
-    q.add_argument("--flag", required=True)
-    q.add_argument("--sample", required=True, help="JSON file from limits sample")
-    q.add_argument("--thickening", required=True)
-    q.set_defaults(fn=_cmd_domain_membership)
-
-    exsub = verbs("expand", "flag manifold expansion")
-    q = exsub.add_parser("factor")
-    q.add_argument("--gen", required=True)
-    q.add_argument("--flag", required=True)
-    q.add_argument("--step", type=float, default=1e-5)
-    q.set_defaults(fn=_cmd_expand_factor)
-
-    dissub = verbs("discreteness", "nondiscreteness probe")
-    q = dissub.add_parser("probe")
-    q.add_argument("--gens", required=True)
-    q.add_argument("--epsilon", type=float, default=0.1)
-    q.add_argument("--max-len", type=int, default=12)
-    q.set_defaults(fn=_cmd_discreteness_probe)
-
-    mosub = verbs("morse", "straightness and defect reports")
-    q = mosub.add_parser("straightness")
-    q.add_argument("--path", required=True)
-    q.add_argument("--epsilon", type=float, default=0.2)
-    q.add_argument("--s", type=float, default=10.0)
-    q.add_argument("--margin", type=float, default=0.05)
-    q.set_defaults(fn=_cmd_morse_straightness)
-    q = mosub.add_parser("defect")
-    q.add_argument("--path", required=True)
-    q.add_argument("--B", type=float, default=10.0)
-    q.add_argument("--L", type=float, default=2.0)
-    q.add_argument("--A", type=float, default=1.0)
-    q.add_argument("--margin", type=float, default=None)
-    q.set_defaults(fn=_cmd_morse_defect)
-    q = mosub.add_parser("schottky")
-    q.add_argument("--gens", required=True)
-    q.add_argument("--N", type=int, required=True)
-    q.add_argument("--epsilon", type=float, default=0.2)
-    q.add_argument("--s", type=float, default=10.0)
-    q.add_argument("--margin", type=float, default=0.05)
-    q.set_defaults(fn=_cmd_morse_schottky)
-
-    cosub = verbs("config", "weighted configurations")
-    q = cosub.add_parser("stability")
-    q.add_argument("--config", required=True)
-    q.set_defaults(fn=_cmd_config_stability)
-    q = cosub.add_parser("relpos")
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q.set_defaults(fn=_cmd_config_relpos)
-    q = cosub.add_parser("walls")
-    q.add_argument("--weights", required=True, help="comma separated")
-    q.set_defaults(fn=_cmd_config_walls)
-
+    for command, (summary, verbs) in VERBS.items():
+        verb_sub = sub.add_parser(command, help=summary).add_subparsers(
+            dest="verb", required=True)
+        for name, verb_help, fn, options in verbs:
+            # a verb given no help text stays out of its command's list
+            q = verb_sub.add_parser(
+                name, **({"help": verb_help} if verb_help else {}))
+            # every verb also takes --out after its name; SUPPRESS keeps a
+            # verb from overwriting an --out given before the command
+            q.add_argument("--out", default=argparse.SUPPRESS, help=out_help)
+            for option in options:
+                if isinstance(option, str):
+                    option = option, {"required": True}
+                elif len(option) == 3:
+                    option = option[0], {"type": option[1],
+                                         "default": option[2]}
+                q.add_argument(option[0], **option[1])
+            q.set_defaults(fn=fn)
     return p
 
 
@@ -534,7 +425,15 @@ def main(argv=None):
         parser.error(f"{ENV_TOL} must be a positive finite number, "
                      f"not {env!r}")
     try:
-        return args.fn(args)
+        out = args.fn(args)
+        if not isinstance(out, str):
+            out = render_json(out)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(out)
+        else:
+            sys.stdout.write(out)
+        return 0
     except (WeylkitError, OSError, ValueError, KeyError) as exc:
         # json.JSONDecodeError is a ValueError
         sys.stdout.write(render_json({

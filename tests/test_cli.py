@@ -1,5 +1,8 @@
 """Command line coverage: every verb, plus error paths and determinism."""
 
+import argparse
+import builtins
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -7,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylkit.cli import main, render_json
+from weylkit.cli import build_parser, main, render_json
 
 
 def run(capsys, *argv):
@@ -218,6 +221,36 @@ def test_more_generators_than_letters(capsys):
     assert data["error"] == "ValueError" and "26" in data["message"]
 
 
+def test_negative_balanced_index_is_refused(capsys):
+    code, out = run(capsys, "coxeter", "poset", "--type", "A3",
+                    "--highlight", "balanced:-1")
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "WeylkitError"
+    assert data["message"] == "only 10 balanced thickenings exist"
+
+
+@pytest.mark.parametrize("verb,inputs", [
+    (["seq", "regularity", "--gens"], [np.diag([4.0, 1.0, 0.25])]),
+    (["morse", "defect", "--path"],
+     [np.diag(np.exp([2.0 * t, 0.0, -2.0 * t])) for t in range(4)]),
+], ids=["seq-regularity", "morse-defect"])
+def test_zero_margin_is_refused(capsys, verb, inputs):
+    data = json.dumps([m.tolist() for m in inputs])
+    code, out = run(capsys, *verb, data, "--margin", "0")
+    assert code == 1
+    assert json.loads(out)["message"] == "margin must be positive"
+
+
+def test_output_into_missing_directory(capsys, tmp_path):
+    target = tmp_path / "missing" / "c.txt"
+    code, out = run(capsys, "thickenings", "count", "--type", "A2",
+                    "--out", str(target))
+    assert code == 1 and not target.exists()
+    data = json.loads(out)
+    assert issubclass(getattr(builtins, data["error"]), OSError)
+
+
 def test_output_to_file(capsys, tmp_path):
     out_file = tmp_path / "c.txt"
     code, _ = run(capsys, "--out", str(out_file),
@@ -363,3 +396,38 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+# sha256 of the parser's shape as read below: each command and verb with
+# its help, and each option's strings, dest, required flag, default, type,
+# help and nargs.  Unlike the --help pages, it does not vary with the
+# Python version.
+PARSER_DIGEST = "91b3269678c84be7f30545dee3cd206664b291d2648eb5ccbe668316c670a03b"
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def _options(parser):
+    return [(a.option_strings, a.dest, a.required, repr(a.default),
+             getattr(a.type, "__name__", None), a.help, a.nargs)
+            for a in parser._actions
+            if not isinstance(a, (argparse._HelpAction,
+                                  argparse._SubParsersAction))]
+
+
+def test_parser_structure_pinned():
+    parser = build_parser()
+    commands = _subparsers(parser)
+    shape = {"weylkit": _options(parser),
+             "commands": [(a.dest, a.help) for a in commands._choices_actions]}
+    for command, command_parser in commands.choices.items():
+        verbs = _subparsers(command_parser)
+        shape[command] = [(a.dest, a.help) for a in verbs._choices_actions]
+        for verb, verb_parser in verbs.choices.items():
+            shape[f"{command} {verb}"] = _options(verb_parser)
+    assert len(shape) == 2 + 12 + 22  # 12 commands, 22 verbs
+    text = json.dumps(shape, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PARSER_DIGEST

@@ -9,7 +9,7 @@ workload and seed on both sides form a pair.  For every workload the
 output gives, per side, the median and quartiles of each end-to-end
 metric and the failed operations, and per metric how many pairs the
 change won.  It also records the line count of ``src/`` on both sides,
-the Tier-1 wall times given on the command line, and the Python and
+in total and per module, the Tier-1 wall times given on the command line, and the Python and
 numpy versions and CPU count of the machine that runs it.  The JSON goes
 to stdout.
 """
@@ -39,8 +39,10 @@ def load_runs(checkout):
 
 
 def src_lines(checkout):
-    return sum(len(p.read_text().splitlines())
-               for p in sorted((Path(checkout) / "src").rglob("*.py")))
+    """{module path under src/: line count} of one checkout."""
+    src = Path(checkout) / "src"
+    return {str(p.relative_to(src)): len(p.read_text().splitlines())
+            for p in sorted(src.rglob("*.py"))}
 
 
 def spread(values):
@@ -84,11 +86,14 @@ def main(argv=None):
                    help="Tier-1 test suite wall times in seconds")
     args = p.parse_args(argv)
     parent, change = load_runs(args.parent), load_runs(args.change)
+    modules = {"parent": src_lines(args.parent),
+               "change": src_lines(args.change)}
     out = {
         "machine": {"python": platform.python_version(),
                     "numpy": np.__version__, "nproc": os.cpu_count()},
-        "src_lines": {"parent": src_lines(args.parent),
-                      "change": src_lines(args.change)},
+        "src_lines": {side: sum(lines.values())
+                      for side, lines in modules.items()},
+        "src_module_lines": modules,
         "tier1_wall_s": {"parent": args.tier1[0], "change": args.tier1[1]},
         "workloads": {w: workload_summary(parent[w], change[w])
                       for w in sorted(set(parent) & set(change))},
