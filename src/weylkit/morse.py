@@ -58,16 +58,30 @@ class ZetaType:
         return np.asarray(self.vector, dtype=float)
 
 
+def _frame(frames, vectors, tol=GAP_TOL):
+    """Chamber frame of a segment, refused when it is degenerate or lies
+    on a wall."""
+    gaps = vectors[:-1] - vectors[1:]
+    if np.linalg.norm(vectors) < tol or gaps.min() < tol:
+        raise TieError("segment is degenerate or lies on a wall")
+    return frames
+
+
+def _frame_angle(u1, u2, zeta):
+    """Angle between the unit matrices W_i = u_i diag(zeta) u_i^T, read as
+    2 atan2(|W_1 - W_2|, |W_1 + W_2|): arccos of their trace cannot
+    resolve angles below about 1e-8."""
+    w1 = (u1 * zeta.array) @ u1.T
+    w2 = (u2 * zeta.array) @ u2.T
+    return float(2.0 * np.arctan2(np.linalg.norm(w1 - w2),
+                                  np.linalg.norm(w1 + w2)))
+
+
 def _chamber_frame(x, y):
     """Eigenframe (descending) of the segment x -> y, seen from x."""
     rxi = x.inv_sqrt()
     w, v = np.linalg.eigh(rxi @ y.mat @ rxi)
-    w = np.log(w)[::-1]
-    v = v[:, ::-1]
-    gaps = w[:-1] - w[1:]
-    if np.linalg.norm(w) < GAP_TOL or np.min(gaps) < GAP_TOL:
-        raise TieError("segment is degenerate or lies on a wall")
-    return v
+    return _frame(v[:, ::-1], np.log(w)[::-1])
 
 
 def zeta_direction(x, y, zeta=None):
@@ -84,14 +98,12 @@ def zeta_direction(x, y, zeta=None):
 
 def zeta_angle(x, y1, y2, zeta=None):
     """Angle at x between the canonical type vectors of the diamonds
-    toward y1 and y2, in [0, pi]."""
+    toward y1 and y2, in [0, pi].  With v_i = x^1/2 W_i x^1/2 for the
+    chamber frames u_i, tr(x^-1 v_1 x^-1 v_2) = tr(W_1 W_2), so this is
+    the angle between W_1 and W_2."""
     if zeta is None:
         zeta = ZetaType.default(x.n)
-    v1 = zeta_direction(x, y1, zeta)
-    v2 = zeta_direction(x, y2, zeta)
-    xi = np.linalg.inv(x.mat)
-    cosang = float(np.trace(xi @ v1 @ xi @ v2))
-    return float(np.arccos(min(1.0, max(-1.0, cosang))))
+    return _frame_angle(_chamber_frame(x, y1), _chamber_frame(x, y2), zeta)
 
 
 def flat_zeta_vector(direction, zeta):
@@ -201,22 +213,6 @@ def _midpoint_segments(letters):
             _segments(h[:, None], wt[:, None] @ u[None], h[None]))
 
 
-def _frame(frames, vectors, tol=GAP_TOL):
-    """Chamber frame of a segment, refused when it is degenerate or lies
-    on a wall."""
-    gaps = vectors[:-1] - vectors[1:]
-    if np.linalg.norm(vectors) < tol or gaps.min() < tol:
-        raise TieError("orbit segment is degenerate or on a wall")
-    return frames
-
-
-def _orbit_angle(u1, u2, zeta):
-    w1 = (u1 * zeta.array) @ u1.T
-    w2 = (u2 * zeta.array) @ u2.T
-    cosang = float(np.trace(w1 @ w2))
-    return float(np.arccos(min(1.0, max(-1.0, cosang))))
-
-
 @dataclass
 class TripleReport:
     triple: str
@@ -301,9 +297,9 @@ def schottky_certificate(generators, N, cone=None, zeta=None, epsilon=0.2,
         seg2 = 2.0 * float(np.linalg.norm(d2))
         reg1 = cone.contains(d1)
         reg2 = cone.contains(d2)
-        ang1 = _orbit_angle(_frame(back[beta, alpha], back_v[beta, alpha]),
+        ang1 = _frame_angle(_frame(back[beta, alpha], back_v[beta, alpha]),
                             _frame(to_o[beta], to_o_v[beta]), zeta)
-        ang2 = _orbit_angle(_frame(ahead[beta, gamma], d2),
+        ang2 = _frame_angle(_frame(ahead[beta, gamma], d2),
                             _frame(to_b[beta], to_b_v[beta]), zeta)
         passed = (seg1 >= spacing and seg2 >= spacing and reg1 and reg2
                   and ang1 < epsilon / 2 and ang2 < epsilon / 2)

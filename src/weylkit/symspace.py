@@ -48,8 +48,13 @@ class SymPoint:
         self.mat = mat
         self.n = mat.shape[0]
         residual = abs(float(np.linalg.slogdet(self.mat)[1]))
-        spread = float(np.log(evals[-1] / evals[0]))
-        if residual > DET_TOL * max(1.0, spread):
+        cond = float(evals[-1] / evals[0])
+        # rounding moves the smallest eigenvalue by about eps * cond
+        # relative, and the residual with it; from eps * cond = 1 on that
+        # eigenvalue is noise, and only the fixed bound is left
+        noise = np.finfo(float).eps * cond
+        bound = DET_TOL * max(1.0, float(np.log(cond)))
+        if residual > bound + (noise if noise < 1.0 else 0.0):
             raise NotPositiveDefinite("determinant normalization failed")
 
     def sqrt(self):

@@ -35,21 +35,27 @@ def word_logs(letters, word):
 
 
 def _chamber(m):
-    """Frame (descending, as a float array) and centred chamber vector."""
+    """Frame (descending, an mpmath matrix) and centred chamber vector."""
     u, s, order = _svd(m)
     logs = np.array([float(mp.log(x)) for x in s])
-    frame = np.array([[float(u[i, j]) for j in order] for i in range(m.rows)])
+    frame = mp.matrix([[u[i, j] for j in order] for i in range(m.rows)])
     return frame, logs - logs.mean()
 
 
-def _cos(u1, u2, zeta):
-    w1 = (u1 * zeta) @ u1.T
-    w2 = (u2 * zeta) @ u2.T
-    return float(np.trace(w1 @ w2))
+def _angle(u1, u2, zeta):
+    """acos tr(W1 W2) for W_i = u_i diag(zeta) u_i^T, at working precision,
+    with zeta normalised there: a float unit vector is unit only to about
+    1e-16, which acos would read as an angle of about 1e-8."""
+    z = [mp.mpf(float(x)) for x in zeta]
+    z = mp.diag([x / mp.sqrt(sum(y * y for y in z)) for x in z])
+    w1 = u1 * z * u1.T
+    w2 = u2 * z * u2.T
+    cos = sum((w1 * w2)[i, i] for i in range(w1.rows))
+    return float(mp.acos(max(-1, min(1, cos))))
 
 
 def schottky_rows(gens, N, zeta, dps=60):
-    """Spacings and angle cosines of every triple of the midpoint-path
+    """Spacings and angles of every triple of the midpoint-path
     certificate, in the triple order of morse.schottky_certificate.
 
     The midpoint of p.o and q.o is p h.o, where p^-1 q = u diag(s) v^T
@@ -83,8 +89,8 @@ def schottky_rows(gens, N, zeta, dps=60):
                     _, d1 = _chamber(ma ** -1 * mb)
                     f2, d2 = _chamber(mb_inv * mc)
                     f1, _ = _chamber(mb_inv * ma)
-                    cos1 = _cos(f1, _chamber(mb_inv)[0], zeta)
-                    cos2 = _cos(f2, _chamber(mb_inv * b)[0], zeta)
+                    ang1 = _angle(f1, _chamber(mb_inv)[0], zeta)
+                    ang2 = _angle(f2, _chamber(mb_inv * b)[0], zeta)
                     rows.append((2 * np.linalg.norm(d1), 2 * np.linalg.norm(d2),
-                                 cos1, cos2))
+                                 ang1, ang2))
     return rows

@@ -41,6 +41,51 @@ def test_sympoint_rejects_indefinite():
         ss.SymPoint(np.diag([1.0, -2.0]))
 
 
+def _standard_g2():
+    """The second matrix of the standard pair: diag(4, 1, 1/4) turned by h."""
+    def rot(t, i, j):
+        m = np.eye(3)
+        m[i, i] = m[j, j] = np.cos(t)
+        m[j, i] = np.sin(t)
+        m[i, j] = -m[j, i]
+        return m
+    h = rot(0.8, 0, 1) @ rot(0.5, 1, 2) @ rot(0.3, 0, 1)
+    return h @ np.diag([4.0, 1.0, 0.25]) @ h.T
+
+
+def test_sympoint_accepts_what_conditioning_allows():
+    # g2^k.o has condition number 4^(4k); its determinant residual is
+    # rounding of about eps times that, which is accepted until the
+    # smallest eigenvalue is noise (eps 4^(4k) > 1 from k = 7 on)
+    import mpmath as mp
+    import mp_oracle
+
+    g2 = _standard_g2()
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        letters = mp_oracle.power_letters([g2], 1)
+        for k in (4, 5):
+            p = ss.point_from_group(np.linalg.matrix_power(g2, k))
+            got = ss.delta_distance(ss.origin(3), p)
+            want = mp_oracle.word_logs(letters, [0] * k)
+            err = np.abs(got - (want - want.mean())).max()
+            assert err < eps * 4.0 ** (4 * k)
+    for k in (7, 8):
+        with pytest.raises(NotPositiveDefinite):
+            ss.point_from_group(np.linalg.matrix_power(g2, k))
+
+
+def test_midpoint_of_b_and_b_squared():
+    # B = g2^2: B.o = g2^4 and B^2.o = g2^8 lie on one axis, so their
+    # midpoint is g2^6 = g2^3.o, at chamber distance 3 log(4, 1, 1/4)
+    B = np.linalg.matrix_power(_standard_g2(), 2)
+    mid = ss.midpoint(ss.point_from_group(B), ss.point_from_group(B @ B))
+    got = ss.delta_distance(ss.origin(3), mid)
+    cond = 4.0 ** 16  # of B^2.o
+    assert np.abs(got - 3 * np.log([4.0, 1.0, 0.25])).max() \
+        < np.finfo(float).eps * cond
+
+
 # --- cartan -------------------------------------------------------------------
 
 def test_cartan_identity():
