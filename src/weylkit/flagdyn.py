@@ -11,12 +11,21 @@ C = A^T B and maps each singular value sin(theta) of a corner to
 sqrt(1 - cos(theta)) before the threshold ``tol`` (RANK_TOL unless passed
 in; WEYLKIT_TOLERANCE on the command line): a value in the gray band
 [tol, 2 tol], or a gap below RANK_SAFETY, makes it refuse to guess.
+The float reading works on a stack: C = f^T Lambda_k for k flags
+Lambda_k, with one stacked SVD per corner, so ``thickening_membership``
+reads one stack against the whole sample and ``relative_position`` is
+the case k = 1.
 
 Limit-set samples and the nondiscreteness probe (and the orbit growth
 data in ``morse``, on graded products) walk reduced words through one
 enumerator, ``reduced_words``.  Letter a is generator 0 and A its
 inverse, b is generator 1, and so on; words come in shortlex order,
-shorter first and then by letters ordered a < A < b < B < ...
+shorter first and then by letters ordered a < A < b < B < ...  Both
+screen before the exact test: the sample takes one SVD per word length
+and compares a candidate by ``flag_distance`` only with stored flags
+whose first line lies within 2 DEDUP_ANGLE of its own, and the probe
+takes the spectral norm only of words whose Frobenius distance to the
+identity allows it.
 """
 
 from __future__ import annotations
@@ -113,25 +122,36 @@ class PositionResult:
     confidence: float
 
 
-def _svd_rank(corner, tol):
-    """Numerical rank of a corner of the orthogonal C = A^T B and the gap
-    between its kept and dropped singular values, or AmbiguousRank."""
-    s = np.linalg.svd(corner, compute_uv=False)
+def _corner_ranks(c, tol):
+    """Ranks of the corners C[:, i:, :j], 1 <= i < n, 1 <= j <= n, of a
+    stack of orthogonal C = A^T B (k x n x n): one stacked SVD per corner.
+    Returns the ranks (k x (n-1) x n), the smallest gap between kept and
+    dropped values and, per stack entry, the refusal of its first corner
+    in the gray band or below RANK_SAFETY (None if there is none)."""
+    k, n = len(c), c.shape[-1]
+    corners = [(i, j) for i in range(1, n) for j in range(1, n + 1)]
+    s = np.concatenate([np.linalg.svd(c[:, i:, :j], compute_uv=False)
+                        for i, j in corners], axis=1)
     # s = sin(theta) -> sqrt(1 - cos(theta)), the value of a stacked basis
     s = s / np.sqrt(1.0 + np.sqrt(np.maximum(0.0, 1.0 - s * s)))
-    if np.any((s >= tol) & (s <= 2 * tol)):
-        raise AmbiguousRank(
-            f"singular value inside the gray band [{tol:.0e}, {2 * tol:.0e}]")
-    rejected = s[s < tol]
-    accepted = s[s >= tol]
-    ratio = np.inf
-    if rejected.any():  # dropped values that are all exactly 0: gap inf
-        # a corner of the orthogonal C has no singular value above 1
-        ratio = float(accepted.min(initial=1.0) / rejected.max())
-        if ratio < RANK_SAFETY:
-            raise AmbiguousRank(
-                f"singular value gap {ratio:.2e} below safety factor")
-    return int(accepted.size), ratio
+    starts = np.cumsum([0] + [min(n - i, j) for i, j in corners[:-1]])
+    kept = s >= tol
+    gray = np.logical_or.reduceat(kept & (s <= 2 * tol), starts, axis=1)
+    # a corner of the orthogonal C has no singular value above 1
+    lo = np.minimum.reduceat(np.where(kept, s, 1.0), starts, axis=1)
+    hi = np.maximum.reduceat(np.where(kept, 0.0, s), starts, axis=1)
+    # dropped values that are all exactly 0 leave the gap at inf
+    gap = np.divide(lo, hi, out=np.full_like(lo, np.inf), where=hi > 0)
+    bad = gray | (gap < RANK_SAFETY)
+    refusals = np.full(k, None, dtype=object)
+    for r in np.nonzero(bad.any(axis=1))[0]:
+        first = bad[r].argmax()
+        refusals[r] = (
+            f"singular value inside the gray band [{tol:.0e}, {2 * tol:.0e}]"
+            if gray[r, first] else
+            f"singular value gap {gap[r, first]:.2e} below safety factor")
+    ranks = np.add.reduceat(kept, starts, axis=1).reshape(k, n - 1, n)
+    return ranks, gap.min(axis=1, initial=np.inf), refusals
 
 
 def _gauss_jordan(rows):
@@ -153,37 +173,49 @@ def _gauss_jordan(rows):
     return m, pivots
 
 
-def _exact_rank(corner):
-    return len(_gauss_jordan(corner)[1]), np.inf
-
-
-def _position(c, rank):
-    """Relative position read from the corners of C = A^-1 B; ``rank``
-    gives the rank of a corner and the gap behind that decision."""
-    n = c.shape[0]
-    d = np.zeros((n + 1, n + 1), dtype=int)
-    d[n] = np.arange(n + 1)
-    confidence = np.inf
-    for i in range(1, n):
-        for j in range(1, n + 1):
-            r, gap = rank(c[i:, :j])
-            d[i][j] = j - r
-            confidence = min(confidence, gap)
-    for steps in (np.diff(d, axis=0), np.diff(d, axis=1)):
-        if steps.min() < 0 or steps.max() > 1:
-            raise AmbiguousRank("intersection dimensions violate monotonicity")
+def _read_positions(ranks):
+    """One-line positions (1-based, k x n) and rank matrices read from the
+    corner ranks of a stack, and the refusal of each rank matrix that is
+    not monotone or not a permutation's (None for the others)."""
+    k, n = ranks.shape[0], ranks.shape[2]
+    d = np.zeros((k, n + 1, n + 1), dtype=int)
+    d[:, n] = np.arange(n + 1)
+    d[:, 1:n, 1:] = np.arange(1, n + 1) - ranks
+    rows, cols = np.diff(d, axis=1), np.diff(d, axis=2)
+    monotone = (((rows >= 0) & (rows <= 1)).all(axis=(1, 2))
+                & ((cols >= 0) & (cols <= 1)).all(axis=(1, 2)))
     # row n is 0, 1, ..., n, so every column jumps at some row
-    w = tuple(int(i) for i in np.argmax(np.diff(d, axis=1) > 0, axis=0))
-    if len(set(w)) != n:
-        raise AmbiguousRank("rank matrix is not a consistent jump pattern")
-    W = position_group(n)
-    return PositionResult(W.element_from_one_line(w), d, confidence)
+    w = np.argmax(cols > 0, axis=1)
+    jumps = (np.sort(w, axis=1) == np.arange(1, n + 1)).all(axis=1)
+    return w, d, np.where(monotone, np.where(
+        jumps, None, "rank matrix is not a consistent jump pattern"),
+        "intersection dimensions violate monotonicity")
+
+
+def _positions(f, bases, tol):
+    """Positions of flag f relative to a stack of orthonormal ``bases``:
+    the position group, one-line positions, rank matrices, confidences
+    and refusals."""
+    W = position_group(f.n)
+    ranks, confidence, refusals = _corner_ranks(f.basis.T @ bases, tol)
+    w, d, late = _read_positions(ranks)
+    # a refused corner comes first, as it would stop a pair-by-pair reading
+    return W, w, d, confidence, np.where(np.equal(refusals, None), late,
+                                         refusals)
+
+
+def _result(W, w, d, confidence, refusal):
+    if refusal is not None:
+        raise AmbiguousRank(refusal)
+    return PositionResult(W.element_from_one_line(w), d, float(confidence))
 
 
 def relative_position(f, g, *, tol=RANK_TOL):
     """Permutation-valued position of flag f relative to flag g; singular
-    values below ``tol`` count as zero."""
-    return _position(f.basis.T @ g.basis, lambda m: _svd_rank(m, tol))
+    values below ``tol`` count as zero.  The k = 1 case of the stacked
+    reading that ``thickening_membership`` uses."""
+    W, w, d, confidence, refusals = _positions(f, g.basis[None], tol)
+    return _result(W, w[0], d[0], confidence[0], refusals[0])
 
 
 def relative_position_exact(basis_a, basis_b):
@@ -199,10 +231,14 @@ def relative_position_exact(basis_a, basis_b):
                                for ra, rb in zip(basis_a, basis_b)])
     if pivots != list(range(n)):
         raise NearSingular("basis a is singular")
-    c = np.array([row[n:] for row in m], dtype=object)
-    if _exact_rank(c)[0] < n:
+    c = [row[n:] for row in m]
+    if len(_gauss_jordan(c)[1]) < n:
         raise NearSingular("basis b is singular")
-    return _position(c, _exact_rank)
+    W = position_group(n)
+    ranks = np.array([[[len(_gauss_jordan([row[:j] for row in c[i:]])[1])
+                        for j in range(1, n + 1)] for i in range(1, n)]])
+    w, d, refusals = _read_positions(ranks)
+    return _result(W, w[0], d[0], np.inf, refusals[0])
 
 
 def is_antipodal(f, g, *, tol=RANK_TOL):
@@ -254,13 +290,25 @@ def repelling_flag(g):
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
+def _square_generators(generators):
+    """The generators as float arrays; ValueError naming their shapes
+    unless they are square matrices of one size."""
+    gens = [np.asarray(g, dtype=float) for g in generators]
+    shapes = [g.shape for g in gens]
+    if any(len(s) != 2 or s[0] != s[1] or s != shapes[0] for s in shapes):
+        raise ValueError("generators must be square matrices of one size, "
+                         f"got shapes {', '.join(map(str, shapes))}")
+    return gens
+
+
 def stack_letters(gens):
     """Letters g0, g0^-1, g1, g1^-1, ... as one array: letter a is
     generator a // 2 or its inverse, and its inverse is letter a ^ 1."""
     if len(gens) > len(_LETTERS):
         raise ValueError(f"at most {len(_LETTERS)} generators can be "
                          f"labelled, got {len(gens)}")
-    return np.array([m for g in gens for m in (g, np.linalg.inv(g))])
+    return np.array([m for g in _square_generators(gens)
+                     for m in (g, np.linalg.inv(g))])
 
 
 def reduced_words(letters, max_len, max_words=None):
@@ -343,10 +391,14 @@ class FlagSample:
 def limit_set_sample(generators, max_word_length, margin_threshold,
                      max_words=200000):
     """Attracting flags of all short reduced words whose singular value
-    margins clear the threshold, deduplicated by principal angle."""
+    margins clear the threshold, deduplicated by principal angle.
+
+    The i = 1 term of ``flag_distance`` is arccos |a_1 . b_1|, so only
+    stored flags whose line lies within twice DEDUP_ANGLE of the
+    candidate's (one product of first columns) can be duplicates; the
+    factor 2 keeps rounding from dropping a pair."""
     gens = []
-    for g in generators:
-        g = np.asarray(g, dtype=float)
+    for g in _square_generators(generators):
         d = abs(np.linalg.det(g))
         if d < 1e-300:
             raise NearSingular("generator is singular")
@@ -354,22 +406,25 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
     sample = FlagSample([], [], [])
     if not gens:
         return sample
+    screen = np.cos(2 * DEDUP_ANGLE)
+    lines = np.empty((0, len(gens[0])))  # first columns of the stored flags
     levels = []
     for parent, letter, mats in reduced_words(stack_letters(gens),
                                               max_word_length, max_words):
         levels.append((parent, letter))
-        for row, mat in enumerate(mats):
-            u, mu, _ = np.linalg.svd(mat)
-            lo = np.log(mu)
-            margins = lo[:-1] - lo[1:]
-            if margins.min() < margin_threshold:
+        u, mu, _ = np.linalg.svd(mats)
+        lo = np.log(mu)
+        margins = lo[:, :-1] - lo[:, 1:]
+        for row in np.nonzero(~(margins.min(axis=1) < margin_threshold))[0]:
+            flag = Flag(u[row])
+            near = np.nonzero(np.abs(lines @ flag.basis[:, 0]) >= screen)[0]
+            if any(flag_distance(flag, sample.flags[t]) < DEDUP_ANGLE
+                   for t in near):
                 continue
-            flag = Flag(u)
-            if any(flag_distance(flag, f) < DEDUP_ANGLE for f in sample.flags):
-                continue
+            lines = np.vstack([lines, flag.basis[:, 0]])
             sample.flags.append(flag)
             sample.words.append(_word_label(word_of(levels, row)))
-            sample.margins.append(margins)
+            sample.margins.append(margins[row])
     return sample
 
 
@@ -384,12 +439,25 @@ def iterate_flag(g, flag, steps):
 
 def thickening_membership(f, sample, th, *, tol=RANK_TOL):
     """Is the flag inside the thickened sampled limit set?  Returns the
-    verdict together with the first witness limit flag."""
-    for lam in sample.flags:
-        res = relative_position(f, lam, tol=tol)
-        if res.w in th:
-            return True, lam
-    return False, None
+    verdict together with the first witness limit flag.  The positions
+    against all sample flags are read from one stack; the first sample
+    flag that is a witness or whose position is refused decides."""
+    if not sample.flags:
+        return False, None
+    W, w, _, _, refusals = _positions(
+        f, np.array([lam.basis for lam in sample.flags]), tol)
+    read = np.equal(refusals, None)
+    inside = np.zeros(len(w), dtype=bool)
+    perms, at = np.unique(w[read], axis=0, return_inverse=True)
+    inside[read] = np.array(
+        [W.element_from_one_line(p) in th for p in perms], dtype=bool)[at]
+    decided = inside | ~read
+    if not decided.any():
+        return False, None
+    first = int(decided.argmax())
+    if not read[first]:
+        raise AmbiguousRank(refusals[first])
+    return True, sample.flags[first]
 
 
 # --- expansion on the flag manifold -----------------------------------------
@@ -477,6 +545,20 @@ def _spectral_norm(m):
     return float(np.linalg.svd(m, compute_uv=False).max())
 
 
+def _near_identity(mats, epsilon):
+    """Rows of a stack that may lie within ``epsilon`` of the identity in
+    spectral norm.  ||X||_2 >= ||X||_F / sqrt(n), so a row with
+    ||M - I||_F^2 >= n epsilon^2 cannot; the factor 1 + 1e-9 covers
+    rounding.  Summed entry by entry, with no temporary the size of the
+    stack."""
+    n = mats.shape[-1]
+    frob = np.zeros(len(mats))
+    for i in range(n):
+        for j in range(n):
+            frob += (mats[:, i, j] - (i == j)) ** 2
+    return np.nonzero(frob < n * epsilon ** 2 * (1 + 1e-9))[0]
+
+
 def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
                                 comm_tol=1e-6, max_words=3_000_000,
                                 max_tuples=5000):
@@ -489,7 +571,7 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
     certify that the generated subgroup is not discrete.  Returning no
     certificate is inconclusive (semi-decision truncated by budget).
     """
-    gens = [np.asarray(g, dtype=float) for g in generators]
+    gens = _square_generators(generators)
     if not gens:
         return NondiscretenessResult(None, 0, False)
     n = gens[0].shape[0]
@@ -503,8 +585,10 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
                                                   max_len, max_words):
             levels.append((parent, letter))
             searched += len(mats)
-            dist = np.linalg.svd(mats - ident, compute_uv=False).max(axis=1)
-            for row in np.nonzero((dist > 1e-12) & (dist < epsilon))[0]:
+            rows = _near_identity(mats, epsilon)
+            dist = np.linalg.svd(mats[rows] - ident,
+                                 compute_uv=False).max(axis=1)
+            for row in rows[(dist > 1e-12) & (dist < epsilon)]:
                 small.append((len(levels), int(row), mats[row].copy()))
     except BudgetExceeded:
         exhausted = True

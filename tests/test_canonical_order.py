@@ -62,6 +62,7 @@ ENUMERATE_DIGESTS = {
 
 WORD_DIGESTS = {
     "limit_set_sample": "403cdfa24b504689f4468e5dc07378e4442dd009bf602b4ed432a89cb0cb99d4",
+    "limit_set_sample_L5": "9eebc437265476db611334b68ec5a4b43303bb79a7255d85d176c7f80835b412",
     "orbit_growth": "f98f945f576c85fce72bc81f982c4beb170338d699f232f432972b4fe1bcaf8e",
     "schottky_certificate": "8517d18faa4719c287c1bc40bf611c8727fb3934ebd7708aa861c4c94214e1e2",
 }
@@ -109,6 +110,33 @@ def _standard_pair():
 def test_limit_set_sample_pinned():
     sample = flagdyn.limit_set_sample(_standard_pair(), 4, 1.0)
     assert _sha(repr(sample.to_json_obj())) == WORD_DIGESTS["limit_set_sample"]
+
+
+def test_limit_set_sample_L5_pinned():
+    # 448 flags, with the dedup screened by the angle between first lines
+    sample = flagdyn.limit_set_sample(_standard_pair(), 5, 1.0)
+    assert len(sample) == 448
+    assert (_sha(repr(sample.to_json_obj()))
+            == WORD_DIGESTS["limit_set_sample_L5"])
+
+
+def _rotation(axis, angle):
+    axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    k = np.array([[0, -axis[2], axis[1]],
+                  [axis[2], 0, -axis[0]],
+                  [-axis[1], axis[0], 0]])
+    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+
+
+def test_dense_rotation_probe_pinned():
+    # every word of length <= 12 is searched; the Frobenius screen must
+    # keep each one within epsilon of the identity
+    gens = [_rotation([0, 0, 1], 2.4), _rotation([1, 0, 0], 1.7)]
+    res = flagdyn.nondiscreteness_certificate(gens, epsilon=0.1, max_len=12)
+    assert res.certificate.words == ["abABabAB", "aBAbaBAb", "aBAbaBAb"]
+    assert repr(res.certificate.commutator_norm) == "0.0003279337128114587"
+    assert res.words_searched == 1062880
+    assert res.budget_exhausted is False
 
 
 def test_orbit_growth_pinned():

@@ -221,6 +221,19 @@ def test_more_generators_than_letters(capsys):
     assert data["error"] == "ValueError" and "26" in data["message"]
 
 
+@pytest.mark.parametrize("gens,shapes", [
+    ([np.eye(3), np.eye(2)], "(3, 3), (2, 2)"),
+    ([np.ones((2, 3))], "(2, 3)"),
+], ids=["two-sizes", "not-square"])
+def test_bad_generators_are_refused(capsys, gens, shapes):
+    code, out = run(capsys, "limits", "sample", "--gens",
+                    json.dumps([g.tolist() for g in gens]), "--max-len", "2")
+    assert code == 1
+    assert json.loads(out)["error"] == "ValueError"
+    assert json.loads(out)["message"] == (
+        f"generators must be square matrices of one size, got shapes {shapes}")
+
+
 def test_negative_balanced_index_is_refused(capsys):
     code, out = run(capsys, "coxeter", "poset", "--type", "A3",
                     "--highlight", "balanced:-1")

@@ -6,6 +6,7 @@ semicontinuity, disjointness and coverage statements behind the
 domain-of-discontinuity machinery.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -311,6 +312,22 @@ def test_reduced_words_budget(max_words):
     assert np.cumsum(counts).tolist() == fits
 
 
+@pytest.mark.parametrize("gens,shapes", [
+    ([np.eye(3), np.eye(2)], "(3, 3), (2, 2)"),
+    ([np.ones((2, 3))], "(2, 3)"),
+    ([np.eye(3), np.ones(3)], "(3, 3), (3,)"),
+], ids=["two-sizes", "not-square", "not-a-matrix"])
+@pytest.mark.parametrize("call", [
+    fd.stack_letters,
+    lambda gens: fd.limit_set_sample(gens, 3, 1.0),
+    lambda gens: fd.nondiscreteness_certificate(gens, max_len=3),
+], ids=["stack_letters", "limit_set_sample", "probe"])
+def test_bad_generators_refused(gens, shapes, call):
+    with pytest.raises(ValueError, match="generators must be square matrices "
+                       rf"of one size, got shapes {re.escape(shapes)}$"):
+        call(gens)
+
+
 # --- limit set samples ----------------------------------------------------------------
 
 def test_limit_set_sample_cyclic():
@@ -400,6 +417,80 @@ def test_membership_shared_subspace_true():
         np.array([[1.0, 0, 0], [0, 0, 1], [0, 1, 0]]).T)
     member, _ = fd.thickening_membership(shares_line, sample, balanced)
     assert member
+
+
+def _standard_pair_sample():
+    g1, g2 = _schottky_pair()
+    return fd.limit_set_sample([g1, g2], 5, 1.0)
+
+
+def _membership_pair_by_pair(f, sample, thickening):
+    """The reading that the stacked membership replaces: one
+    relative_position per sample flag, in order."""
+    for lam in sample.flags:
+        if fd.relative_position(f, lam).w in thickening:
+            return True, lam
+    return False, None
+
+
+def _outcome(call):
+    try:
+        verdict, witness = call()
+    except AmbiguousRank as exc:
+        return "AmbiguousRank", str(exc)
+    return verdict, None if witness is None else id(witness)
+
+
+def test_membership_matches_pair_by_pair():
+    sample = _standard_pair_sample()
+    assert len(sample) == 448
+    rng = np.random.default_rng(20)
+    flags = sample.flags + [fd.random_flag(3, rng) for _ in range(20)]
+    outcomes = set()
+    for thickening in th.enumerate_balanced(build_group("A2")):
+        for f in flags:
+            got = _outcome(lambda: fd.thickening_membership(f, sample,
+                                                            thickening))
+            assert got == _outcome(lambda: _membership_pair_by_pair(
+                f, sample, thickening))
+            outcomes.add(got[0])
+        assert fd.thickening_membership(
+            flags[0], fd.FlagSample([], [], []), thickening) == (False, None)
+    assert outcomes == {True, False, "AmbiguousRank"}
+
+
+def test_membership_refusal_is_not_dropped():
+    # sample flags 87 and 291 lie about 2e-4 apart with corner values
+    # below the rank threshold: the position of 291 against 87 is refused,
+    # and 87 comes first in the sample
+    sample = _standard_pair_sample()
+    balanced = th.enumerate_balanced(build_group("A2"))[0]
+    with pytest.raises(AmbiguousRank,
+                       match="^rank matrix is not a consistent jump pattern$"):
+        fd.thickening_membership(sample.flags[291], sample, balanced)
+
+
+def test_near_identity_screen_keeps_every_small_word():
+    # ||X||_F in [eps, eps sqrt(n)]: half random, half scaled orthogonal
+    # matrices just inside the spectral ball, where the Frobenius bound is
+    # tight; the screen must keep every X with ||X||_2 < eps
+    rng = np.random.default_rng(1000)
+    n = 3
+    for eps in (1e-6, 0.1):
+        xs = []
+        for _ in range(500):
+            x = rng.standard_normal((n, n))
+            xs.append(x * eps * rng.uniform(1, np.sqrt(n)) / np.linalg.norm(x))
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            xs.append(q * eps * (1 - 10.0 ** -rng.uniform(3, 15)))
+        mats = np.eye(n) + np.array(xs)
+        norms = np.linalg.norm(mats - np.eye(n), axis=(1, 2))
+        assert (norms >= eps * (1 - 1e-9)).all()
+        assert (norms <= eps * np.sqrt(n) * (1 + 1e-9)).all()
+        small = np.linalg.svd(mats - np.eye(n), compute_uv=False).max(axis=1)
+        kept = fd._near_identity(mats, eps)
+        assert set(np.nonzero(small < eps)[0]) <= set(kept)
+        assert 400 < (small < eps).sum() < 1000
 
 
 def test_complementary_position():

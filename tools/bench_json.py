@@ -3,15 +3,19 @@
     python tools/bench_json.py PARENT CHANGE --tier1 PARENT_S CHANGE_S
 
 PARENT and CHANGE are checkouts whose ``.perfbench_out/`` holds the
-``result-<workload>-seed<k>-trace0.json`` files of end-to-end runs
-(``python3 perfbench/run.py --workload W --seed k``).  Runs with the same
-workload and seed on both sides form a pair.  For every workload the
-output gives, per side, the median and quartiles of each end-to-end
-metric and the failed operations, and per metric how many pairs the
-change won.  It also records the line count of ``src/`` on both sides,
-in total and per module, the Tier-1 wall times given on the command line, and the Python and
-numpy versions and CPU count of the machine that runs it.  The JSON goes
-to stdout.
+``result-<workload>-seed<k>-trace<t>.json`` files of end-to-end runs
+(``python3 perfbench/run.py --workload W --seed k``, t = 0) and of traced
+runs (the same with ``--trace 1``).  Runs with the same workload, seed
+and trace flag on both sides form a pair.  For every workload the output
+gives, per side, the median and quartiles of each end-to-end metric and
+the failed operations, and per metric how many pairs the change won.  A
+traced run times one round of every workload, so the per-layer metrics
+are summarised the same way over all traced pairs, whatever their
+workload; a change wins a pair when it moves the metric in the direction
+that ``BENCHMARK.json`` calls better.  The output also records the line
+count of ``src/`` on both sides, in total and per module, the Tier-1
+wall times given on the command line, and the Python and numpy versions
+and CPU count of the machine that runs it.  The JSON goes to stdout.
 """
 
 import argparse
@@ -24,15 +28,17 @@ from pathlib import Path
 
 import numpy as np
 
-RESULT = re.compile(r"result-(?P<workload>\w+)-seed(?P<seed>\d+)-trace0\.json")
+RESULT = re.compile(
+    r"result-(?P<workload>\w+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 
 
-def load_runs(checkout):
-    """{workload: {seed: result file contents}} of one checkout."""
+def load_runs(checkout, trace):
+    """{workload: {seed: result file contents}} of one checkout's runs
+    made with ``--trace trace``."""
     runs = {}
     for path in sorted((Path(checkout) / ".perfbench_out").glob("result-*")):
         m = RESULT.fullmatch(path.name)
-        if m:
+        if m and int(m["trace"]) == trace:
             runs.setdefault(m["workload"], {})[int(m["seed"])] = \
                 json.loads(path.read_text())
     return runs
@@ -50,23 +56,32 @@ def spread(values):
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
-def workload_summary(parent, change):
+def compare(sides, better):
+    """Per metric of paired runs: unit, spread per side and the pairs in
+    which the change is better (``better[name]`` is "lower" or "higher",
+    lower if absent)."""
+    out = {}
+    for name, metric in sides["parent"][0]["result"]["metrics"].items():
+        values = {side: [r["result"]["metrics"][name]["value"] for r in runs]
+                  for side, runs in sides.items()}
+        sign = -1 if better.get(name) == "higher" else 1
+        out[name] = {
+            "unit": metric["unit"],
+            "parent": spread(values["parent"]),
+            "change": spread(values["change"]),
+            "change_wins": sum(sign * c < sign * p for p, c in zip(
+                values["parent"], values["change"])),
+        }
+    return out
+
+
+def workload_summary(parent, change, better):
     seeds = sorted(set(parent) & set(change))
     if not seeds:
         raise SystemExit("no seed was run on both sides")
     sides = {"parent": [parent[k] for k in seeds],
              "change": [change[k] for k in seeds]}
-    out = {"pairs": len(seeds), "seeds": seeds, "metrics": {}}
-    for name, metric in sides["parent"][0]["result"]["metrics"].items():
-        values = {side: [r["result"]["metrics"][name]["value"] for r in runs]
-                  for side, runs in sides.items()}
-        out["metrics"][name] = {
-            "unit": metric["unit"],
-            "parent": spread(values["parent"]),
-            "change": spread(values["change"]),
-            "change_wins": sum(c < p for p, c in zip(values["parent"],
-                                                     values["change"])),
-        }
+    out = {"pairs": len(seeds), "seeds": seeds, "metrics": compare(sides, better)}
     for side, runs in sides.items():
         out[f"failed_{side}"] = statistics.median(
             r["result"]["failed"] for r in runs)
@@ -77,6 +92,19 @@ def workload_summary(parent, change):
     return out
 
 
+def layer_summary(parent, change, better):
+    """The per-layer metrics of all traced pairs, or None without any."""
+    pairs = [(w, k) for w in sorted(set(parent) & set(change))
+             for k in sorted(set(parent[w]) & set(change[w]))]
+    if not pairs:
+        return None
+    sides = {"parent": [parent[w][k] for w, k in pairs],
+             "change": [change[w][k] for w, k in pairs]}
+    return {"pairs": len(pairs),
+            "runs": [f"{w} seed {k}" for w, k in pairs],
+            "metrics": compare(sides, better)}
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent")
@@ -85,7 +113,10 @@ def main(argv=None):
                    metavar=("PARENT_S", "CHANGE_S"),
                    help="Tier-1 test suite wall times in seconds")
     args = p.parse_args(argv)
-    parent, change = load_runs(args.parent), load_runs(args.change)
+    parent, change = load_runs(args.parent, 0), load_runs(args.change, 0)
+    spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"]
+              for m in spec["end_to_end"] + spec["per_layer"]}
     modules = {"parent": src_lines(args.parent),
                "change": src_lines(args.change)}
     out = {
@@ -95,8 +126,10 @@ def main(argv=None):
                       for side, lines in modules.items()},
         "src_module_lines": modules,
         "tier1_wall_s": {"parent": args.tier1[0], "change": args.tier1[1]},
-        "workloads": {w: workload_summary(parent[w], change[w])
+        "workloads": {w: workload_summary(parent[w], change[w], better)
                       for w in sorted(set(parent) & set(change))},
+        "per_layer": layer_summary(load_runs(args.parent, 1),
+                                   load_runs(args.change, 1), better),
     }
     print(json.dumps(out, indent=1))
 
