@@ -78,7 +78,8 @@ def _num(x):
 
 
 def _matrix(data):
-    return np.array([[float(_num(x)) for x in row] for row in data])
+    return flagdyn._float_matrix([[float(_num(x)) for x in row]
+                                  for row in data])
 
 
 def _json_arg(text):

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
+import numpy as np
+
 from .errors import GroupMismatch, GroupTooLarge, UnsupportedType
 
 DEFAULT_MAX_ORDER = 10 ** 6
@@ -531,25 +533,36 @@ class WeylGroup:
     # --- Bruhat order ---------------------------------------------------------
 
     def leq_masks(self):
-        """Per element v, the bitmask of { u : u <= v } (Bruhat)."""
+        """Per element v, the bitmask of { u : u <= v } (Bruhat).
+
+        For a right descent s of v, the row of v is the row of vs
+        together with its right translate by s.  So each length is built
+        from the rows of the length before, in numpy chunks of rows that
+        share their first descent, with only that length kept packed."""
         if self._leq_masks is None:
-            if len(self.elements) > ORDER_MATRIX_CAP:
+            n = len(self.elements)
+            if n > ORDER_MATRIX_CAP:
                 raise GroupTooLarge(
                     f"order matrix capped at {ORDER_MATRIX_CAP} elements")
-            masks = [0] * len(self.elements)
-            masks[0] = 1
-            for v in range(1, len(self.elements)):
-                s = next(s for s in range(self.num_generators)
-                         if self.lengths[self.gen_mult[v][s]] < self.lengths[v])
-                vs = self.gen_mult[v][s]
-                base = masks[vs]
-                shifted = 0
-                m = base
-                while m:
-                    low = m & -m
-                    shifted |= 1 << self.gen_mult[low.bit_length() - 1][s]
-                    m ^= low
-                masks[v] = base | shifted
+            right = np.array(self.gen_mult)
+            lengths = np.array(self.lengths)
+            descent = np.argmax(lengths[right] < lengths[:, None], axis=1)
+            below = right[np.arange(n), descent]
+            starts = np.searchsorted(lengths, np.arange(lengths[-1] + 2))
+            level = np.packbits(np.arange(n) == 0, bitorder="little")[None]
+            masks = [1]
+            for lo, hi, prev in zip(starts[1:], starts[2:], starts):
+                rows = np.empty((hi - lo, level.shape[1]), np.uint8)
+                for s in range(self.num_generators):
+                    todo = np.flatnonzero(descent[lo:hi] == s)
+                    for k in range(0, len(todo), 64):
+                        chunk = todo[k:k + 64]
+                        old = np.unpackbits(level[below[lo + chunk] - prev],
+                                            axis=1, count=n, bitorder="little")
+                        rows[chunk] = np.packbits(old | old[:, right[:, s]],
+                                                  axis=1, bitorder="little")
+                masks.extend(packed_masks(rows))
+                level = rows
             self._leq_masks = masks
         return self._leq_masks
 
@@ -624,10 +637,25 @@ class WeylGroup:
         """Bruhat order as JSON: labels plus 0/1 matrix leq[u][v]."""
         n = len(self.elements)
         labels = [self.label(i) for i in range(n)]
-        leq = [[1 if self.leq_indices(u, v) else 0 for v in range(n)]
-               for u in range(n)]
+        leq = mask_rows(self.leq_masks(), n).T.tolist()
         return json.dumps({"type": self.ctype.descriptor,
                            "labels": labels, "leq": leq})
+
+
+def packed_masks(packed):
+    """Rows of bits packed little-endian (``np.packbits(...,
+    bitorder="little")``) as int bitmasks, bit i for column i."""
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[k:k + width], "little")
+            for k in range(0, len(data), width)]
+
+
+def mask_rows(masks, n):
+    """Int bitmasks over n columns as the rows of a 0/1 uint8 array."""
+    width = (n + 7) // 8
+    data = b"".join(m.to_bytes(width, "little") for m in masks)
+    packed = np.frombuffer(data, np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
 @lru_cache(maxsize=64)

@@ -290,10 +290,22 @@ def repelling_flag(g):
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
+def _float_matrix(data):
+    """``data`` as a float array; a ValueError that names the row lengths
+    when its rows differ in length."""
+    try:
+        return np.asarray(data, dtype=float)
+    except ValueError:
+        lengths = [len(row) for row in data]
+        if len(set(lengths)) < 2:
+            raise
+        raise ValueError(f"matrix rows differ in length: {lengths}") from None
+
+
 def _square_generators(generators):
     """The generators as float arrays; ValueError naming their shapes
     unless they are square matrices of one size."""
-    gens = [np.asarray(g, dtype=float) for g in generators]
+    gens = [_float_matrix(g) for g in generators]
     shapes = [g.shape for g in gens]
     if any(len(s) != 2 or s[0] != s[1] or s != shapes[0] for s in shapes):
         raise ValueError("generators must be square matrices of one size, "

@@ -2,10 +2,18 @@
 
 A thickening is a downward closed subset of a finite Weyl group.  It is
 slim when disjoint from its w0-translate, fat when their union is the
-whole group, balanced when both.  Balanced thickenings are enumerated by
-backtracking over the pairs {w, w0 w}: each pair contributes exactly one
-member, candidate sets are grown as unions of principal ideals so they
-stay downward closed, and branches violating slimness are pruned.
+whole group, balanced when both, that is when it holds exactly one
+element of each pair {w, w0 w}.
+
+Balanced thickenings are built pair by pair as unions of principal
+ideals, so they stay downward closed.  Adding the ideal of c to a slim
+ideal keeps it slim exactly when the ideal of c is slim and the ideal
+so far misses its shift, one AND against a shift precomputed per
+element.  `enumerate_balanced` searches with forced choices: a pair with
+one feasible side takes it without branching, and a pair with none ends
+the branch.  `count_balanced` sweeps forward over the pairs and merges
+partial ideals that agree on everything later pairs can read, so it
+counts D4 (114864) from 84168 states without listing the thickenings.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 from . import coxeter
 from .coxeter import WeylElement, WeylGroup
@@ -121,61 +131,117 @@ def is_balanced(th):
     return th.mask & shifted == 0 and th.mask | shifted == full
 
 
-def _balanced_masks(W, node_cap):
-    n = len(W.elements)
+def _search_tables(W):
+    """The w0-pairs {a, w0 a} (a first, in index order), and per element
+    c its principal ideal, the w0-shift of that ideal and whether the
+    ideal is slim.  A slim ideal acc stays slim when the ideal of c
+    joins it exactly when the ideal of c is slim and acc misses its
+    shift, because the shift is an involutive bijection."""
     masks = W.leq_masks()
     w0l = W.w0_left_table()
-    pairs = []
-    seen = set()
-    for i in range(n):  # indices are sorted by length already
-        if i in seen:
-            continue
-        j = w0l[i]
-        assert j != i, "w0 pairing must be free"
-        pairs.append((i, j))
-        seen.add(i)
-        seen.add(j)
+    pairs = [(a, b) for a, b in enumerate(w0l) if a < b]
+    assert 2 * len(pairs) == len(w0l), "w0 pairing must be free"
+    shifted = []
+    for k in range(0, len(masks), 64):  # no |W| x |W| array at once
+        rows = coxeter.mask_rows(masks[k:k + 64], len(masks))
+        shifted += coxeter.packed_masks(
+            np.packbits(rows[:, w0l], axis=1, bitorder="little"))
+    usable = [m & sh == 0 for m, sh in zip(masks, shifted)]
+    return pairs, masks, shifted, usable
 
-    nodes = 0
 
-    def rec(pi, acc):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise GroupTooLarge(f"balanced enumeration exceeded {node_cap} nodes")
-        if pi == len(pairs):
-            yield acc
-            return
-        a, b = pairs[pi]
-        if (acc >> a) & 1 or (acc >> b) & 1:
-            yield from rec(pi + 1, acc)
-            return
-        for cand in (a, b):
-            grown = acc | masks[cand]
-            if grown & _w0_shift(W, grown) == 0:
-                yield from rec(pi + 1, grown)
+def _balanced_masks(W, node_cap):
+    """Masks of all balanced thickenings, by a forced-choice search: a
+    pair with one feasible side takes it without branching, and a pair
+    with none ends the branch, so every branch that reaches the last
+    pair is a balanced thickening.  ``node_cap`` bounds the open pairs
+    the search decides."""
+    pairs, masks, shifted, usable = _search_tables(W)
+    found, nodes = [], 0
+    stack = [(0, 0)]
+    while stack:
+        k, acc = stack.pop()
+        while k < len(pairs):
+            a, b = pairs[k]
+            k += 1
+            if (acc >> a) & 1 or (acc >> b) & 1:
+                continue
+            nodes += 1
+            if nodes > node_cap:
+                raise GroupTooLarge(
+                    f"balanced enumeration exceeded {node_cap} nodes")
+            sides = [c for c in (a, b) if usable[c] and acc & shifted[c] == 0]
+            if not sides:
+                break
+            if len(sides) == 2:
+                stack.append((k, acc | masks[b]))
+            acc |= masks[sides[0]]
+        else:
+            found.append(acc)
+    return found
 
-    yield from rec(0, 0)
+
+def _all_balanced(W, found):
+    """True when every mask in ``found`` is a lower ideal (its down
+    closure adds nothing) that holds exactly one element of each pair
+    {w, w0 w} (slim and fat), checked in one numpy pass per 2048 masks."""
+    n = len(W.elements)
+    below = coxeter.mask_rows(W.leq_masks(), n).astype(np.float32)
+    w0l = W.w0_left_table()
+    for k in range(0, len(found), 2048):
+        rows = coxeter.mask_rows(found[k:k + 2048], n)
+        closed = rows.astype(np.float32) @ below > 0
+        if not (np.array_equal(closed, rows.astype(bool))
+                and (rows != rows[:, w0l]).all()):
+            return False
+    return True
 
 
 def enumerate_balanced(W, node_cap=DEFAULT_NODE_CAP):
     """All balanced thickenings, in lexicographic order of the
     membership bitstring (canonical element order)."""
     n = len(W.elements)
-
-    def bitstring(mask):
-        return tuple((mask >> i) & 1 for i in range(n))
-
-    out = sorted(_balanced_masks(W, node_cap), key=bitstring)
-    ths = [Thickening(W, m) for m in out]
-    for th in ths:
-        assert is_balanced(th)
-    return ths
+    found = _balanced_masks(W, node_cap)
+    assert _all_balanced(W, found)
+    # the bit-reversed mask orders like the bitstring (bit 0 first)
+    found.sort(key=lambda m: int(f"{m:0{n}b}"[::-1], 2))
+    return [Thickening(W, m) for m in found]
 
 
 def count_balanced(W, node_cap=DEFAULT_NODE_CAP):
-    """Number of balanced thickenings (streaming, no list retention)."""
-    return sum(1 for _ in _balanced_masks(W, node_cap))
+    """Number of balanced thickenings, by a forward sweep over the pairs.
+
+    After each pair the sweep holds the number of ways to reach each
+    partial ideal, keyed by the part of it that later pairs can still
+    read: their elements and the shifted ideals of their slim sides.
+    Partial ideals that agree there have the same completions.  Only two
+    pairs' states are alive at a time, and ``node_cap`` bounds the states
+    the sweep holds over all pairs (D4 takes 84168)."""
+    pairs, masks, shifted, usable = _search_tables(W)
+    relevant = [0] * (len(pairs) + 1)
+    for k in range(len(pairs) - 1, -1, -1):
+        reads = relevant[k + 1]
+        for c in pairs[k]:
+            reads |= 1 << c
+            if usable[c]:
+                reads |= shifted[c]
+        relevant[k] = reads
+    states, held = {0: 1}, 1
+    for (a, b), keep in zip(pairs, relevant[1:]):
+        grown = {}
+        for acc, ways in states.items():
+            if (acc >> a) & 1 or (acc >> b) & 1:
+                nexts = (acc & keep,)
+            else:
+                nexts = [(acc | masks[c]) & keep for c in (a, b)
+                         if usable[c] and acc & shifted[c] == 0]
+            for nxt in nexts:
+                grown[nxt] = grown.get(nxt, 0) + ways
+        held += len(grown)
+        if held > node_cap:
+            raise GroupTooLarge(f"balanced count exceeded {node_cap} states")
+        states = grown
+    return sum(states.values())
 
 
 def all_ideals(W, cap=10 ** 7):

@@ -234,6 +234,18 @@ def test_bad_generators_are_refused(capsys, gens, shapes):
         f"generators must be square matrices of one size, got shapes {shapes}")
 
 
+@pytest.mark.parametrize("argv", [
+    ("limits", "sample", "--gens", "[[[1,0],[0,1,2]]]", "--max-len", "2"),
+    ("flags", "antipodal", "--a", "[[1,0],[0,1,2]]", "--b", "[[1,0],[0,1]]"),
+], ids=["limits-sample", "flags-antipodal"])
+def test_ragged_matrix_is_refused(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "ValueError"
+    assert data["message"] == "matrix rows differ in length: [2, 3]"
+
+
 def test_negative_balanced_index_is_refused(capsys):
     code, out = run(capsys, "coxeter", "poset", "--type", "A3",
                     "--highlight", "balanced:-1")

@@ -6,6 +6,7 @@ composition via itertools.
 """
 
 import itertools
+import json
 
 import pytest
 
@@ -268,12 +269,44 @@ def test_deterministic_construction():
 
 
 def test_order_matrix_json():
-    import json
     W = build_group("A2")
     data = json.loads(W.order_matrix_json())
     assert data["type"] == "A2"
     assert len(data["leq"]) == 6
     assert data["leq"][0] == [1] * 6  # identity below everything
+
+
+@pytest.mark.parametrize("descriptor", ["B3", "A2xG2"])
+def test_order_matrix_json_matches_leq_indices(descriptor):
+    W = coxeter.WeylGroup(descriptor)
+    data = json.loads(W.order_matrix_json())
+    n = len(W)
+    assert data["leq"] == [[int(W.leq_indices(u, v)) for v in range(n)]
+                           for u in range(n)]
+
+
+def _bit_loop_leq_masks(W):
+    # the descent recursion one bit at a time: row v is row(vs) together
+    # with its right translate by the first descent s of v
+    masks = [1]
+    for v in range(1, len(W)):
+        s = next(s for s in range(W.num_generators)
+                 if W.lengths[W.gen_mult[v][s]] < W.lengths[v])
+        base = masks[W.gen_mult[v][s]]
+        shifted, m = 0, base
+        while m:
+            low = m & -m
+            shifted |= 1 << W.gen_mult[low.bit_length() - 1][s]
+            m ^= low
+        masks.append(base | shifted)
+    return masks
+
+
+@pytest.mark.parametrize("descriptor", ["A5", "A6", "B4", "D4", "F4", "A1^6",
+                                        "A2xG2", "B3xA1"])
+def test_leq_masks_match_bit_loop(descriptor):
+    W = coxeter.WeylGroup(descriptor)
+    assert W.leq_masks() == _bit_loop_leq_masks(W)
 
 
 def test_opposition_involution_both_kinds():

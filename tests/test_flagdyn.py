@@ -328,6 +328,17 @@ def test_bad_generators_refused(gens, shapes, call):
         call(gens)
 
 
+@pytest.mark.parametrize("call", [
+    fd.stack_letters,
+    lambda gens: fd.limit_set_sample(gens, 2, 1.0),
+    lambda gens: fd.nondiscreteness_certificate(gens, max_len=2),
+], ids=["stack_letters", "limit_set_sample", "probe"])
+def test_ragged_generator_refused(call):
+    with pytest.raises(ValueError,
+                       match=r"^matrix rows differ in length: \[2, 3\]$"):
+        call([[[1, 0], [0, 1, 2]]])
+
+
 # --- limit set samples ----------------------------------------------------------------
 
 def test_limit_set_sample_cyclic():

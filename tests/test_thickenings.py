@@ -145,11 +145,45 @@ def test_enumeration_cap():
 
 
 def test_enumeration_deterministic_order():
-    W = build_group("A3")
-    n = len(W)
-    bitstrings = [tuple((t.mask >> i) & 1 for i in range(n))
-                  for t in enumerate_balanced(W)]
-    assert bitstrings == sorted(bitstrings)
+    for descriptor in ("A3", "A4"):
+        W = build_group(descriptor)
+        n = len(W)
+        bitstrings = [tuple((t.mask >> i) & 1 for i in range(n))
+                      for t in enumerate_balanced(W)]
+        assert len(set(bitstrings)) == len(bitstrings)
+        assert bitstrings == sorted(bitstrings)
+
+
+@pytest.mark.parametrize("descriptor,count", [("A4", 4608), ("A1^6", 2646)])
+def test_counter_agrees_with_enumeration(descriptor, count):
+    # A1^6: OEIS A001206
+    W = build_group(descriptor)
+    assert count_balanced(W) == count
+    assert len(enumerate_balanced(W)) == count
+
+
+def test_count_balanced_d4_under_default_cap():
+    assert count_balanced(build_group("D4")) == 114864
+
+
+def test_count_cap_bounds_sweep_states():
+    # the D4 sweep holds 84168 states over all pairs
+    W = build_group("D4")
+    assert count_balanced(W, node_cap=84168) == 114864
+    with pytest.raises(GroupTooLarge, match="exceeded 84167 states"):
+        count_balanced(W, node_cap=84167)
+
+
+def test_enumerate_balanced_d4():
+    W = build_group("D4")
+    with pytest.raises(GroupTooLarge):
+        enumerate_balanced(W)
+    ths = enumerate_balanced(W, node_cap=10 ** 6)
+    assert len(ths) == 114864
+    assert len({t.mask for t in ths}) == len(ths)
+    assert all(len(t) == len(W) // 2 for t in ths)
+    # is_balanced is a per-ideal bit loop: check every 97th ideal with it
+    assert all(is_balanced(t) for t in ths[::97])
 
 
 # --- metric thickenings -----------------------------------------------------------

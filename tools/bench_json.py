@@ -1,6 +1,6 @@
 """Summarise perfbench runs of a parent and a changed checkout as JSON.
 
-    python tools/bench_json.py PARENT CHANGE --tier1 PARENT_S CHANGE_S
+    python tools/bench_json.py PARENT CHANGE --tier1 PARENT_LOG CHANGE_LOG
 
 PARENT and CHANGE are checkouts whose ``.perfbench_out/`` holds the
 ``result-<workload>-seed<k>-trace<t>.json`` files of end-to-end runs
@@ -13,9 +13,11 @@ traced run times one round of every workload, so the per-layer metrics
 are summarised the same way over all traced pairs, whatever their
 workload; a change wins a pair when it moves the metric in the direction
 that ``BENCHMARK.json`` calls better.  The output also records the line
-count of ``src/`` on both sides, in total and per module, the Tier-1
-wall times given on the command line, and the Python and numpy versions
-and CPU count of the machine that runs it.  The JSON goes to stdout.
+count of ``src/`` on both sides, in total and per module, and the Python
+and numpy versions and CPU count of the machine that runs it.  PARENT_LOG
+and CHANGE_LOG hold the output of the Tier-1 suite run with
+``--durations=5`` on each side; the output gives the suite's wall time
+and its five slowest test phases from them.  The JSON goes to stdout.
 """
 
 import argparse
@@ -42,6 +44,26 @@ def load_runs(checkout, trace):
             runs.setdefault(m["workload"], {})[int(m["seed"])] = \
                 json.loads(path.read_text())
     return runs
+
+
+SLOW = re.compile(
+    r"(?P<s>[\d.]+)s (?P<phase>call|setup|teardown) +(?P<test>\S+)")
+SUMMARY = re.compile(r"=* ?(?P<counts>\d+ passed.*) in (?P<s>[\d.]+)s\b")
+
+
+def tier1(log):
+    """Wall time, outcome counts and slowest test phases of one saved
+    ``pytest --durations=5`` output."""
+    out = {"slowest": []}
+    for line in Path(log).read_text().splitlines():
+        if m := SLOW.fullmatch(line.strip()):
+            out["slowest"].append({"test": m["test"], "phase": m["phase"],
+                                   "s": float(m["s"])})
+        elif m := SUMMARY.match(line.strip()):
+            out["wall_s"], out["outcome"] = float(m["s"]), m["counts"]
+    if "wall_s" not in out:
+        raise SystemExit(f"{log}: no pytest summary line")
+    return out
 
 
 def src_lines(checkout):
@@ -109,9 +131,10 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent")
     p.add_argument("change")
-    p.add_argument("--tier1", nargs=2, type=float, required=True,
-                   metavar=("PARENT_S", "CHANGE_S"),
-                   help="Tier-1 test suite wall times in seconds")
+    p.add_argument("--tier1", nargs=2, required=True,
+                   metavar=("PARENT_LOG", "CHANGE_LOG"),
+                   help="saved output of the Tier-1 suite run with "
+                        "--durations=5 on each side")
     args = p.parse_args(argv)
     parent, change = load_runs(args.parent, 0), load_runs(args.change, 0)
     spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
@@ -125,7 +148,8 @@ def main(argv=None):
         "src_lines": {side: sum(lines.values())
                       for side, lines in modules.items()},
         "src_module_lines": modules,
-        "tier1_wall_s": {"parent": args.tier1[0], "change": args.tier1[1]},
+        "tier1": {"parent": tier1(args.tier1[0]),
+                  "change": tier1(args.tier1[1])},
         "workloads": {w: workload_summary(parent[w], change[w], better)
                       for w in sorted(set(parent) & set(change))},
         "per_layer": layer_summary(load_runs(args.parent, 1),
