@@ -25,8 +25,7 @@ import numpy as np
 
 from . import flagdyn, graded, symspace
 from .errors import DegenerateSegment, NotAntipodalGenerators, TieError
-from .symspace import (FinslerFunctional, RegularityCone,
-                       finsler_distance, riemannian_distance)
+from .symspace import FinslerFunctional, RegularityCone, finsler_distance
 
 GAP_TOL = 1e-8
 
@@ -150,12 +149,13 @@ def straightness_check(path, cone, zeta=None, epsilon=0.2, spacing=10.0):
     first_violation = None
     spacing_margin = np.inf
     flags = []
-    for i in range(len(path) - 1):
-        seg = riemannian_distance(path[i], path[i + 1])
+    mats, xi = symspace.point_stack(path)
+    for i, v in enumerate(symspace.delta_stack(xi[:-1], mats[1:])):
+        seg = 2.0 * float(np.linalg.norm(v))
         spacing_margin = min(spacing_margin, seg - spacing)
         if seg - spacing < 0 and first_violation is None:
             first_violation = ("spacing", i)
-        ok = symspace.theta_regular_segment(path[i], path[i + 1], cone)
+        ok = symspace.theta_regular_vector(v, cone)
         flags.append(ok)
         if not ok and first_violation is None:
             first_violation = ("regularity", i)
@@ -357,48 +357,50 @@ def morse_defect_report(path, cone=None, window=10.0, L=2.0, A=1.0, phi=None):
     the largest polyhedral-metric betweenness defect of an interior
     point relative to the endpoints, the practical stand-in for the
     distance to the endpoint diamond.
+
+    The chamber vectors of all m(m-1)/2 pairs are read row by row: one
+    batched eigh gives every x^-1/2, and row s is one batched eigvalsh
+    over x_s^-1/2 x_t x_s^-1/2 for t > s, bit-identical to
+    ``delta_distance`` pair by pair.  Each row folds into the (L, A)
+    margins and into an m x m table of Finsler distances, and each
+    window length reads its defects from that table in one indexed
+    pass.  So the temporaries are O(m n^2) per row and O(m^2) per window
+    length, where one stack of all pairs would take O(m^2 n^2).
     """
     m = len(path)
     if m < 2:
         raise ValueError("need at least two points")
     if phi is None:
         phi = FinslerFunctional.default(path[0].n)
+    mats, xi = symspace.point_stack(path)
+    qi_lower = qi_upper = np.inf
+    fins = np.zeros((m, m))
+    steps = np.empty((m - 1, path[0].n))
+    for s in range(m - 1):
+        v = symspace.delta_stack(xi[s], mats[s + 1:])
+        # np.vecdot takes the 1-D dot that norm and phi take, so the
+        # values are bit-identical to theirs
+        riem = 2.0 * np.sqrt(np.vecdot(v, v))
+        gap = np.arange(1, m - s)
+        qi_lower = min(qi_lower, (riem - (gap / L - A)).min())
+        qi_upper = min(qi_upper, ((L * gap + A) - riem).min())
+        fins[s, s + 1:] = np.vecdot(v, phi.c)
+        steps[s] = v[0]
     segment_regular = None
     if cone is not None:
         segment_regular = []
-        for s in range(m - 1):
+        for v in steps:
             try:
-                segment_regular.append(
-                    symspace.theta_regular_segment(path[s], path[s + 1], cone))
+                segment_regular.append(symspace.theta_regular_vector(v, cone))
             except DegenerateSegment:
                 segment_regular.append(False)
-    riem = np.zeros((m, m))
-    fins = np.zeros((m, m))
-    for s in range(m):
-        for t in range(s + 1, m):
-            v = symspace.delta_distance(path[s], path[t])
-            riem[s, t] = riem[t, s] = 2.0 * float(np.linalg.norm(v))
-            fins[s, t] = fins[t, s] = phi(v)
-    qi_lower = np.inf
-    qi_upper = np.inf
-    for s in range(m):
-        for t in range(s + 1, m):
-            d = riem[s, t]
-            gap = t - s
-            qi_lower = min(qi_lower, d - (gap / L - A))
-            qi_upper = min(qi_upper, (L * gap + A) - d)
-    lengths = []
+    lengths = [gap for gap in range(2, m) if gap > window]
     defects = []
-    for gap in range(2, m):
-        if gap <= window:
-            continue
-        worst = 0.0
-        for s in range(m - gap):
-            t = s + gap
-            inner = fins[s, s + 1:t] + fins[s + 1:t, t] - fins[s, t]
-            worst = max(worst, float(inner.max()))
-        lengths.append(gap)
-        defects.append(worst)
+    for gap in lengths:
+        s = np.arange(m - gap)[:, None]
+        k = s + np.arange(1, gap)
+        inner = fins[s, k] + fins[k, s + gap] - fins[s, s + gap]
+        defects.append(max(0.0, float(inner.max())))
     return MorseDefectReport(float(qi_lower), float(qi_upper),
                              np.array(lengths), np.array(defects),
                              segment_regular)

@@ -139,6 +139,27 @@ def delta_distance(x, y):
     return v - v.mean()
 
 
+def point_stack(points):
+    """The matrices of the points and their inverse square roots, as two
+    stacks, from one batched eigh; each x^-1/2 is bit-identical to
+    ``inv_sqrt``."""
+    mats = np.array([p.mat for p in points])
+    w, v = np.linalg.eigh(mats)
+    return mats, (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
+def delta_stack(xi, ys):
+    """``delta_distance`` for a stack of pairs, from one batched eigvalsh:
+    the chamber vectors of the matrices ``ys`` seen from the points whose
+    inverse square roots are ``xi`` (one matrix, or a stack matched with
+    ``ys``).  Each row is bit-identical to ``delta_distance``."""
+    w = np.linalg.eigvalsh(xi @ ys @ xi)
+    if (w[..., 0] <= 0).any():
+        raise NotPositiveDefinite("relative form is not positive definite")
+    v = 0.5 * np.log(w)[..., ::-1]
+    return v - v.mean(axis=-1, keepdims=True)
+
+
 def delta_iota(v):
     """Opposition involution on chamber vectors: reverse and negate."""
     v = np.asarray(v, dtype=float)
@@ -271,7 +292,12 @@ def sequence_regularity(gs, threshold=1.0, cone=None):
 
 
 def theta_regular_segment(x, y, cone):
-    v = delta_distance(x, y)
+    return theta_regular_vector(delta_distance(x, y), cone)
+
+
+def theta_regular_vector(v, cone):
+    """Is the chamber vector v of a segment in the cone?  A segment whose
+    points coincide is refused."""
     if np.linalg.norm(v) < 1e-12:
         raise DegenerateSegment("points coincide")
     return cone.contains(v)

@@ -103,32 +103,27 @@ def _require_ideal(th):
         raise NotAnIdeal("membership set is not downward closed")
 
 
-def _w0_shift(W, mask):
-    table = W.w0_left_table()
-    out, m = 0, mask
-    while m:
-        low = m & -m
-        out |= 1 << table[low.bit_length() - 1]
-        m ^= low
-    return out
+def _rows(th):
+    """Membership row of an ideal and of its w0-shift, after refusing a
+    set that is not an ideal."""
+    _require_ideal(th)
+    row = coxeter.mask_rows([th.mask], len(th.group.elements))[0]
+    return row, row[th.group.w0_left_table()]
 
 
 def is_slim(th):
-    _require_ideal(th)
-    return th.mask & _w0_shift(th.group, th.mask) == 0
+    row, shifted = _rows(th)
+    return not (row & shifted).any()
 
 
 def is_fat(th):
-    _require_ideal(th)
-    full = (1 << len(th.group.elements)) - 1
-    return th.mask | _w0_shift(th.group, th.mask) == full
+    row, shifted = _rows(th)
+    return bool((row | shifted).all())
 
 
 def is_balanced(th):
-    _require_ideal(th)
-    shifted = _w0_shift(th.group, th.mask)
-    full = (1 << len(th.group.elements)) - 1
-    return th.mask & shifted == 0 and th.mask | shifted == full
+    row, shifted = _rows(th)
+    return bool((row != shifted).all())
 
 
 def _search_tables(W):
@@ -242,33 +237,6 @@ def count_balanced(W, node_cap=DEFAULT_NODE_CAP):
             raise GroupTooLarge(f"balanced count exceeded {node_cap} states")
         states = grown
     return sum(states.values())
-
-
-def all_ideals(W, cap=10 ** 7):
-    """Brute-force enumeration of ALL lower ideals.
-
-    Independent of the balanced backtracking search: walks elements in a
-    linear extension (indices are sorted by length) and branches on
-    membership, including an element only when everything below it is
-    already in.
-    """
-    masks = W.leq_masks()
-    n = len(W.elements)
-    out = []
-
-    def rec(i, mask):
-        if len(out) > cap:
-            raise GroupTooLarge(f"ideal enumeration exceeded {cap}")
-        if i == n:
-            out.append(Thickening(W, mask))
-            return
-        rec(i + 1, mask)
-        below = masks[i] & ~(1 << i)
-        if below & ~mask == 0:
-            rec(i + 1, mask | (1 << i))
-
-    rec(0, 0)
-    return out
 
 
 def _to_fractions(a):

@@ -341,6 +341,25 @@ def test_readme_command_examples(capsys, tmp_path, monkeypatch):
             assert out == "10\n"  # as the README says
 
 
+README_MORSE_DIGESTS = {
+    "defect": "9844de3aed0847dd93f3d5171498f921700c238a8967ae9d8fccef99c5ffce44",
+    "straightness":
+        "7864d03ca332f98cd6635d6880d68cf18036771583011ad65611d7a3567ac29c",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(README_MORSE_DIGESTS))
+def test_readme_morse_line_digest(capsys, tmp_path, monkeypatch, verb):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    line = next(l for l in readme.read_text().splitlines()
+                if l.startswith(f"weylkit morse {verb} --path @path.json"))
+    _readme_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, *shlex.split(line)[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_MORSE_DIGESTS[verb]
+
+
 def test_readme_quick_tour(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]

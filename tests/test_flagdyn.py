@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from test_thickenings import all_ideals
 from weylkit import flagdyn as fd
 from weylkit import thickenings as th
 from weylkit.coxeter import build_group, bruhat_leq, multiply
@@ -435,13 +436,32 @@ def _standard_pair_sample():
     return fd.limit_set_sample([g1, g2], 5, 1.0)
 
 
-def _membership_pair_by_pair(f, sample, thickening):
+class _PairByPair:
     """The reading that the stacked membership replaces: one
-    relative_position per sample flag, in order."""
-    for lam in sample.flags:
-        if fd.relative_position(f, lam).w in thickening:
-            return True, lam
-    return False, None
+    relative_position per sample flag, in sample order.  The positions of
+    a flag, refusals included, are read once and shared by every
+    thickening it is tested against."""
+
+    def __init__(self, f, sample):
+        self.f, self.sample, self.seen = f, sample, []
+
+    def _positions(self):
+        yield from self.seen
+        for lam in self.sample.flags[len(self.seen):]:
+            try:
+                w = fd.relative_position(self.f, lam).w
+            except AmbiguousRank as exc:
+                w = exc
+            self.seen.append(w)
+            yield w
+
+    def membership(self, thickening):
+        for w, lam in zip(self._positions(), self.sample.flags):
+            if isinstance(w, AmbiguousRank):
+                raise w
+            if w in thickening:
+                return True, lam
+        return False, None
 
 
 def _outcome(call):
@@ -457,13 +477,13 @@ def test_membership_matches_pair_by_pair():
     assert len(sample) == 448
     rng = np.random.default_rng(20)
     flags = sample.flags + [fd.random_flag(3, rng) for _ in range(20)]
+    readers = [_PairByPair(f, sample) for f in flags]
     outcomes = set()
     for thickening in th.enumerate_balanced(build_group("A2")):
-        for f in flags:
+        for f, reader in zip(flags, readers):
             got = _outcome(lambda: fd.thickening_membership(f, sample,
                                                             thickening))
-            assert got == _outcome(lambda: _membership_pair_by_pair(
-                f, sample, thickening))
+            assert got == _outcome(lambda: reader.membership(thickening))
             outcomes.add(got[0])
         assert fd.thickening_membership(
             flags[0], fd.FlagSample([], [], []), thickening) == (False, None)
@@ -553,7 +573,7 @@ def test_fat_coverage_of_apartment():
     # the thickenings of an antipodal pair, for every fat ideal
     import itertools
     W = build_group("A2")
-    fats = [t for t in th.all_ideals(W) if th.is_fat(t)]
+    fats = [t for t in all_ideals(W) if th.is_fat(t)]
     assert fats
     sigma = fd.standard_flag(3)
     sigma_hat = fd.opposite_flag(3)

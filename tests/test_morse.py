@@ -12,7 +12,8 @@ import pytest
 import mp_oracle
 from weylkit import flagdyn, morse
 from weylkit import symspace as ss
-from weylkit.errors import NotAntipodalGenerators, TieError
+from weylkit.errors import (DegenerateSegment, NotAntipodalGenerators,
+                            TieError)
 from weylkit.morse import (ZetaType, diamond_membership,
                            finsler_betweenness_defect, morse_defect_report,
                            schottky_certificate, straightness_check,
@@ -191,6 +192,41 @@ def test_spacing_violation_reported():
     assert cert.first_violation == ("spacing", 0)
 
 
+def _straightness_pair_by_pair(path, cone, spacing):
+    """The segment reading that the stacked one replaces: two distance
+    calls per segment."""
+    margin, flags, first = np.inf, [], None
+    for i in range(len(path) - 1):
+        seg = ss.riemannian_distance(path[i], path[i + 1])
+        margin = min(margin, seg - spacing)
+        if seg - spacing < 0 and first is None:
+            first = ("spacing", i)
+        ok = ss.theta_regular_segment(path[i], path[i + 1], cone)
+        flags.append(ok)
+        if not ok and first is None:
+            first = ("regularity", i)
+    return margin, flags, first
+
+
+def test_straightness_segments_match_pair_by_pair():
+    rng = _rng()
+    cone = ss.RegularityCone(0.3)
+    pts = [ss.point_from_group(np.eye(3) + 0.6 * rng.standard_normal((3, 3)))
+           for _ in range(20)]
+    cert = straightness_check(pts, cone, epsilon=3.0, spacing=1.0)
+    margin, flags, first = _straightness_pair_by_pair(pts, cone, 1.0)
+    assert cert.spacing_margin == margin and cert.regularity_flags == flags
+    assert 0 < flags.count(False) < len(flags)
+    assert cert.first_violation == first
+
+
+def test_straightness_repeated_point_raises():
+    cone = ss.RegularityCone(0.05)
+    pts = [ss.flat_point([0.0, 0.0, 0.0]), ss.flat_point([4.0, 1.0, -5.0])]
+    with pytest.raises(DegenerateSegment):
+        straightness_check(pts + pts[1:], cone)
+
+
 # --- free group certificates -------------------------------------------------------
 
 def test_schottky_cyclic_generator_passes():
@@ -348,6 +384,117 @@ def test_defect_report_segment_regular_flags():
     wall_pts = [ss.sl3_flat_chart(x, 0.0) for x in range(4)]
     rep2 = morse_defect_report(wall_pts, cone=cone, window=2.0)
     assert not any(rep2.segment_regular)
+
+
+def _defect_report_pair_by_pair(path, cone=None, window=10.0, L=2.0, A=1.0):
+    """The reading that the row-batched report replaces: one
+    delta_distance call per pair and Python loops over pairs and
+    windows."""
+    m = len(path)
+    phi = ss.FinslerFunctional.default(path[0].n)
+    segment_regular = None
+    if cone is not None:
+        segment_regular = []
+        for s in range(m - 1):
+            try:
+                segment_regular.append(
+                    ss.theta_regular_segment(path[s], path[s + 1], cone))
+            except DegenerateSegment:
+                segment_regular.append(False)
+    riem = np.zeros((m, m))
+    fins = np.zeros((m, m))
+    for s in range(m):
+        for t in range(s + 1, m):
+            v = ss.delta_distance(path[s], path[t])
+            riem[s, t] = riem[t, s] = 2.0 * float(np.linalg.norm(v))
+            fins[s, t] = fins[t, s] = phi(v)
+    qi_lower = qi_upper = np.inf
+    for s in range(m):
+        for t in range(s + 1, m):
+            qi_lower = min(qi_lower, riem[s, t] - ((t - s) / L - A))
+            qi_upper = min(qi_upper, (L * (t - s) + A) - riem[s, t])
+    lengths, defects = [], []
+    for gap in range(2, m):
+        if gap <= window:
+            continue
+        worst = 0.0
+        for s in range(m - gap):
+            t = s + gap
+            inner = fins[s, s + 1:t] + fins[s + 1:t, t] - fins[s, t]
+            worst = max(worst, float(inner.max()))
+        lengths.append(gap)
+        defects.append(worst)
+    return (float(qi_lower), float(qi_upper), np.array(lengths),
+            np.array(defects), segment_regular)
+
+
+def _criterion_5_paths():
+    m = 100
+    kink = _graph_path(abs, np.arange(-m, m + 1.0))
+    rng = np.random.default_rng(555)
+    slopes = rng.uniform(0.3, np.sqrt(3.0) - 0.3, size=2 * m)
+    ys = np.concatenate([[0.0], np.cumsum(slopes)])
+    graph = [ss.sl3_flat_chart(x, y) for x, y in zip(np.arange(2 * m + 1.0), ys)]
+    return {"kink": (kink, 2.0, 1.0), "graph": (graph, 2.5, 0.5)}
+
+
+def _assert_report_is(rep, want):
+    qi_lower, qi_upper, lengths, defects, regular = want
+    assert rep.qi_lower_margin == qi_lower
+    assert rep.qi_upper_margin == qi_upper
+    assert rep.window_lengths.dtype == lengths.dtype
+    assert np.array_equal(rep.window_lengths, lengths)
+    assert rep.window_defects.dtype == defects.dtype
+    # bitwise: the same floats, not only equal ones
+    assert rep.window_defects.tobytes() == defects.tobytes()
+    assert rep.segment_regular == regular
+
+
+@pytest.mark.parametrize("name", ["kink", "graph"])
+def test_defect_report_matches_pair_by_pair_on_criterion_5(name):
+    path, L, A = _criterion_5_paths()[name]
+    cone = ss.RegularityCone(0.05)
+    rep = morse_defect_report(path, cone=cone, window=10.0, L=L, A=A)
+    _assert_report_is(rep, _defect_report_pair_by_pair(path, cone, 10.0, L, A))
+
+
+def test_defect_report_matches_pair_by_pair_off_the_flat():
+    rng = np.random.default_rng(60)
+    path = [ss.point_from_group(np.eye(3) + 0.6 * rng.standard_normal((3, 3)))
+            for _ in range(60)]
+    cone = ss.RegularityCone(0.3)
+    for window, L, A in ((10.0, 2.0, 1.0), (3.0, 0.5, 0.1), (100.0, 2.0, 1.0)):
+        rep = morse_defect_report(path, cone=cone, window=window, L=L, A=A)
+        want = _defect_report_pair_by_pair(path, cone, window, L, A)
+        _assert_report_is(rep, want)
+    assert len(rep.window_lengths) == 0  # no window is longer than 100
+    assert 0 < rep.segment_regular.count(False) < len(path) - 1
+
+
+def test_defect_report_short_paths_match_pair_by_pair():
+    # with L = A = 1 the lower margin of a short path is one of its
+    # distances, and the one window of a three-point path is one sum of
+    # Finsler distances, so single values show and not only minima
+    rng = np.random.default_rng(62)
+    for _ in range(100):
+        path = [ss.point_from_group(np.eye(3) + rng.standard_normal((3, 3)))
+                for _ in range(3)]
+        rep = morse_defect_report(path, window=1.0, L=1.0, A=1.0)
+        _assert_report_is(rep, _defect_report_pair_by_pair(path, None, 1.0,
+                                                           1.0, 1.0))
+
+
+def test_defect_report_repeated_point_matches_pair_by_pair():
+    rng = np.random.default_rng(61)
+    path = [ss.point_from_group(np.eye(3) + 0.4 * rng.standard_normal((3, 3)))
+            for _ in range(15)]
+    path.insert(6, path[5])
+    cone = ss.RegularityCone(0.01)
+    rep = morse_defect_report(path, cone=cone, window=4.0)
+    _assert_report_is(rep, _defect_report_pair_by_pair(path, cone, 4.0))
+    assert rep.segment_regular[5] is False
+    assert rep.segment_regular.count(False) == 1
+    assert morse_defect_report(path, window=4.0).segment_regular is None
 
 
 def test_zeta_angle_symmetric_and_invariant():

@@ -157,6 +157,24 @@ def test_delta_congruence_invariance():
         assert np.abs(lhs - ss.delta_distance(x, y)).max() < 1e-8
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_reader_is_bit_identical_to_delta_distance(n):
+    rng = _rng()
+    pts = [_random_point(rng, n, scale=2.0) for _ in range(12)]
+    pts += [ss.flat_point(rng.standard_normal(n)) for _ in range(4)]
+    pts.append(pts[3])  # a repeated point gives a zero vector
+    mats, xi = ss.point_stack(pts)
+    for s, x in enumerate(pts):
+        assert np.array_equal(mats[s], x.mat)
+        assert np.array_equal(xi[s], x.inv_sqrt())
+        row = ss.delta_stack(xi[s], mats[s + 1:])
+        for v, y in zip(row, pts[s + 1:]):
+            assert np.array_equal(v, ss.delta_distance(x, y))
+    steps = ss.delta_stack(xi[:-1], mats[1:])
+    for v, x, y in zip(steps, pts, pts[1:]):
+        assert np.array_equal(v, ss.delta_distance(x, y))
+
+
 def test_iota_examples():
     assert np.allclose(ss.delta_iota([0.0, 0.0, 0.0]), 0.0)
     assert np.allclose(ss.delta_iota([1.0, 0.0, -1.0]), [1.0, 0.0, -1.0])
