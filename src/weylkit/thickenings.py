@@ -6,15 +6,15 @@ whole group, balanced when both, that is when it holds exactly one
 element of each pair {w, w0 w}.
 
 Balanced thickenings are built pair by pair as unions of principal
-ideals, so they stay downward closed.  Adding the ideal of c to a slim
-ideal keeps it slim exactly when the ideal of c is slim and the ideal
-so far misses its shift, one AND against a shift precomputed per
-element.  `enumerate_balanced` searches with forced choices: a pair with
-one feasible side takes it without branching, and a pair with none ends
-the branch.  `count_balanced` sweeps forward over the pairs and merges
-partial ideals that agree on everything later pairs can read, so it
-counts D4 (114864) from 84168 states without listing the thickenings.
-"""
+ideals, so they stay downward closed.  Left multiplication by w0
+reverses the Bruhat order, so the w0-shift of the ideal of c is the set
+of elements above w0 c, and a side c of a pair may join exactly when
+w0 c is not below c: one static bit per side (see `_search_tables`).
+`enumerate_balanced` searches with forced choices: a pair with one
+feasible side takes it without branching.  `count_balanced` sweeps
+forward over the pairs and merges partial ideals that agree on the
+elements of later pairs, so it counts D4 (114864) from 27910 states
+without listing the thickenings."""
 
 from __future__ import annotations
 
@@ -127,37 +127,37 @@ def is_balanced(th):
 
 
 def _search_tables(W):
-    """The w0-pairs {a, w0 a} (a first, in index order), and per element
-    c its principal ideal, the w0-shift of that ideal and whether the
-    ideal is slim.  A slim ideal acc stays slim when the ideal of c
-    joins it exactly when the ideal of c is slim and acc misses its
-    shift, because the shift is an involutive bijection."""
+    """The w0-pairs {a, w0 a} (a first, in index order), the principal
+    ideals, and per pair the sides c whose ideal is slim.
+
+    Left multiplication by w0 reverses the Bruhat order, so the shift
+    of the ideal of c is {x : x >= w0 c}, and the ideal of c is slim iff
+    w0 c is not below c: one bit of its own mask.  Of two comparable
+    sides only the lower one is slim, and of two incomparable ones both
+    are, so every pair has a feasible side.  A slim lower ideal acc that
+    holds neither side of the pair stays slim when a slim ideal of c
+    joins it.  The two miss each other's shifts: an x in acc with
+    w0 x <= c has w0 c <= x, and then w0 c, the other side, is in acc."""
     masks = W.leq_masks()
     w0l = W.w0_left_table()
     pairs = [(a, b) for a, b in enumerate(w0l) if a < b]
     assert 2 * len(pairs) == len(w0l), "w0 pairing must be free"
-    shifted = []
-    for k in range(0, len(masks), 64):  # no |W| x |W| array at once
-        rows = coxeter.mask_rows(masks[k:k + 64], len(masks))
-        shifted += coxeter.packed_masks(
-            np.packbits(rows[:, w0l], axis=1, bitorder="little"))
-    usable = [m & sh == 0 for m, sh in zip(masks, shifted)]
-    return pairs, masks, shifted, usable
+    sides = [[c for c in p if not (masks[c] >> w0l[c]) & 1] for p in pairs]
+    return pairs, masks, sides
 
 
 def _balanced_masks(W, node_cap):
     """Masks of all balanced thickenings, by a forced-choice search: a
-    pair with one feasible side takes it without branching, and a pair
-    with none ends the branch, so every branch that reaches the last
-    pair is a balanced thickening.  ``node_cap`` bounds the open pairs
-    the search decides."""
-    pairs, masks, shifted, usable = _search_tables(W)
+    pair with one feasible side takes it without branching, so every
+    branch that reaches the last pair is a balanced thickening.
+    ``node_cap`` bounds the open pairs the search decides."""
+    pairs, masks, sides = _search_tables(W)
     found, nodes = [], 0
     stack = [(0, 0)]
     while stack:
         k, acc = stack.pop()
         while k < len(pairs):
-            a, b = pairs[k]
+            (a, b), feasible = pairs[k], sides[k]
             k += 1
             if (acc >> a) & 1 or (acc >> b) & 1:
                 continue
@@ -165,14 +165,10 @@ def _balanced_masks(W, node_cap):
             if nodes > node_cap:
                 raise GroupTooLarge(
                     f"balanced enumeration exceeded {node_cap} nodes")
-            sides = [c for c in (a, b) if usable[c] and acc & shifted[c] == 0]
-            if not sides:
-                break
-            if len(sides) == 2:
+            if len(feasible) == 2:
                 stack.append((k, acc | masks[b]))
-            acc |= masks[sides[0]]
-        else:
-            found.append(acc)
+            acc |= masks[feasible[0]]
+        found.append(acc)
     return found
 
 
@@ -207,29 +203,22 @@ def count_balanced(W, node_cap=DEFAULT_NODE_CAP):
     """Number of balanced thickenings, by a forward sweep over the pairs.
 
     After each pair the sweep holds the number of ways to reach each
-    partial ideal, keyed by the part of it that later pairs can still
-    read: their elements and the shifted ideals of their slim sides.
-    Partial ideals that agree there have the same completions.  Only two
+    partial ideal, keyed by its elements in later pairs: the feasible
+    sides are fixed per pair, so that is all a later pair reads, and
+    partial ideals that agree there have the same completions.  Only two
     pairs' states are alive at a time, and ``node_cap`` bounds the states
-    the sweep holds over all pairs (D4 takes 84168)."""
-    pairs, masks, shifted, usable = _search_tables(W)
-    relevant = [0] * (len(pairs) + 1)
-    for k in range(len(pairs) - 1, -1, -1):
-        reads = relevant[k + 1]
-        for c in pairs[k]:
-            reads |= 1 << c
-            if usable[c]:
-                reads |= shifted[c]
-        relevant[k] = reads
+    the sweep holds over all pairs (D4 takes 27910)."""
+    pairs, masks, sides = _search_tables(W)
+    later = (1 << len(masks)) - 1
     states, held = {0: 1}, 1
-    for (a, b), keep in zip(pairs, relevant[1:]):
+    for (a, b), feasible in zip(pairs, sides):
+        later &= ~(1 << a | 1 << b)
         grown = {}
         for acc, ways in states.items():
             if (acc >> a) & 1 or (acc >> b) & 1:
-                nexts = (acc & keep,)
+                nexts = (acc & later,)
             else:
-                nexts = [(acc | masks[c]) & keep for c in (a, b)
-                         if usable[c] and acc & shifted[c] == 0]
+                nexts = [(acc | masks[c]) & later for c in feasible]
             for nxt in nexts:
                 grown[nxt] = grown.get(nxt, 0) + ways
         held += len(grown)

@@ -31,6 +31,15 @@ def test_thickenings_enumerate(capsys):
     assert all(sorted(d["members"]) == d["members"] for d in data)
 
 
+def test_thickenings_count_refuses_b4_under_default_cap(capsys):
+    code, out = run(capsys, "thickenings", "count", "--type", "B4")
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "GroupTooLarge",
+        "message": "balanced count exceeded 100000 states",
+        "argv": ["thickenings", "count", "--type", "B4"]}
+
+
 def test_thickenings_check(capsys):
     code, out = run(capsys, "thickenings", "check", "--type", "A2",
                     "--members", '["123", "213", "132"]')

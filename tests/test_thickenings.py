@@ -178,7 +178,8 @@ def test_enumeration_deterministic_order():
         assert bitstrings == sorted(bitstrings)
 
 
-@pytest.mark.parametrize("descriptor,count", [("A4", 4608), ("A1^6", 2646)])
+@pytest.mark.parametrize("descriptor,count", [("A4", 4608), ("A1^6", 2646),
+                                              ("A2xG2", 342), ("B3xA1", 1042)])
 def test_counter_agrees_with_enumeration(descriptor, count):
     # A1^6: OEIS A001206
     W = build_group(descriptor)
@@ -191,18 +192,36 @@ def test_count_balanced_d4_under_default_cap():
 
 
 def test_count_cap_bounds_sweep_states():
-    # the D4 sweep holds 84168 states over all pairs
+    # the D4 sweep holds 27910 states over all pairs
     W = build_group("D4")
-    assert count_balanced(W, node_cap=84168) == 114864
-    with pytest.raises(GroupTooLarge, match="exceeded 84167 states"):
-        count_balanced(W, node_cap=84167)
+    assert count_balanced(W, node_cap=27910) == 114864
+    with pytest.raises(GroupTooLarge, match="exceeded 27909 states"):
+        count_balanced(W, node_cap=27909)
+
+
+def test_count_balanced_b4():
+    # the sweep holds 1409184 states over all pairs
+    assert count_balanced(build_group("B4"), node_cap=2 * 10 ** 6) == 49404510
+
+
+@pytest.mark.parametrize("descriptor", ["A3", "B3", "G2", "A2xG2", "D4"])
+def test_principal_ideal_slim_iff_w0c_not_below_c(descriptor):
+    # the one bit the search and the sweep read per side
+    W = build_group(descriptor)
+    masks, w0l = W.leq_masks(), W.w0_left_table()
+    for c in range(len(W)):
+        bit = not (masks[c] >> w0l[c]) & 1
+        assert bit == is_slim(down_closure(W, [c]))
 
 
 def test_enumerate_balanced_d4():
     W = build_group("D4")
     with pytest.raises(GroupTooLarge):
         enumerate_balanced(W)
-    ths = enumerate_balanced(W, node_cap=10 ** 6)
+    # the search decides 114892 open pairs
+    with pytest.raises(GroupTooLarge, match="exceeded 114891 nodes"):
+        enumerate_balanced(W, node_cap=114891)
+    ths = enumerate_balanced(W, node_cap=114892)
     assert len(ths) == 114864
     assert len({t.mask for t in ths}) == len(ths)
     assert all(len(t) == len(W) // 2 for t in ths)
