@@ -4,15 +4,16 @@ Elements are fully enumerated with canonical indices (sorted breadth-first
 by word length), so word length, reduced words, inverses and the Bruhat
 order are all table lookups after construction.
 
-Every irreducible factor is a permutation group on one small finite set
-S: the orbit of the standard basis vectors under the simple reflections
-of the exact ambient realization (rationals, and Q(sqrt 3) for G2).  S
-has n+1 vectors for A(n), 2n for B(n) and D(n), 12 for G2 and 24 for F4.
-An element is the permutation it induces on S, so composition is a tuple
-lookup, and its reflection matrix is read off from the images of the
-basis vectors, which keeps orthogonality and the homomorphism property
-exact.  A product group enumerates tuples of factor indices with the
-same breadth-first enumerator.
+Every group is a permutation group on one small finite set S.  For an
+irreducible factor, S is the orbit of the standard basis vectors under
+the simple reflections of the exact ambient realization (rationals, and
+Q(sqrt 3) for G2): n+1 vectors for A(n), 2n for B(n) and D(n), 12 for G2
+and 24 for F4.  For a product, S is the disjoint union of the factors'
+sets, each vector padded with zeros into its factor's block of
+coordinates.  An element is the permutation it induces on S, so
+composition is a tuple lookup, and its reflection matrix is read off
+from the images of the basis vectors, which keeps orthogonality and the
+homomorphism property exact.
 
 For type A(n) the matrices are (n+1) x (n+1) permutation matrices; they
 act on the trace-zero hyperplane, which is the rank-n model flat.  All
@@ -28,6 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -122,11 +124,6 @@ def _compose(x, g):
     return tuple(map(g.__getitem__, x))
 
 
-def _factor_step(x, g):
-    fi, column = g
-    return x[:fi] + (column[x[fi]],) + x[fi + 1:]
-
-
 @dataclass(frozen=True)
 class _Family:
     """One irreducible factor: its rank and exact ambient realization."""
@@ -213,15 +210,22 @@ class _Family:
         return orbit, gens, tuple(pos[b] for b in basis)
 
 
-def _enumerate(ident, gens, compose, key):
-    """Breadth-first closure of ``ident`` under right multiplication by
-    the generators.  Each length level is sorted by ``key``, which makes
-    the indices canonical; an element's parent is its first predecessor
-    in index order.  Returns the elements, the index of each key, the
-    lengths, the parents and the generator multiplication table."""
-    elements = [ident]
-    index = {key(ident): 0}
+def _enumerate(gens, bases):
+    """Breadth-first closure of the identity under right multiplication
+    by the generators, (factor, permutation) pairs.  An element is keyed
+    by its images of the basis positions, ``bases`` per factor.  A length
+    level is sorted by the factors' (length, key) pairs in turn (the last
+    length follows from the level), so the indices are canonical and a
+    product orders each level by its tuples of factor indices.  A parent
+    is the first predecessor in index order.  Returns the elements, the
+    index of each key, the lengths, the parents and the gen_mult table."""
+    key = operator.itemgetter(*(b for basis in bases for b in basis))
+    starts = [0, *accumulate(map(len, bases))][:-1]  # of each factor's key
+    blocks, tail = list(zip(starts, starts[1:])), starts[-1]
+    elements = [tuple(range(len(gens[0][1])))]
+    index = {key(elements[0]): 0}
     lengths = [0]
+    heads = [(0,) * len(blocks)]  # lengths in the factors but the last
     parents = [(-1, -1)]
     neighbours = []  # per element, in index order: keys of x*g
     frontier = [0]
@@ -229,20 +233,26 @@ def _enumerate(ident, gens, compose, key):
         new = {}
         for ei in frontier:
             ks = []
-            for s, g in enumerate(gens):
-                y = compose(elements[ei], g)
+            for s, (f, g) in enumerate(gens):
+                y = _compose(elements[ei], g)
                 k = key(y)
                 ks.append(k)
                 if k not in index and k not in new:
-                    new[k] = (y, ei, s)
+                    h = heads[ei]
+                    if f < len(h):
+                        h = h[:f] + (h[f] + 1,) + h[f + 1:]
+                    order = sum(((l,) + k[a:b] for l, (a, b)
+                                 in zip(h, blocks)), ()) + k[tail:]
+                    new[k] = (order, k, y, ei, s, h)
             neighbours.append(ks)
         frontier = []
-        for k in sorted(new):
-            y, parent, s = new[k]
+        for _, k, y, parent, s, h in sorted(new.values(),
+                                            key=operator.itemgetter(0)):
             index[k] = len(elements)
             frontier.append(len(elements))
             elements.append(y)
             lengths.append(lengths[parent] + 1)
+            heads.append(h)
             parents.append((parent, s))
     gen_mult = [[index[k] for k in ks] for ks in neighbours]
     return elements, index, lengths, parents, gen_mult
@@ -308,6 +318,28 @@ class CoxeterType:
     def is_a1_power(self):
         return all(f == _Family("A", 1) for f in self.factors)
 
+    @property
+    def is_type_a(self):
+        return len(self.factors) == 1 and self.factors[0].name == "A"
+
+    def permutation_model(self):
+        """S, the disjoint union of the factors' sets with each vector
+        padded by zeros into its factor's block of coordinates; the simple
+        reflections as (factor, permutation of S); per factor, the
+        positions of its basis vectors in S."""
+        models = [f.permutation_model() for f in self.factors]
+        size = sum(len(part) for part, _, _ in models)
+        dim = sum(len(basis) for _, _, basis in models)
+        orbit, gens, bases = [], [], []
+        for fi, (part, fgens, basis) in enumerate(models):
+            off, lead = len(orbit), sum(map(len, bases))
+            orbit += [(0,) * lead + v + (0,) * (dim - lead - len(v))
+                      for v in part]
+            gens += [(fi, (*range(off), *(off + k for k in g),
+                           *range(off + len(part), size))) for g in fgens]
+            bases.append(tuple(off + b for b in basis))
+        return orbit, gens, bases
+
     def __str__(self):
         return self.descriptor
 
@@ -361,28 +393,11 @@ class WeylGroup:
             raise GroupTooLarge(
                 f"type {ctype} has order {ctype.order} > cap {max_order}")
         self.ctype = ctype
-        self._factor_groups = None
-        if len(ctype.factors) > 1:
-            fgs = [WeylGroup(CoxeterType((f,)), max_order)
-                   for f in ctype.factors]
-            self._factor_groups = fgs
-            # elements are tuples of factor indices; a generator is a
-            # factor position with that factor's column of gen_mult
-            gens = [(fi, [row[s] for row in fg.gen_mult])
-                    for fi, fg in enumerate(fgs)
-                    for s in range(fg.num_generators)]
-            built = _enumerate((0,) * len(fgs), gens, _factor_step,
-                               lambda x: x)
-        else:
-            self._family = fam = ctype.factors[0]
-            orbit, gens, self._basis = fam.permutation_model()
-            self._rows = [tuple(map(_as_q, v)) for v in orbit]
-            # the key of a permutation is where it sends the basis vectors
-            # (every factor has ambient dimension >= 2, so this is a tuple)
-            built = _enumerate(tuple(range(len(orbit))), gens, _compose,
-                               operator.itemgetter(*self._basis))
+        orbit, gens, self._bases = ctype.permutation_model()
+        self._basis = [b for basis in self._bases for b in basis]
+        self._rows = [tuple(map(_as_q, v)) for v in orbit]
         (self.elements, self._index, self.lengths, self._parents,
-         self.gen_mult) = built
+         self.gen_mult) = _enumerate(gens, self._bases)
         assert len(self.elements) == ctype.order, (ctype, len(self.elements))
         self.num_generators = len(gens)
         self._finish()
@@ -440,29 +455,20 @@ class WeylGroup:
 
     def element_from_word(self, word):
         """Evaluate a generator-index word (not necessarily reduced)."""
-        return WeylElement(self, self.gen_fold(0, tuple(word)))
+        word = tuple(word)
+        if not all(0 <= s < self.num_generators for s in word):
+            raise ValueError(f"word {list(word)} names a generator outside "
+                             f"0..{self.num_generators - 1} of {self.ctype}")
+        return WeylElement(self, self.gen_fold(0, word))
 
     def matrix(self, index):
-        if self._factor_groups is None:
-            # row j is the image of the j-th basis vector under v -> v M
-            x = self.elements[index]
-            return tuple(self._rows[x[b]] for b in self._basis)
-        blocks = [fg.matrix(c)
-                  for fg, c in zip(self._factor_groups, self.elements[index])]
-        dim = sum(len(b) for b in blocks)
-        rows = [[_Q0] * dim for _ in range(dim)]
-        off = 0
-        for b in blocks:
-            m = len(b)
-            for i in range(m):
-                for j in range(m):
-                    rows[off + i][off + j] = b[i][j]
-            off += m
-        return tuple(tuple(r) for r in rows)
+        # row j is the image of the j-th basis vector under v -> v M
+        x = self.elements[index]
+        return tuple(self._rows[x[b]] for b in self._basis)
 
     @property
     def ambient_dim(self):
-        return sum(f.ambient_dim for f in self.ctype.factors)
+        return len(self._basis)
 
     # --- labels ---------------------------------------------------------------
 
@@ -471,7 +477,7 @@ class WeylGroup:
         string for type A, letter word otherwise."""
         if self.ctype.is_a1_power:
             return "".join("+" if s > 0 else "-" for s in self.sign_vector(index))
-        if self._factor_groups is None and self._family.name == "A":
+        if self.ctype.is_type_a:
             return "".join(map(str, self.one_line(index)))
         return self.word_label(index)
 
@@ -485,48 +491,51 @@ class WeylGroup:
 
     def element_from_label(self, text):
         """Inverse of :meth:`label` / :meth:`word_label` (also accepts
-        letter words for any type)."""
+        letter words for any type); ``ValueError`` if it names no element."""
         text = text.strip()
         if text in ("e", "", "1"):
             return self.identity
         if self.ctype.is_a1_power and set(text) <= {"+", "-"}:
             return self.element_from_signs(
                 [1 if c == "+" else -1 for c in text])
-        if self._factor_groups is None and self._family.name == "A" \
-                and text.isdigit():
-            key = tuple(int(c) - 1 for c in text)
-            if key in self._index:
+        word = ()
+        if self.ctype.is_type_a and text.isdigit():
+            if (key := tuple(int(c) - 1 for c in text)) in self._index:
                 return WeylElement(self, self._index[key])
-        if re.fullmatch(r"[a-z]+", text) and self.num_generators <= 26:
-            return self.element_from_word(ord(c) - ord("a") for c in text)
-        word = [int(p[1:]) - 1 for p in text.split(".") if p]
-        return self.element_from_word(word)
+        elif re.fullmatch(r"[a-z]+", text) and self.num_generators <= 26:
+            word = [ord(c) - ord("a") for c in text]
+        elif re.fullmatch(r"s\d+(\.s\d+)*", text):
+            word = [int(p[1:]) - 1 for p in text.split(".")]
+        if word and all(0 <= s < self.num_generators for s in word):
+            return self.element_from_word(word)
+        raise ValueError(f"label {text!r} names no element of {self.ctype}")
 
     def sign_vector(self, index):
-        """Element of an A1 power as a +-1 vector."""
+        """Element of an A1 power as a +-1 vector (-1: swaps a factor)."""
         if not self.ctype.is_a1_power:
             raise GroupMismatch("sign vectors only exist for A1 powers")
-        if self._factor_groups is None:
-            return (1,) if index == 0 else (-1,)
-        return tuple(1 if c == 0 else -1 for c in self.elements[index])
+        x = self.elements[index]
+        return tuple(1 if x[b] == b else -1 for b, _ in self._bases)
 
     def element_from_signs(self, signs):
         if not self.ctype.is_a1_power:
             raise GroupMismatch("sign vectors only exist for A1 powers")
-        if self._factor_groups is None:
-            return WeylElement(self, 0 if signs[0] > 0 else 1)
-        key = tuple(0 if s > 0 else 1 for s in signs)
+        if len(signs) != self.ctype.rank:
+            raise ValueError(f"sign vector of length {len(signs)} for "
+                             f"{self.ctype} of rank {self.ctype.rank}")
+        key = tuple(k for s, (b, o) in zip(signs, self._bases)
+                    for k in ((b, o) if s > 0 else (o, b)))
         return WeylElement(self, self._index[key])
 
     def one_line(self, index):
         """Type A element as a one-line permutation tuple."""
-        if self._factor_groups is not None or self._family.name != "A":
+        if not self.ctype.is_type_a:
             raise GroupMismatch("one-line form only exists for type A")
         # S is the basis itself, so an element is its 0-based one-line form
         return tuple(v + 1 for v in self.elements[index])
 
     def element_from_one_line(self, perm):
-        if self._factor_groups is not None or self._family.name != "A":
+        if not self.ctype.is_type_a:
             raise GroupMismatch("one-line form only exists for type A")
         return WeylElement(self, self._index[tuple(v - 1 for v in perm)])
 
@@ -567,50 +576,20 @@ class WeylGroup:
         return self._leq_masks
 
     def leq_indices(self, u, v):
-        if self._factor_groups is not None:
-            return all(fg.leq_indices(cu, cv)
-                       for fg, cu, cv in zip(self._factor_groups,
-                                             self.elements[u],
-                                             self.elements[v]))
         if len(self.elements) <= ORDER_MATRIX_CAP:
             return (self.leq_masks()[v] >> u) & 1 == 1
-        return self._leq_recursive(u, v)
-
-    def _leq_recursive(self, u, v):
-        # standard descent recursion, memoized per pair; used only above
-        # the order-matrix cap
-        if not hasattr(self, "_leq_memo"):
-            self._leq_memo = {}
-        memo = self._leq_memo
-        stack = [(u, v)]
-        while stack:
-            cu, cv = stack[-1]
-            if (cu, cv) in memo:
-                stack.pop()
-                continue
-            if cu == 0:
-                memo[(cu, cv)] = True
-                stack.pop()
-                continue
-            if self.lengths[cu] > self.lengths[cv] or cv == 0:
-                memo[(cu, cv)] = False
-                stack.pop()
-                continue
-            if cu == cv:
-                memo[(cu, cv)] = True
-                stack.pop()
-                continue
-            s = next(s for s in range(self.num_generators)
-                     if self.lengths[self.gen_mult[cv][s]] < self.lengths[cv])
-            vs = self.gen_mult[cv][s]
-            us = self.gen_mult[cu][s]
-            child = (us, vs) if self.lengths[us] < self.lengths[cu] else (cu, vs)
-            if child in memo:
-                memo[(cu, cv)] = memo[child]
-                stack.pop()
-            else:
-                stack.append(child)
-        return memo[(u, v)]
+        # above the cap, the lifting property (Bjorner-Brenti, Prop. 2.2.7):
+        # for a right descent s of v, u <= v iff min(u, us) <= vs; and at
+        # equal lengths, u <= v iff u == v
+        lengths, mult = self.lengths, self.gen_mult
+        while lengths[u] < lengths[v]:
+            for s, vs in enumerate(mult[v]):
+                if lengths[vs] < lengths[v]:
+                    break
+            if lengths[mult[u][s]] < lengths[u]:
+                u = mult[u][s]
+            v = vs
+        return u == v
 
     def reflections(self):
         """All conjugates of the simple generators, as indices."""

@@ -255,6 +255,23 @@ def test_ragged_matrix_is_refused(capsys, argv):
     assert data["message"] == "matrix rows differ in length: [2, 3]"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("thickenings", "check", "--type", "A2", "--members", '["x1"]'),
+     "label 'x1' names no element of A2"),
+    (("thickenings", "check", "--type", "A2", "--members", '["z"]'),
+     "label 'z' names no element of A2"),
+    (("coxeter", "poset", "--type", "A1^2", "--highlight", '["+++"]'),
+     "sign vector of length 3 for A1^2 of rank 2"),
+    (("coxeter", "poset", "--type", "A1^2", "--highlight", '["+"]'),
+     "sign vector of length 1 for A1^2 of rank 2"),
+], ids=["x1", "z", "+++", "+"])
+def test_labels_naming_no_element_are_refused(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": message,
+                               "argv": list(argv)}
+
+
 def test_negative_balanced_index_is_refused(capsys):
     code, out = run(capsys, "coxeter", "poset", "--type", "A3",
                     "--highlight", "balanced:-1")

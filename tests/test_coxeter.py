@@ -7,6 +7,7 @@ composition via itertools.
 
 import itertools
 import json
+import random
 
 import pytest
 
@@ -175,16 +176,57 @@ def test_length_subadditive_with_parity():
             assert (p.length - u.length - v.length) % 2 == 0
 
 
+def _components(W, index, factors):
+    """Factor indices of an element of a product, read from its word: the
+    generators of each factor follow those of the factors before it."""
+    out, lo = [], 0
+    for F in factors:
+        hi = lo + F.num_generators
+        out.append(F.gen_fold(0, [s - lo for s in W.words[index]
+                                  if lo <= s < hi]))
+        lo = hi
+    return tuple(out)
+
+
 def test_product_order_is_componentwise():
     W = build_group("A2xA1")
     A2 = build_group("A2")
     A1 = build_group("A1")
     for u in W:
         for v in W:
-            cu, cv = W.elements[u.index], W.elements[v.index]
+            cu = _components(W, u.index, (A2, A1))
+            cv = _components(W, v.index, (A2, A1))
             want = (A2.leq_indices(cu[0], cv[0])
                     and A1.leq_indices(cu[1], cv[1]))
             assert bruhat_leq(u, v) == want
+
+
+def _block_diagonal(blocks):
+    from weylkit.coxeter import _Q0
+    dim = sum(map(len, blocks))
+    rows, off = [], 0
+    for b in blocks:
+        rows += [(_Q0,) * off + tuple(r) + (_Q0,) * (dim - off - len(b))
+                 for r in b]
+        off += len(b)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("descriptor", ["A2xA2xA1", "A1xB2xG2"])
+def test_product_levels_ordered_by_factor_indices(descriptor):
+    # the canonical order of a product: within a length level, elements
+    # ascend lexicographically in their tuples of factor indices.  With
+    # three factors this differs from comparing all factor lengths first
+    W = coxeter.WeylGroup(descriptor)
+    factors = [build_group(f"{f.name}{f.rank}") for f in W.ctype.factors]
+    comps = [_components(W, i, factors) for i in range(len(W))]
+    assert len(set(comps)) == len(W)
+    for i in range(1, len(W)):
+        if W.lengths[i] == W.lengths[i - 1]:
+            assert comps[i - 1] < comps[i]
+    for i, c in enumerate(comps):
+        assert W.matrix(i) == _block_diagonal(
+            [F.matrix(k) for F, k in zip(factors, c)])
 
 
 # --- covers -------------------------------------------------------------------
@@ -322,8 +364,8 @@ def test_opposition_involution_both_kinds():
 
 def test_recursive_leq_fallback_matches_masks(monkeypatch):
     # force the above-cap code path on small groups and compare with the
-    # memoized matrix and the subword oracle
-    for desc in ("A2", "B2", "G2"):
+    # masks, and on the smallest ones with the subword oracle too
+    for desc in ("A2", "B2", "G2", "A2xA1", "B3xA1"):
         fresh = coxeter.WeylGroup(desc)
         monkeypatch.setattr(coxeter, "ORDER_MATRIX_CAP", 2)
         try:
@@ -331,8 +373,34 @@ def test_recursive_leq_fallback_matches_masks(monkeypatch):
                    for u in fresh]
         finally:
             monkeypatch.setattr(coxeter, "ORDER_MATRIX_CAP", 4 * 10 ** 4)
-        want = [[subword_leq(u, v) for v in fresh] for u in fresh]
-        assert got == want
+        masks = fresh.leq_masks()
+        assert got == [[(m >> u) & 1 == 1 for m in masks]
+                       for u in range(len(fresh))]
+        if len(fresh) <= 12:
+            assert got == [[subword_leq(u, v) for v in fresh] for u in fresh]
+
+
+def _tableau_leq(u, v):
+    # Bruhat order of S_n on one-line forms (Bjorner-Brenti, Thm 2.1.5):
+    # every sorted prefix of u is entrywise at most that of v
+    return all(a <= b for k in range(1, len(u))
+               for a, b in zip(sorted(u[:k]), sorted(v[:k])))
+
+
+def test_above_cap_walk_matches_tableau_criterion_a7():
+    W = build_group("A7")
+    assert len(W) > coxeter.ORDER_MATRIX_CAP
+    rng = random.Random(13)
+    for _ in range(1500):
+        u, v = rng.randrange(len(W)), rng.randrange(len(W))
+        assert W.leq_indices(u, v) == _tableau_leq(W.one_line(u),
+                                                   W.one_line(v))
+    for _ in range(1500):
+        # the product of any subword of a reduced word of v lies below v
+        v = rng.randrange(len(W))
+        u = W.gen_fold(0, [s for s in W.words[v] if rng.random() < 0.5])
+        assert _tableau_leq(W.one_line(u), W.one_line(v))
+        assert W.leq_indices(u, v)
 
 
 def test_a2_s1_not_below_s2():
@@ -364,3 +432,51 @@ def test_length_complement_identity():
         W = build_group(t)
         for w in W:
             assert multiply(W.w0, w).length == W.w0.length - w.length
+
+
+# --- labels and sign vectors --------------------------------------------------
+
+@pytest.mark.parametrize("descriptor", ["A3", "B2", "G2", "A1^3", "A2xA1"])
+def test_labels_round_trip(descriptor):
+    W = build_group(descriptor)
+    for i in range(len(W)):
+        assert W.element_from_label(W.label(i)).index == i
+        assert W.element_from_label(W.word_label(i)).index == i
+
+
+def test_label_forms():
+    W = build_group("A2")
+    ab = W.element_from_word([0, 1])
+    assert W.element_from_label("e") == W.identity
+    assert W.element_from_label(" 213 ") == W.element_from_word([0])
+    assert W.element_from_label("ab") == ab
+    assert W.element_from_label("s1.s2") == ab
+    assert build_group("A1^2").element_from_label("-+").label() == "-+"
+
+
+@pytest.mark.parametrize("text", ["x1", "s0", "z", "s9", "4123", "21",
+                                  "s1..s2", "a b"])
+def test_labels_naming_no_element_are_refused(text):
+    W = build_group("A2")
+    with pytest.raises(ValueError) as exc:
+        W.element_from_label(text)
+    assert str(exc.value) == f"label {text!r} names no element of A2"
+
+
+def test_words_outside_the_generators_are_refused():
+    W = build_group("A2")
+    for word in ([2], [-1], [0, 1, 3]):
+        with pytest.raises(ValueError, match="outside 0..1 of A2"):
+            W.element_from_word(word)
+
+
+@pytest.mark.parametrize("signs", ["+++", "+"])
+def test_sign_vectors_of_the_wrong_length_are_refused(signs):
+    W = build_group("A1^2")
+    vector = [1 if c == "+" else -1 for c in signs]
+    message = f"sign vector of length {len(signs)} for A1^2 of rank 2"
+    with pytest.raises(ValueError) as exc:
+        W.element_from_signs(vector)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError):
+        W.element_from_label(signs)
