@@ -108,8 +108,21 @@ def _is_rational(data):
     return isinstance(data, (int, str))
 
 
+def _labels(data):
+    """``data`` if it is a list of label strings; a ValueError naming the
+    offending entry otherwise."""
+    if not isinstance(data, list):
+        raise ValueError(f"members must be a JSON list of labels, "
+                         f"not {json.dumps(data)}")
+    for m in data:
+        if not isinstance(m, str):
+            raise ValueError(f"member {json.dumps(m)} is not a label string")
+    return data
+
+
 def _thickening_arg(text, group):
-    """Either ``balanced:K`` or a JSON members list."""
+    """Either ``balanced:K``, a JSON list of member labels or a thickening
+    dict {"type": ..., "members": [...]}."""
     if text.startswith("balanced:"):
         idx = int(text.split(":", 1)[1])
         ths = thickenings.enumerate_balanced(group)
@@ -117,10 +130,16 @@ def _thickening_arg(text, group):
             raise WeylkitError(f"only {len(ths)} balanced thickenings exist")
         return ths[idx]
     data = _json_arg(text)
-    if isinstance(data, dict):
-        return thickenings.Thickening.from_json(data)
-    elems = [group.element_from_label(m) for m in data]
-    return thickenings.down_closure(group, elems)
+    if not isinstance(data, dict):
+        elems = [group.element_from_label(m) for m in _labels(data)]
+        return thickenings.down_closure(group, elems)
+    kind = data["type"]
+    if not isinstance(kind, str) or (coxeter.build_group(kind).ctype.descriptor
+                                     != group.ctype.descriptor):
+        raise ValueError(f"thickening of type {json.dumps(kind)} given "
+                         f"for {group.ctype.descriptor}")
+    return thickenings.Thickening.from_elements(
+        group, [group.element_from_label(m) for m in _labels(data["members"])])
 
 
 def _config_arg(text):

@@ -43,6 +43,7 @@ from .errors import (AmbiguousRank, BudgetExceeded, NearSingular, NotRegular,
 RANK_TOL = 1e-8
 RANK_SAFETY = 100.0
 DEDUP_ANGLE = 1e-6
+BLOCK_ENTRIES = 1 << 16  # floats per block product (512 KB): small temporaries
 
 
 def position_group(n):
@@ -331,25 +332,36 @@ def reduced_words(letters, max_len, max_words=None):
     ``parent[i]`` of the previous length followed by ``letter[i]``, and
     ``products[i]`` is its matrix.  Raises BudgetExceeded before building
     a length that would take the count of words past ``max_words``.
-    ``letters`` is a stack of matrices or any stack with the same
-    indexing and batched ``@``, such as a ``graded.Graded``.
+    ``letters`` come in inverse pairs a, a ^ 1: a stack of matrices, or
+    one like ``graded.Graded``.  Words are parent-major and parents of
+    length >= 1 have k - 1 children, so parents s..e make rows
+    (k-1)s..(k-1)e in one block: a GEMM by all k letters, masked to the
+    reduced words, or for a graded stack one batched ``@``.
     """
-    inverse = np.arange(len(letters)) ^ 1
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    k, n = letters.shape[0], letters.shape[-1]
+    step = BLOCK_ENTRIES // max(k * n * n, 1) + 1  # parents per block
     mats = None
     last = np.array([-1])
     total = 0
     for _ in range(max_len):
-        keep = last[:, None] != inverse
+        keep = last[:, None] != np.arange(k) ^ 1
         total += int(keep.sum())
         if max_words is not None and total > max_words:
             raise BudgetExceeded(f"word budget {max_words} exhausted")
         parent, last = np.nonzero(keep)
-        # a stack of the right length and kind; every row is overwritten
-        out = letters[last]
-        if mats is not None:
-            for a in range(len(letters)):
-                sel = last == a
-                out[sel] = mats[parent[sel]] @ letters[a]
+        dense = mats is not None and isinstance(letters, np.ndarray)
+        # the letters at length 1; from length 2 on, rows are overwritten
+        out = np.empty((len(last), n, n)) if dense else letters[last]
+        for s in range(0, 0 if mats is None else len(mats), step):
+            rows = slice((k - 1) * s, (k - 1) * (s + step))
+            if dense:
+                right = letters.transpose(1, 0, 2).reshape(n, k * n)
+                out[rows] = (mats[s:s + step].reshape(-1, n) @ right).reshape(
+                    -1, n, k, n).swapaxes(1, 2)[keep[s:s + step]]
+            else:
+                out[rows] = mats[parent[rows]] @ letters[last[rows]]
         mats = out
         yield parent, last, mats
 
@@ -561,13 +573,14 @@ def _near_identity(mats, epsilon):
     """Rows of a stack that may lie within ``epsilon`` of the identity in
     spectral norm.  ||X||_2 >= ||X||_F / sqrt(n), so a row with
     ||M - I||_F^2 >= n epsilon^2 cannot; the factor 1 + 1e-9 covers
-    rounding.  Summed entry by entry, with no temporary the size of the
-    stack."""
+    rounding.  One einsum over M - I per block of rows; a square past
+    the float range is inf and drops its row."""
     n = mats.shape[-1]
-    frob = np.zeros(len(mats))
-    for i in range(n):
-        for j in range(n):
-            frob += (mats[:, i, j] - (i == j)) ** 2
+    frob = np.empty(len(mats))
+    step = BLOCK_ENTRIES // max(n * n, 1) + 1
+    for s in range(0, len(mats), step):
+        d = mats[s:s + step] - np.eye(n)
+        frob[s:s + step] = np.einsum("kij,kij->k", d, d)
     return np.nonzero(frob < n * epsilon ** 2 * (1 + 1e-9))[0]
 
 
@@ -583,6 +596,8 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
     certify that the generated subgroup is not discrete.  Returning no
     certificate is inconclusive (semi-decision truncated by budget).
     """
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     gens = _square_generators(generators)
     if not gens:
         return NondiscretenessResult(None, 0, False)

@@ -10,9 +10,10 @@ norm first: the pre-pivoted UDT update of Bai, Lee, Li and Xu (LAA 435,
 not be decreasing (the inverse of a midpoint has increasing scales).
 Log singular values and frames are read out by one-sided Jacobi, which
 is accurate to the conditioning of T, not of the product (Demmel and
-Veselic, SIMAX 13, 1992).  Every operation works on stacks of matrices,
-and a stack supports the indexing and ``@`` that
-``flagdyn.reduced_words`` uses.
+Veselic, SIMAX 13, 1992).  Every operation works on stacks of matrices.
+``flagdyn.reduced_words`` needs a stack's ``shape``, indexing by
+integer arrays, assignment to a slice of rows, and ``@`` between two
+stacks of one length, one product per row.
 
 When an eigenbasis or T is worse conditioned than COND_LIMIT, or a
 product spans more than the float range, the kernel raises
@@ -49,6 +50,10 @@ class Graded:
 
     def __len__(self):
         return len(self.logs)
+
+    @property
+    def shape(self):
+        return self.u.shape
 
     def __getitem__(self, idx):
         return Graded(self.u[idx], self.logs[idx], self.t[idx])

@@ -272,6 +272,65 @@ def test_labels_naming_no_element_are_refused(capsys, argv, message):
                                "argv": list(argv)}
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("thickenings", "check", "--type", "A2", "--members", "[213]"),
+     "member 213 is not a label string"),
+    (("thickenings", "check", "--type", "A2", "--members", '"123"'),
+     'members must be a JSON list of labels, not "123"'),
+    (("thickenings", "check", "--type", "A2", "--members",
+      '{"type": "A2", "members": ["123", null]}'),
+     "member null is not a label string"),
+    (("thickenings", "check", "--type", "A2", "--members",
+      '{"type": "A2", "members": "123"}'),
+     'members must be a JSON list of labels, not "123"'),
+    (("thickenings", "check", "--type", "A2", "--members",
+      '{"type": "B2", "members": ["e"]}'),
+     'thickening of type "B2" given for A2'),
+    (("thickenings", "check", "--type", "A2", "--members",
+      '{"type": 2, "members": ["e"]}'),
+     "thickening of type 2 given for A2"),
+    (("coxeter", "poset", "--type", "A2", "--highlight", "[213]"),
+     "member 213 is not a label string"),
+    (("coxeter", "poset", "--type", "A2", "--highlight", '[["123"]]'),
+     'member ["123"] is not a label string'),
+    (("coxeter", "poset", "--type", "A2", "--highlight", "7"),
+     "members must be a JSON list of labels, not 7"),
+], ids=["number", "bare-string", "dict-null", "dict-bare-string",
+        "dict-other-type", "dict-type-number", "highlight-number",
+        "highlight-nested", "highlight-scalar"])
+def test_members_that_are_not_label_strings_are_refused(capsys, argv,
+                                                         message):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": message,
+                               "argv": list(argv)}
+
+
+def test_thickening_dict_of_an_equal_type_is_read(capsys):
+    code, out = run(capsys, "thickenings", "check", "--type", "A1^2",
+                    "--members", '{"type": "A1xA1", "members": ["-+"]}')
+    assert code == 0
+    assert json.loads(out)["members"] == ["-+"]
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--epsilon", "-1", "epsilon must be positive and finite, got -1.0"),
+    ("--epsilon", "0", "epsilon must be positive and finite, got 0.0"),
+    ("--epsilon", "inf", "epsilon must be positive and finite, got inf"),
+    ("--epsilon", "nan", "epsilon must be positive and finite, got nan"),
+    ("--max-len", "-2", "max_len must be >= 0, got -2"),
+], ids=["epsilon-negative", "epsilon-zero", "epsilon-inf", "epsilon-nan",
+        "max-len-negative"])
+def test_discreteness_probe_refuses_bad_configuration(capsys, option, value,
+                                                      message):
+    argv = ["discreteness", "probe", "--gens",
+            json.dumps([np.eye(3).tolist()]), option, value]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": message,
+                               "argv": argv}
+
+
 def test_negative_balanced_index_is_refused(capsys):
     code, out = run(capsys, "coxeter", "poset", "--type", "A3",
                     "--highlight", "balanced:-1")

@@ -14,6 +14,7 @@ import pytest
 
 from test_thickenings import all_ideals
 from weylkit import flagdyn as fd
+from weylkit import morse
 from weylkit import thickenings as th
 from weylkit.coxeter import build_group, bruhat_leq, multiply
 from weylkit.errors import (AmbiguousRank, BudgetExceeded, NearSingular,
@@ -313,6 +314,80 @@ def test_reduced_words_budget(max_words):
     assert np.cumsum(counts).tolist() == fits
 
 
+def _reduced_words_per_letter(letters, max_len):
+    """The oracle: each length from one product per letter, over all the
+    parents whose words that letter extends."""
+    inverse = np.arange(len(letters)) ^ 1
+    mats, last = None, np.array([-1])
+    for _ in range(max_len):
+        parent, last = np.nonzero(last[:, None] != inverse)
+        out = letters[last]
+        if mats is not None:
+            for a in range(len(letters)):
+                sel = last == a
+                out[sel] = mats[parent[sel]] @ letters[a]
+        mats = out
+        yield parent, last, mats
+
+
+def _bits(stack):
+    """The bytes of a matrix stack, or of each part of a graded one."""
+    if isinstance(stack, np.ndarray):
+        return stack.tobytes()
+    return stack.u.tobytes(), stack.logs.tobytes(), stack.t.tobytes()
+
+
+def _assert_levels_match_oracle(letters, max_len):
+    levels = list(fd.reduced_words(letters, max_len))
+    oracle = list(_reduced_words_per_letter(letters, max_len))
+    assert len(levels) == len(oracle) == max_len
+    for (parent, last, mats), (o_parent, o_last, o_mats) in zip(levels,
+                                                                oracle):
+        assert np.array_equal(parent, o_parent)
+        assert np.array_equal(last, o_last)
+        assert _bits(mats) == _bits(o_mats)
+
+
+@pytest.mark.parametrize("block_entries", [None, 50],
+                         ids=["default-blocks", "tiny-blocks"])
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_reduced_words_match_per_letter_oracle(n, count, block_entries,
+                                                monkeypatch):
+    # tiny blocks hold 1 to 7 parents, so most blocks end inside a level
+    if block_entries is not None:
+        monkeypatch.setattr(fd, "BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(100 * n + count)
+    gens = [np.eye(n) + 0.3 * rng.standard_normal((n, n))
+            for _ in range(count)]
+    _assert_levels_match_oracle(fd.stack_letters(gens), 5)
+
+
+def test_reduced_words_level_spans_default_blocks():
+    letters = fd.stack_letters(_three_generators())
+    parents_per_block = fd.BLOCK_ENTRIES // (6 * 3 * 3) + 1
+    # length 7 is built from the 6 * 5**5 words of length 6
+    assert 6 * 5 ** 5 > 3 * parents_per_block
+    _assert_levels_match_oracle(letters, 7)
+
+
+@pytest.mark.parametrize("block_entries", [None, 100],
+                         ids=["default-blocks", "tiny-blocks"])
+def test_reduced_words_on_graded_letters_match_oracle(block_entries,
+                                                      monkeypatch):
+    if block_entries is not None:
+        monkeypatch.setattr(fd, "BLOCK_ENTRIES", block_entries)
+    letters = morse._power_letters(_three_generators(), 3)
+    _assert_levels_match_oracle(letters, 4)
+
+
+def test_reduced_words_refuse_negative_length():
+    letters = fd.stack_letters(_three_generators())
+    assert list(fd.reduced_words(letters, 0)) == []
+    with pytest.raises(ValueError, match="^max_len must be >= 0, got -1$"):
+        next(fd.reduced_words(letters, -1))
+
+
 @pytest.mark.parametrize("gens,shapes", [
     ([np.eye(3), np.eye(2)], "(3, 3), (2, 2)"),
     ([np.ones((2, 3))], "(2, 3)"),
@@ -522,6 +597,28 @@ def test_near_identity_screen_keeps_every_small_word():
         kept = fd._near_identity(mats, eps)
         assert set(np.nonzero(small < eps)[0]) <= set(kept)
         assert 400 < (small < eps).sum() < 1000
+    # a stack of several blocks with small rows on both sides of each
+    # block boundary; rows with entries >= 1e160 square to inf and go
+    step = fd.BLOCK_ENTRIES // (n * n) + 1
+    mats = np.tile(2 * np.eye(n), (3 * step + 2, 1, 1))
+    small = [0, step - 1, step, 2 * step - 1, 2 * step, 3 * step + 1]
+    huge = [1, step - 2, step + 1, 2 * step + 1, 3 * step]
+    mats[small] = np.eye(n) + 0.01 * rng.standard_normal((len(small), n, n))
+    mats[huge[:3]] = 1e160
+    mats[huge[3]] = -1e300
+    mats[huge[4]] = np.eye(n)
+    mats[huge[4], 0, 1] = 1e160
+    assert fd._near_identity(mats, 0.1).tolist() == small
+
+
+def test_probe_refuses_bad_configuration():
+    gens = _three_generators()
+    for eps in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError,
+                           match="^epsilon must be positive and finite"):
+            fd.nondiscreteness_certificate(gens, epsilon=eps, max_len=2)
+    with pytest.raises(ValueError, match="^max_len must be >= 0, got -2$"):
+        fd.nondiscreteness_certificate(gens, max_len=-2)
 
 
 def test_complementary_position():
