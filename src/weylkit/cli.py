@@ -108,18 +108,6 @@ def _is_rational(data):
     return isinstance(data, (int, str))
 
 
-def _labels(data):
-    """``data`` if it is a list of label strings; a ValueError naming the
-    offending entry otherwise."""
-    if not isinstance(data, list):
-        raise ValueError(f"members must be a JSON list of labels, "
-                         f"not {json.dumps(data)}")
-    for m in data:
-        if not isinstance(m, str):
-            raise ValueError(f"member {json.dumps(m)} is not a label string")
-    return data
-
-
 def _thickening_arg(text, group):
     """Either ``balanced:K``, a JSON list of member labels or a thickening
     dict {"type": ..., "members": [...]}."""
@@ -131,15 +119,16 @@ def _thickening_arg(text, group):
         return ths[idx]
     data = _json_arg(text)
     if not isinstance(data, dict):
-        elems = [group.element_from_label(m) for m in _labels(data)]
-        return thickenings.down_closure(group, elems)
-    kind = data["type"]
-    if not isinstance(kind, str) or (coxeter.build_group(kind).ctype.descriptor
-                                     != group.ctype.descriptor):
-        raise ValueError(f"thickening of type {json.dumps(kind)} given "
-                         f"for {group.ctype.descriptor}")
-    return thickenings.Thickening.from_elements(
-        group, [group.element_from_label(m) for m in _labels(data["members"])])
+        th = thickenings.Thickening.from_json(
+            {"type": group.ctype.descriptor, "members": data})
+        return thickenings.down_closure(group, th.indices())
+    kind = data.get("type")
+    if kind is None or isinstance(kind, str):  # from_json names a missing key
+        th = thickenings.Thickening.from_json(data)
+        if th.group.ctype.descriptor == group.ctype.descriptor:
+            return thickenings.Thickening(group, th.mask)
+    raise ValueError(f"thickening of type {json.dumps(kind)} given "
+                     f"for {group.ctype.descriptor}")
 
 
 def _config_arg(text):

@@ -39,9 +39,9 @@ class WeightedConfig:
     def __post_init__(self):
         if len(self.points) != len(self.weights) or not self.points:
             raise ValueError("need matching nonempty points and weights")
-        if any(Fraction(w) <= 0 if isinstance(w, (int, Fraction)) else w <= 0
-               for w in self.weights):
-            raise ValueError("weights must be strictly positive")
+        if bad := [w for w in self.weights if not 0 < w < math.inf]:
+            raise ValueError(f"weights must be positive and finite, "
+                             f"got {bad[0]}")
 
     @staticmethod
     def circle(angles, weights):
@@ -165,8 +165,7 @@ def diagonal_thickening_check(z, weights=None, strict=True, tol=None):
     backend_measure = (not is_semistable(cfg, tol)) if strict \
         else (not is_stable(cfg, tol))
 
-    strict_th, nonstrict_th = thickenings.metric_thickening(
-        [Fraction(w) for w in weights])
+    strict_th, nonstrict_th = thickenings.metric_thickening(weights)
     th = strict_th if strict else nonstrict_th
     W = th.group
     backend_thickening = False
@@ -196,9 +195,9 @@ def wall_chamber_report(weights):
     """Exact location of a weight vector relative to the subset-sum
     walls: the hyperplanes where some subset of weights balances its
     complement.  Index sets are canonicalized to contain index 0."""
+    if bad := [w for w in weights if not 0 < w < math.inf]:
+        raise ValueError(f"weights must be positive and finite, got {bad[0]}")
     vals = [Fraction(w) for w in weights]
-    if any(v <= 0 for v in vals):
-        raise ValueError("weights must be strictly positive")
     n = len(vals)
     if n > 22:
         raise ValueError("wall scan capped at 22 weights")

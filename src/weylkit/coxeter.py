@@ -269,6 +269,8 @@ class CoxeterType:
         """Parse descriptors like ``A2``, ``B(3)``, ``A1^4``, ``A2xG2``."""
         if isinstance(text, CoxeterType):
             return text
+        if not isinstance(text, str):
+            raise UnsupportedType(f"a Coxeter type is a string, not {text!r}")
         text = text.strip().replace("*", "x").replace("product-of-A1", "A1^")
         text = text.replace("(", "").replace(")", "")
         factors = []
@@ -380,6 +382,9 @@ class WeylElement:
     def __hash__(self):
         return hash((id(self.group), self.index))
 
+    def __index__(self):
+        return self.index
+
     def __repr__(self):
         return f"<{self.group.ctype} {self.label()}>"
 
@@ -404,6 +409,7 @@ class WeylGroup:
         self._leq_masks = None
         self._reflections = None
         self._w0_left = None
+        self._signs = None
 
     # --- construction -------------------------------------------------------
 
@@ -510,12 +516,24 @@ class WeylGroup:
             return self.element_from_word(word)
         raise ValueError(f"label {text!r} names no element of {self.ctype}")
 
-    def sign_vector(self, index):
-        """Element of an A1 power as a +-1 vector (-1: swaps a factor)."""
+    def sign_matrix(self):
+        """Elements of an A1 power as the rows of a read-only (order x
+        rank) int8 array of +-1: entry k is -1 when the element swaps
+        factor k.  Read from ``elements`` at the first basis vector of
+        each factor in one step, and cached; `sign_vector` and `label`
+        read its rows."""
         if not self.ctype.is_a1_power:
             raise GroupMismatch("sign vectors only exist for A1 powers")
-        x = self.elements[index]
-        return tuple(1 if x[b] == b else -1 for b, _ in self._bases)
+        if self._signs is None:
+            fixed = [b for b, _ in self._bases]
+            self._signs = np.where(np.array(self.elements)[:, fixed] == fixed,
+                                   1, -1).astype(np.int8)
+            self._signs.flags.writeable = False
+        return self._signs
+
+    def sign_vector(self, index):
+        """Element of an A1 power as a +-1 vector (-1: swaps a factor)."""
+        return tuple(self.sign_matrix()[index].tolist())
 
     def element_from_signs(self, signs):
         if not self.ctype.is_a1_power:
@@ -718,8 +736,7 @@ def poset_dot(W, highlight=None):
     marked = set()
     if highlight is not None:
         members = getattr(highlight, "members", highlight)
-        marked = {m.index if isinstance(m, WeylElement) else int(m)
-                  for m in members}
+        marked = {int(m) for m in members}
     lines = ["digraph bruhat {", "  rankdir=BT;", '  node [shape=ellipse];']
     for i in range(len(W.elements)):
         attrs = [f'label="{W.label(i)}"']

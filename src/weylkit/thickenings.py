@@ -19,9 +19,9 @@ without listing the thickenings."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -43,8 +43,7 @@ class Thickening:
     def from_elements(group, elements):
         mask = 0
         for e in elements:
-            i = e.index if isinstance(e, WeylElement) else int(e)
-            mask |= 1 << i
+            mask |= 1 << int(e)
         return Thickening(group, mask)
 
     @property
@@ -63,8 +62,7 @@ class Thickening:
         return self.mask.bit_count()
 
     def __contains__(self, w):
-        i = w.index if isinstance(w, WeylElement) else int(w)
-        return (self.mask >> i) & 1 == 1
+        return (self.mask >> int(w)) & 1 == 1
 
     def is_ideal(self):
         masks = self.group.leq_masks()
@@ -79,10 +77,20 @@ class Thickening:
 
     @staticmethod
     def from_json(text):
+        """Inverse of `to_json`; a ValueError names what is malformed."""
         data = json.loads(text) if isinstance(text, str) else text
-        group = coxeter.build_group(data["type"])
-        elems = [group.element_from_label(m) for m in data["members"]]
-        return Thickening.from_elements(group, elems)
+        for key in ("type", "members"):
+            if not isinstance(data, dict) or key not in data:
+                raise ValueError(f'a thickening needs a "{key}" key')
+        group, members = coxeter.build_group(data["type"]), data["members"]
+        if not isinstance(members, list):
+            raise ValueError(f"members must be a JSON list of labels, "
+                             f"not {json.dumps(members)}")
+        for m in members:
+            if not isinstance(m, str):
+                raise ValueError(f"member {json.dumps(m)} is not a label string")
+        return Thickening.from_elements(
+            group, [group.element_from_label(m) for m in members])
 
     def __repr__(self):
         return f"<Thickening {self.group.ctype} {{{', '.join(self.labels())}}}>"
@@ -93,8 +101,7 @@ def down_closure(W, R):
     masks = W.leq_masks()
     mask = 0
     for r in R:
-        i = r.index if isinstance(r, WeylElement) else int(r)
-        mask |= masks[i]
+        mask |= masks[int(r)]
     return Thickening(W, mask)
 
 
@@ -228,26 +235,23 @@ def count_balanced(W, node_cap=DEFAULT_NODE_CAP):
     return sum(states.values())
 
 
-def _to_fractions(a):
-    vals = [Fraction(x) if not isinstance(x, Fraction) else x for x in a]
-    if any(v <= 0 for v in vals):
-        raise ValueError("weights must be strictly positive")
-    return vals
+def _weight_ints(a):
+    """Positive finite weights times the lcm of their denominators."""
+    if bad := [w for w in a if not 0 < w < math.inf]:
+        raise ValueError(f"weights must be positive and finite, got {bad[0]}")
+    vals = [Fraction(w) for w in a]
+    denom = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (denom // v.denominator) for v in vals]
 
 
 def weight_is_balanced(a):
     """True iff no subset I satisfies sum_I a = sum_{not I} a (exact)."""
-    vals = _to_fractions(a)
-    if len(vals) > 30:
+    ints = _weight_ints(a)
+    if len(ints) > 30:
         raise ValueError("weight vectors capped at length 30")
-    denom = 1
-    for v in vals:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vals]
-    total = sum(ints)
-    if total % 2 == 1:
+    target, odd = divmod(sum(ints), 2)
+    if odd:
         return True
-    target = total // 2
     sums = {0}
     for x in ints:
         sums |= {s + x for s in sums if s + x <= target}
@@ -259,21 +263,17 @@ def metric_thickening(a):
 
     Returns the (strict, nonstrict) pair Th_a = {w : a.w > 0} and
     Thbar_a = {w : a.w >= 0}; the strict one is slim, the nonstrict fat,
-    and they coincide exactly when ``a`` is balanced.
+    and they coincide exactly when ``a`` is balanced.  All 2^n signs of
+    a.w come from one product of the sign matrix with ``a`` times the lcm
+    of its denominators (a positive scale) in Python ints: exact, no float.
     """
-    vals = _to_fractions(a)
-    n = len(vals)
-    W = coxeter.build_group(f"A1^{n}") if n > 1 else coxeter.build_group("A1")
-    if not W.ctype.is_a1_power or W.ctype.rank != n:
-        raise WrongGroupType("metric thickenings require W = A1^n")
-    strict = 0
-    nonstrict = 0
-    for i in range(len(W.elements)):
-        dot = sum(v * s for v, s in zip(vals, W.sign_vector(i)))
-        if dot > 0:
-            strict |= 1 << i
-        if dot >= 0:
-            nonstrict |= 1 << i
+    ints = _weight_ints(a)
+    if not ints:
+        raise WrongGroupType("metric thickenings require W = A1^n, n >= 1")
+    W = coxeter.build_group(f"A1^{len(ints)}")
+    dots = W.sign_matrix() @ np.array(ints, dtype=object)
+    strict, nonstrict = coxeter.packed_masks(
+        np.packbits([dots > 0, dots >= 0], axis=1, bitorder="little"))
     ths = (Thickening(W, strict), Thickening(W, nonstrict))
     if not is_slim(ths[0]) or not is_fat(ths[1]):
         raise NotAnIdeal("metric thickening failed its slim/fat postcondition")

@@ -202,6 +202,20 @@ def test_config_verbs(capsys):
     assert data["in_open_chamber"] is True
 
 
+@pytest.mark.parametrize("config,shown", [
+    ('{"angles": [0.5], "weights": [NaN]}', "nan"),
+    ('{"angles": [0.5], "weights": [Infinity]}', "inf"),
+    ('{"angles": [0.5, 1.0], "weights": [1, -Infinity]}', "-inf")])
+def test_config_stability_refuses_weights_that_are_not_finite(capsys, config,
+                                                              shown):
+    argv = ("config", "stability", "--config", config)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "ValueError", "argv": list(argv),
+        "message": f"weights must be positive and finite, got {shown}"}
+
+
 def test_error_paths(capsys):
     code, out = run(capsys, "thickenings", "count", "--type", "E8")
     assert code == 1
@@ -300,6 +314,18 @@ def test_labels_naming_no_element_are_refused(capsys, argv, message):
         "highlight-nested", "highlight-scalar"])
 def test_members_that_are_not_label_strings_are_refused(capsys, argv,
                                                          message):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": message,
+                               "argv": list(argv)}
+
+
+@pytest.mark.parametrize("members,message", [
+    ('{"type": "A2"}', 'a thickening needs a "members" key'),
+    ('{"members": ["e"]}', 'a thickening needs a "type" key'),
+], ids=["no-members", "no-type"])
+def test_thickening_dict_without_a_key_is_refused(capsys, members, message):
+    argv = ("thickenings", "check", "--type", "A2", "--members", members)
     code, out = run(capsys, *argv)
     assert code == 1
     assert json.loads(out) == {"error": "ValueError", "message": message,

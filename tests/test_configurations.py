@@ -5,9 +5,11 @@ recomputes every membership through the sign-group thickening and
 raises if the two backends ever disagree.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from weylkit import configurations as cf
 from weylkit.configurations import (WeightedConfig, aggregate_masses,
@@ -248,3 +250,17 @@ def test_walls_symmetric_weights_count():
     rep = wall_chamber_report([1, 1, 1, 1])
     # every 2-2 split through index 0 balances: exactly three walls
     assert rep.walls == [(0, 1), (0, 2), (0, 3)]
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, 0, -1.5,
+                                    Fraction(-1, 2)])
+def test_weights_that_are_not_positive_and_finite_are_refused(weight):
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
+        WeightedConfig.circle([0.5, 1.0], [1, weight])
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
+        WeightedConfig.on_sphere([[1.0, 0, 0], [0, 1.0, 0]], [1.0, weight])
+    z = WeightedConfig.circle([0.5, 1.0], [1, 2])
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
+        cf.diagonal_thickening_check(z, weights=[1, weight])
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
+        wall_chamber_report([1, weight])

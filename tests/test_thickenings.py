@@ -6,6 +6,7 @@ filter of ALL subsets for every group small enough to allow it.
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from weylkit import thickenings as th
 from weylkit.coxeter import build_group
-from weylkit.errors import GroupTooLarge, NotAnIdeal
+from weylkit.errors import (GroupMismatch, GroupTooLarge, NotAnIdeal,
+                            UnsupportedType)
 from weylkit.thickenings import (Thickening, count_balanced, down_closure,
                                  enumerate_balanced, is_balanced, is_fat,
                                  is_slim, metric_thickening,
@@ -257,6 +259,98 @@ def test_metric_thickening_matches_balance_predicate():
         assert (strict.mask == nonstrict.mask) == weight_is_balanced(list(a))
 
 
+def _metric_oracle(a):
+    """The Fraction loop that metric_thickening ran before it took one
+    integer product: one exact dot product per element of A1^n."""
+    vals = [Fraction(x) for x in a]
+    W = build_group(f"A1^{len(vals)}")
+    strict = nonstrict = 0
+    for i in range(len(W.elements)):
+        dot = sum(v * s for v, s in zip(vals, W.sign_vector(i)))
+        if dot > 0:
+            strict |= 1 << i
+        if dot >= 0:
+            nonstrict |= 1 << i
+    return strict, nonstrict
+
+
+def _assert_matches_oracle(a):
+    strict, nonstrict = metric_thickening(a)
+    assert (strict.mask, nonstrict.mask) == _metric_oracle(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.fractions(min_value=Fraction(1, 10 ** 4),
+                                       max_value=10 ** 4,
+                                       max_denominator=10 ** 4),
+                          st.integers(min_value=1, max_value=4)),
+                min_size=1, max_size=8))
+def test_metric_thickening_matches_oracle_on_fractions(a):
+    # the small integers put many draws on a wall, where the masks differ
+    _assert_matches_oracle(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=0, max_value=1e300, exclude_min=True),
+                min_size=1, max_size=8))
+def test_metric_thickening_matches_oracle_on_floats(a):
+    _assert_matches_oracle(a)
+
+
+@pytest.mark.parametrize("a", [
+    (1,), (1, 1), (3, 1), (1, 1, 1), (1, 1, 2), (2, 1, 1, 1), (1, 1, 1, 1),
+    (5, 4, 3, 1), (1, 2, 3, 4, 5, 5), (0.5, 0.25, 0.25), (1.5, 1, 0.5, 3),
+    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)),
+    (1, 1, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1, 1, 7)])
+def test_metric_thickening_matches_oracle_on_balanced_and_wall_weights(a):
+    _assert_matches_oracle(a)
+
+
+@pytest.mark.parametrize("a", [
+    (10 ** 30 + 1, 10 ** 30, 1),
+    (10 ** 31, 10 ** 30, 3),
+    (2 ** 64, 2 ** 64 - 1, 1, 2 ** 63),
+    (Fraction(1, 2 ** 70), Fraction(1, 3 ** 50), 1, Fraction(5, 7)),
+    (Fraction(1, 3 ** 50), Fraction(1, 2 ** 70),
+     Fraction(1, 3 ** 50) + Fraction(1, 2 ** 70)),
+    (5e-324, 1e300, 1e300)])
+def test_metric_thickening_matches_oracle_beyond_int64(a):
+    assert max(th._weight_ints(a)) > 2 ** 63
+    _assert_matches_oracle(a)
+
+
+@pytest.mark.parametrize("weights", [
+    [1, math.inf], [math.nan], [1, -math.inf], [0, 1], [-1], [Fraction(-1, 2)]])
+def test_weights_that_are_not_positive_and_finite_are_refused(weights):
+    for fn in (metric_thickening, weight_is_balanced):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fn(weights)
+
+
+@pytest.mark.parametrize("descriptor", ["A1", "A1^2", "A1^3", "A1^4", "A1^5",
+                                        "A1^6"])
+def test_sign_matrix_rows_are_the_sign_vectors(descriptor):
+    # generator k swaps factor k, so entry k is -1 exactly when the word
+    # of the element uses generator k an odd number of times
+    W = build_group(descriptor)
+    signs = W.sign_matrix()
+    assert signs.shape == (len(W), W.ctype.rank)
+    assert signs is W.sign_matrix() and not signs.flags.writeable
+    for i, word in enumerate(W.words):
+        assert tuple(signs[i].tolist()) == W.sign_vector(i)
+        assert W.sign_vector(i) == tuple(
+            (-1) ** word.count(k) for k in range(W.ctype.rank))
+        assert W.label(i) == "".join("+" if s > 0 else "-"
+                                     for s in W.sign_vector(i))
+
+
+@pytest.mark.parametrize("descriptor", ["B2", "A2", "A1xA2"])
+def test_sign_matrix_refuses_other_groups(descriptor):
+    with pytest.raises(GroupMismatch):
+        build_group(descriptor).sign_matrix()
+
+
 # --- weight balance ----------------------------------------------------------------
 
 def test_weight_balance_examples():
@@ -302,6 +396,30 @@ def test_thickening_json_roundtrip():
     assert data["type"] == "B2"
     back = Thickening.from_json(json.dumps(data))
     assert back.mask == t.mask
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"type": "A2", "members": [213]}, "member 213 is not a label string"),
+    ({"type": "A2", "members": ["123", None]},
+     "member null is not a label string"),
+    ({"type": "A2", "members": "213"},
+     'members must be a JSON list of labels, not "213"'),
+    ({"type": "A2"}, 'a thickening needs a "members" key'),
+    ({"members": ["123"]}, 'a thickening needs a "type" key'),
+    (["123"], 'a thickening needs a "type" key'),
+    ({"type": "A2", "members": ["x1"]}, "label 'x1' names no element of A2"),
+], ids=["number", "null", "bare-string", "no-members", "no-type", "list",
+        "unknown-label"])
+def test_from_json_refuses_malformed_thickenings(data, message):
+    for given_as in (data, json.dumps(data)):
+        with pytest.raises(ValueError) as err:
+            Thickening.from_json(given_as)
+        assert str(err.value) == message
+
+
+def test_from_json_refuses_a_type_that_is_not_a_string():
+    with pytest.raises(UnsupportedType, match="not 5"):
+        Thickening.from_json({"type": 5, "members": []})
 
 
 def test_g2_fat_core():
