@@ -251,7 +251,7 @@ def _domain_membership(args):
 def _expand_factor(args):
     g = _matrix_arg(args.gen)
     flag = flagdyn.flag_from_basis(_matrix_arg(args.flag))
-    return {"expansion": flagdyn.expansion_factor(g, flag, step=args.step)}
+    return {"expansion": flagdyn.expansion_factor(g, flag)}
 
 
 def _discreteness_probe(args):
@@ -373,8 +373,7 @@ VERBS = {
                                   "help": "JSON file from limits sample"}),
           "--thickening"])]),
     "expand": ("flag manifold expansion", [
-        ("factor", None, _expand_factor,
-         ["--gen", "--flag", ("--step", float, 1e-5)])]),
+        ("factor", None, _expand_factor, ["--gen", "--flag"])]),
     "discreteness": ("nondiscreteness probe", [
         ("probe", None, _discreteness_probe,
          [GENS, ("--epsilon", float, 0.1), ("--max-len", int, 12)])]),

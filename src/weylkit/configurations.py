@@ -162,18 +162,22 @@ def diagonal_thickening_check(z, weights=None, strict=True, tol=None):
         raise ValueError("the cross-check is defined for circle configurations")
     weights = z.weights if weights is None else tuple(weights)
     cfg = WeightedConfig(z.points, weights, sphere=False)
-    backend_measure = (not is_semistable(cfg, tol)) if strict \
-        else (not is_stable(cfg, tol))
+    tol = default_tol(cfg) if tol is None else tol
+    clusters = aggregate_masses(cfg, tol)
+    total = cfg.total_mass
+    backend_measure = any(2 * mass > total if strict else 2 * mass >= total
+                          for _, mass, _ in clusters)
 
     strict_th, nonstrict_th = thickenings.metric_thickening(weights)
     th = strict_th if strict else nonstrict_th
-    W = th.group
     backend_thickening = False
-    for rep, _, _ in aggregate_masses(cfg, tol):
-        diag = WeightedConfig.circle([rep] * cfg.n, weights)
-        eps = relpos_config(cfg, diag, tol if tol is not None
-                            else default_tol(cfg))
-        if W.element_from_signs(eps) in th:
+    for rep, _, _ in clusters:
+        # the diagonal configuration at rep must be a circle configuration
+        if not 0 <= float(rep) < TWO_PI:
+            raise ValueError("angles must lie in [0, 2 pi)")
+        eps = tuple(1 if _coincide(p, rep, False, tol) else -1
+                    for p in cfg.points)
+        if th.group.element_from_signs(eps) in th:
             backend_thickening = True
             break
     if backend_measure != backend_thickening:

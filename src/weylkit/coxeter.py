@@ -271,33 +271,7 @@ class CoxeterType:
             return text
         if not isinstance(text, str):
             raise UnsupportedType(f"a Coxeter type is a string, not {text!r}")
-        text = text.strip().replace("*", "x").replace("product-of-A1", "A1^")
-        text = text.replace("(", "").replace(")", "")
-        factors = []
-        for part in text.split("x"):
-            part = part.strip()
-            m = re.fullmatch(r"([A-Za-z])\s*(\d+)\s*(?:\^\s*(\d+))?", part)
-            if not m:
-                raise UnsupportedType(f"cannot parse Coxeter type {part!r}")
-            name, rank, power = m.group(1).upper(), int(m.group(2)), m.group(3)
-            power = int(power) if power else 1
-            if name not in _FAMILY_NAMES:
-                raise UnsupportedType(f"family {name!r} not supported")
-            if name == "G" and rank != 2:
-                raise UnsupportedType("only G2 is supported")
-            if name == "F" and rank != 4:
-                raise UnsupportedType("only F4 is supported")
-            if name == "D" and rank < 2:
-                raise UnsupportedType("D requires rank >= 2")
-            if name == "B" and rank < 2:
-                raise UnsupportedType("B requires rank >= 2 (B1 = A1)")
-            if rank < 1:
-                raise UnsupportedType("rank must be positive")
-            for _ in range(power):
-                factors.append(_Family(name, rank))
-        if not factors:
-            raise UnsupportedType("empty type")
-        return CoxeterType(tuple(factors))
+        return _parse_descriptor(text)
 
     @property
     def rank(self):
@@ -344,6 +318,38 @@ class CoxeterType:
 
     def __str__(self):
         return self.descriptor
+
+
+@lru_cache(maxsize=256)
+def _parse_descriptor(text):
+    """The CoxeterType of a descriptor string, parsed once per string."""
+    text = text.strip().replace("*", "x").replace("product-of-A1", "A1^")
+    text = text.replace("(", "").replace(")", "")
+    factors = []
+    for part in text.split("x"):
+        part = part.strip()
+        m = re.fullmatch(r"([A-Za-z])\s*(\d+)\s*(?:\^\s*(\d+))?", part)
+        if not m:
+            raise UnsupportedType(f"cannot parse Coxeter type {part!r}")
+        name, rank, power = m.group(1).upper(), int(m.group(2)), m.group(3)
+        power = int(power) if power else 1
+        if name not in _FAMILY_NAMES:
+            raise UnsupportedType(f"family {name!r} not supported")
+        if name == "G" and rank != 2:
+            raise UnsupportedType("only G2 is supported")
+        if name == "F" and rank != 4:
+            raise UnsupportedType("only F4 is supported")
+        if name == "D" and rank < 2:
+            raise UnsupportedType("D requires rank >= 2")
+        if name == "B" and rank < 2:
+            raise UnsupportedType("B requires rank >= 2 (B1 = A1)")
+        if rank < 1:
+            raise UnsupportedType("rank must be positive")
+        for _ in range(power):
+            factors.append(_Family(name, rank))
+    if not factors:
+        raise UnsupportedType("empty type")
+    return CoxeterType(tuple(factors))
 
 
 class WeylElement:
@@ -655,9 +661,7 @@ def mask_rows(masks, n):
     return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
-@lru_cache(maxsize=64)
-def _cached_group(descriptor):
-    return WeylGroup(descriptor)
+_cached_group = lru_cache(maxsize=64)(WeylGroup)
 
 
 def build_group(ctype, max_order=DEFAULT_MAX_ORDER):
@@ -665,7 +669,7 @@ def build_group(ctype, max_order=DEFAULT_MAX_ORDER):
     ctype = CoxeterType.parse(ctype)
     if max_order != DEFAULT_MAX_ORDER:
         return WeylGroup(ctype, max_order)
-    return _cached_group(ctype.descriptor)
+    return _cached_group(ctype)
 
 
 def _same_group(u, v):

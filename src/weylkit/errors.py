@@ -74,10 +74,6 @@ class BudgetExceeded(WeylkitError):
     """Word enumeration exceeded the configured budget."""
 
 
-class StepTooLarge(WeylkitError):
-    """Finite-difference step shows nonlinearity (Richardson check failed)."""
-
-
 # --- Morse certificates -----------------------------------------------------
 
 class NotAntipodalGenerators(WeylkitError):

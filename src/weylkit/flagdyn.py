@@ -37,8 +37,7 @@ import numpy as np
 
 from . import coxeter
 from .coxeter import WeylElement
-from .errors import (AmbiguousRank, BudgetExceeded, NearSingular, NotRegular,
-                     StepTooLarge)
+from .errors import AmbiguousRank, BudgetExceeded, NearSingular, NotRegular
 
 RANK_TOL = 1e-8
 RANK_SAFETY = 100.0
@@ -486,64 +485,22 @@ def thickening_membership(f, sample, th, *, tol=RANK_TOL):
 
 # --- expansion on the flag manifold -----------------------------------------
 
-def _skew_basis(n):
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = np.zeros((n, n))
-            a[i, j] = -1.0
-            a[j, i] = 1.0
-            out.append(a)
-    return out
-
-
-def _chart_coords(base, other):
-    """Coordinates of ``other`` in the skew chart at ``base`` (both
-    orthonormal), for small separations."""
-    m = base.T @ other
-    # align column signs so m is near the identity
-    m = m * np.sign(np.diag(m))
-    s = 0.5 * (m - m.T)
-    n = base.shape[0]
-    return np.array([s[j, i] for i in range(n) for j in range(i + 1, n)])
-
-
-def _act(g, flag):
-    return flag_from_basis(np.asarray(g, dtype=float) @ flag.basis)
-
-
-def _expansion_jacobian(g, flag, step):
-    n = flag.n
-    dirs = _skew_basis(n)
-    image = _act(g, flag)
-    cols = []
-    for a in dirs:
-        plus = _act(g, Flag(flag.basis @ _expm_skew(step * a)))
-        minus = _act(g, Flag(flag.basis @ _expm_skew(-step * a)))
-        cp = _chart_coords(image.basis, plus.basis)
-        cm = _chart_coords(image.basis, minus.basis)
-        cols.append((cp - cm) / (2.0 * step))
-    return np.array(cols).T
-
-
-def _expm_skew(a):
-    w, v = np.linalg.eig(a)
-    return ((v * np.exp(w)) @ np.conj(v.T)).real
-
-
-def expansion_factor(g, flag, step=1e-5):
-    """Finite-difference infinitesimal expansion of the flag manifold
-    action at ``flag``: the smallest singular value of the differential
-    in the frame metric.  Richardson check: estimates at step and
-    step/2 must agree to 5 percent."""
-    j1 = _expansion_jacobian(g, flag, step)
-    j2 = _expansion_jacobian(g, flag, step / 2.0)
-    e1 = float(np.linalg.svd(j1, compute_uv=False).min())
-    e2 = float(np.linalg.svd(j2, compute_uv=False).min())
-    if abs(e1 - e2) > 0.05 * max(e1, e2):
-        raise StepTooLarge(
-            f"estimates {e1:.4e} vs {e2:.4e} disagree; reduce step")
-    return e2
+def expansion_factor(g, flag, step=None):
+    """Infinitesimal expansion of the flag manifold action of g at
+    ``flag``: the smallest singular value of the differential in the
+    frame metric.  Closed form: g k = k' r for the flag's basis k, the
+    basis k' of ``flag_from_basis(g @ k)`` (so NearSingular comes exactly
+    when that refuses) and r = k'^T g k upper triangular.  In the skew
+    charts at k and k' the differential maps a strictly lower triangular
+    L to the strictly lower part of r L r^-1: the matrix of order
+    n(n-1)/2 with entries r_ik (r^-1)_lj, i > j and k > l.  ``step``, the
+    step of an earlier finite-difference version, is ignored; callers
+    still pass it."""
+    m = np.asarray(g, dtype=float) @ flag.basis
+    r = np.triu(flag_from_basis(m).basis.T @ m)
+    i, j = np.tril_indices(flag.n, -1)
+    jac = r[np.ix_(i, i)] * np.linalg.inv(r)[np.ix_(j, j)].T
+    return float(np.linalg.svd(jac, compute_uv=False).min())
 
 
 # --- nondiscreteness --------------------------------------------------------

@@ -557,7 +557,7 @@ def test_help_exits_zero():
 # its help, and each option's strings, dest, required flag, default, type,
 # help and nargs.  Unlike the --help pages, it does not vary with the
 # Python version.
-PARSER_DIGEST = "91b3269678c84be7f30545dee3cd206664b291d2648eb5ccbe668316c670a03b"
+PARSER_DIGEST = "4c64bf911528331c76f338d2b442d087b0e2b33a593beab5cae3bf2ae6361e2d"
 
 
 def _subparsers(parser):

@@ -175,6 +175,15 @@ def test_diagonal_check_wall_case():
     assert diagonal_thickening_check(z, strict=False)
 
 
+def test_diagonal_check_refuses_angle_outside_circle():
+    # a representative angle outside [0, 2 pi) has no diagonal circle
+    # configuration
+    for angle in (7.0, -1.0, Fraction(7)):
+        z = WeightedConfig((angle, 1.0, 2.0), (1, 1, 1))
+        with pytest.raises(ValueError, match=r"angles must lie in \[0, 2 pi\)"):
+            diagonal_thickening_check(z)
+
+
 def test_diagonal_check_exhaustive_patterns():
     # all coincidence patterns for n <= 4 with a few weight vectors
     def partitions(items):

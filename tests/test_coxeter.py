@@ -44,6 +44,14 @@ def test_type_parsing_aliases():
         CoxeterType.parse("A0")
 
 
+def test_build_group_parses_each_descriptor_once():
+    assert build_group(" a2 ") is build_group("A2")
+    assert build_group("A1xA1") is build_group("A1^2")
+    for bad in ([2], {"A": 2}, 3, None):
+        with pytest.raises(UnsupportedType):
+            build_group(bad)
+
+
 def test_group_too_large():
     with pytest.raises(GroupTooLarge):
         coxeter.WeylGroup("A3", max_order=10)

@@ -17,8 +17,7 @@ from weylkit import flagdyn as fd
 from weylkit import morse
 from weylkit import thickenings as th
 from weylkit.coxeter import build_group, bruhat_leq, multiply
-from weylkit.errors import (AmbiguousRank, BudgetExceeded, NearSingular,
-                            NotRegular, StepTooLarge)
+from weylkit.errors import AmbiguousRank, BudgetExceeded, NearSingular, NotRegular
 
 
 def _rng():
@@ -732,11 +731,67 @@ def test_expansion_divergence_along_powers():
     assert np.allclose(diffs, np.log(4.0), rtol=0.05)
 
 
-def test_expansion_step_too_large():
-    g = np.diag([4.0 ** 6, 1.0, 4.0 ** -6])
-    flag = fd.attracting_flag(np.diag([4.0, 1.0, 0.25]))
-    with pytest.raises(StepTooLarge):
-        fd.expansion_factor(np.linalg.inv(g), flag, step=0.2)
+def _fd_expansion(g, flag, h=1e-5):
+    """Central-difference oracle for expansion_factor: turn the flag by
+    +-h in each plane (i, j), i > j, and read the image flags in the skew
+    chart at the image of the flag."""
+    n = flag.n
+    base = fd.flag_from_basis(g @ flag.basis).basis
+    rows, cols = np.tril_indices(n, -1)
+
+    def chart(t, i, j):
+        rot = np.eye(n)
+        rot[[i, j], [i, j]] = np.cos(t)
+        rot[i, j], rot[j, i] = np.sin(t), -np.sin(t)
+        m = base.T @ fd.flag_from_basis(g @ flag.basis @ rot).basis
+        m = m * np.sign(np.diag(m))
+        return (m - m.T)[rows, cols] / 2
+
+    jac = np.array([chart(h, i, j) - chart(-h, i, j)
+                    for i, j in zip(rows, cols)]).T / (2 * h)
+    return np.linalg.svd(jac, compute_uv=False).min()
+
+
+def test_expansion_matches_central_difference_oracle():
+    rng = np.random.default_rng(1717)
+    for t in range(200):
+        n = 2 + t % 5
+        g = rng.standard_normal((n, n))
+        flag = fd.random_flag(n, rng)
+        want = _fd_expansion(g, flag)
+        assert abs(fd.expansion_factor(g, flag) - want) <= 1e-6 * want
+
+
+def test_expansion_of_diagonal_at_standard_flag():
+    rng = np.random.default_rng(31)
+    for n in range(2, 7):
+        d = rng.uniform(0.2, 5.0, n) * rng.choice([-1.0, 1.0], n)
+        want = min(abs(d[i] / d[j]) for i in range(n) for j in range(i))
+        got = fd.expansion_factor(np.diag(d), fd.standard_flag(n))
+        assert abs(got - want) <= 1e-15 * want
+
+
+def test_expansion_on_conjugated_diagonal_family():
+    # Q diag(4^-k, 1, 4^k) Q^T expands the flag Q by exactly 4^k.  Rounding
+    # the matrix to floats moves that value by up to about eps cond(g) =
+    # eps 16^k relative, which passes 1e-10 from k = 6 on; at k = 9 cond(g)
+    # passes the 1e10 refusal threshold of flag_from_basis.
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        flag = fd.Flag(q * np.sign(np.diag(r)))
+        q = flag.basis
+        for k in range(1, 9):
+            gk = q @ np.diag([4.0 ** -k, 1.0, 4.0 ** k]) @ q.T
+            got = fd.expansion_factor(gk, flag)
+            bound = 1e-10 if k <= 5 else np.finfo(float).eps * 16.0 ** k
+            assert abs(got / 4.0 ** k - 1.0) <= bound
+            assert fd.expansion_factor(gk, flag, step=1e-6) == got
+        g9 = q @ np.diag([4.0 ** -9, 1.0, 4.0 ** 9]) @ q.T
+        with pytest.raises(NearSingular):
+            fd.flag_from_basis(g9 @ q)
+        with pytest.raises(NearSingular):
+            fd.expansion_factor(g9, flag)
 
 
 # --- nondiscreteness probe ----------------------------------------------------------------
