@@ -11,9 +11,10 @@ Q(sqrt 3) for G2): n+1 vectors for A(n), 2n for B(n) and D(n), 12 for G2
 and 24 for F4.  For a product, S is the disjoint union of the factors'
 sets, each vector padded with zeros into its factor's block of
 coordinates.  An element is the permutation it induces on S, so
-composition is a tuple lookup, and its reflection matrix is read off
-from the images of the basis vectors, which keeps orthogonality and the
-homomorphism property exact.
+construction composes a whole length level with the generators by one
+array indexing, and its reflection matrix is read off from the images of
+the basis vectors, which keeps orthogonality and the homomorphism
+property exact.
 
 For type A(n) the matrices are (n+1) x (n+1) permutation matrices; they
 act on the trace-zero hyperplane, which is the rank-n model flat.  All
@@ -29,7 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import chain
 
 import numpy as np
 
@@ -113,15 +114,6 @@ def _dot(u, v):
 
 def _as_q(x):
     return x if isinstance(x, QSqrt3) else QSqrt3(x)
-
-
-def _compose(x, g):
-    # group law "x then g" on permutations of S: (x*g)(k) = g(x(k)).  An
-    # element moves row vectors, v -> v M, so the matrix of a product is
-    # the product of the matrices.  This convention makes left
-    # multiplication by the longest element of a type A group act on
-    # one-line strings by reversal, matching the usual poset pictures.
-    return tuple(map(g.__getitem__, x))
 
 
 @dataclass(frozen=True)
@@ -212,50 +204,77 @@ class _Family:
 
 def _enumerate(gens, bases):
     """Breadth-first closure of the identity under right multiplication
-    by the generators, (factor, permutation) pairs.  An element is keyed
-    by its images of the basis positions, ``bases`` per factor.  A length
-    level is sorted by the factors' (length, key) pairs in turn (the last
-    length follows from the level), so the indices are canonical and a
-    product orders each level by its tuples of factor indices.  A parent
-    is the first predecessor in index order.  Returns the elements, the
-    index of each key, the lengths, the parents and the gen_mult table."""
-    key = operator.itemgetter(*(b for basis in bases for b in basis))
-    starts = [0, *accumulate(map(len, bases))][:-1]  # of each factor's key
-    blocks, tail = list(zip(starts, starts[1:])), starts[-1]
-    elements = [tuple(range(len(gens[0][1])))]
-    index = {key(elements[0]): 0}
-    lengths = [0]
-    heads = [(0,) * len(blocks)]  # lengths in the factors but the last
-    parents = [(-1, -1)]
-    neighbours = []  # per element, in index order: keys of x*g
-    frontier = [0]
-    while frontier:
-        new = {}
-        for ei in frontier:
-            ks = []
-            for s, (f, g) in enumerate(gens):
-                y = _compose(elements[ei], g)
-                k = key(y)
-                ks.append(k)
-                if k not in index and k not in new:
-                    h = heads[ei]
-                    if f < len(h):
-                        h = h[:f] + (h[f] + 1,) + h[f + 1:]
-                    order = sum(((l,) + k[a:b] for l, (a, b)
-                                 in zip(h, blocks)), ()) + k[tail:]
-                    new[k] = (order, k, y, ei, s, h)
-            neighbours.append(ks)
-        frontier = []
-        for _, k, y, parent, s, h in sorted(new.values(),
-                                            key=operator.itemgetter(0)):
-            index[k] = len(elements)
-            frontier.append(len(elements))
-            elements.append(y)
-            lengths.append(lengths[parent] + 1)
-            heads.append(h)
-            parents.append((parent, s))
-    gen_mult = [[index[k] for k in ks] for ks in neighbours]
-    return elements, index, lengths, parents, gen_mult
+    by the generators, (factor, permutation) pairs, one length level per
+    step.  The group law is "x then g", (x*g)(k) = g(x(k)): an element
+    moves row vectors, v -> v M, so the matrix of a product is the
+    product of the matrices, and left multiplication by the longest
+    element of a type A group reverses one-line strings.
+
+    An element is keyed by its images of the basis positions, ``bases``
+    per factor, and a key is coded as one int64: a mixed-radix number
+    whose columns are offset into their factor's block of S and take the
+    block's size as radix.  ``GroupTooLarge`` is raised before any
+    enumeration when the product of the radices passes 2**63.  A level
+    composes its frontier with every generator at once, in (parent,
+    generator) order, and a candidate is new when its code is not among
+    all codes seen so far; its parent is its first predecessor in index
+    order.  One lexsort orders a level by the factors' (length, key)
+    pairs in turn (the last length follows from the level), so the
+    indices are canonical and a product orders each level by its tuples
+    of factor indices.  The frontier's gen_mult rows are then read from
+    its sorted candidate codes.  Returns the elements, the index of each
+    key, the lengths, the parents and the gen_mult table."""
+    perms = np.array([g for _, g in gens])
+    factor = np.array([f for f, _ in gens])
+    moved = perms != np.arange(perms.shape[1])
+    cols, low, radix, layout = [], [], [], []
+    for f, basis in enumerate(bases):
+        block = [*np.flatnonzero(moved[factor == f].any(0)).tolist(), *basis]
+        # a level sorts on [heads | keys] by each factor's (length, key)
+        # in turn; the last factor's length follows from the level
+        if f < len(bases) - 1:
+            layout.append(f)
+        layout += range(len(bases) - 1 + len(cols),
+                        len(bases) - 1 + len(cols) + len(basis))
+        cols += basis
+        low += [min(block)] * len(basis)
+        radix += [max(block) - min(block) + 1] * len(basis)
+    width = (math.prod(radix) - 1).bit_length()
+    if width > 63:
+        raise GroupTooLarge(
+            f"element keys need a {width}-bit code; int64 holds 63 bits")
+    cols, layout, low = np.array(cols), np.array(layout[::-1]), np.array(low)
+    weight = np.cumprod([1, *radix[:0:-1]])[::-1]
+    bump = np.eye(len(bases), dtype=np.int64)[factor, :-1]
+    rows = np.arange(perms.shape[1])[None]
+    heads = np.zeros((1, len(bases) - 1), np.int64)  # all factors but the last
+    seen = np.stack([(rows[:, cols] - low) @ weight, [0]])  # codes, indices
+    levels, parents, gen_mult, start = [rows], [(-1, -1)], [], 0
+    while len(rows):
+        keys = perms[:, rows[:, cols]].swapaxes(0, 1).reshape(-1, len(cols))
+        codes, first, inverse = np.unique(
+            (keys - low) @ weight, return_index=True, return_inverse=True)
+        at = np.minimum(np.searchsorted(seen[0], codes), seen.shape[1] - 1)
+        new = seen[0, at] != codes
+        parent, s = np.divmod(first[new], len(gens))
+        heads = heads[parent] + bump[s]
+        table = np.concatenate([heads, keys[first[new]]], axis=1)
+        order = np.lexsort(table[:, layout].T)
+        heads, parent, s = heads[order], parent[order], s[order]
+        parents += zip((parent + start).tolist(), s.tolist())
+        start += len(rows)
+        found = seen[1, at]
+        found[np.flatnonzero(new)[order]] = np.arange(len(order)) + start
+        gen_mult.append(found[inverse])
+        seen = np.concatenate([seen, [codes[new], found[new]]], axis=1)
+        seen = seen[:, seen[0].argsort(kind="stable")]  # merges two runs
+        rows = perms[s[:, None], rows[parent]]
+        levels.append(rows)
+    elements = np.concatenate(levels)
+    index = dict(zip(zip(*elements[:, cols].T.tolist()), range(start)))
+    lengths = np.repeat(np.arange(len(levels)), list(map(len, levels)))
+    return (list(zip(*elements.T.tolist())), index, lengths.tolist(), parents,
+            np.concatenate(gen_mult).reshape(start, len(gens)).tolist())
 
 
 @dataclass(frozen=True)
@@ -425,12 +444,15 @@ class WeylGroup:
             words.append(words[parent] + (s,))
         self.words = words
         top = self.lengths[-1]
-        tops = [i for i, l in enumerate(self.lengths) if l == top]
-        assert len(tops) == 1, "longest element must be unique"
-        self.w0_index = tops[0]
+        assert self.lengths.count(top) == 1, "longest element must be unique"
+        self.w0_index = self.lengths.index(top)
         assert self.gen_fold(self.w0_index, self.words[self.w0_index]) == 0, \
             "w0 must be an involution"
-        self.inverse_table = [self.gen_fold(0, reversed(w)) for w in self.words]
+        # the inverse of an element is its inverse permutation of S
+        rows = np.fromiter(chain.from_iterable(self.elements), np.int64)
+        inverse = np.argsort(rows.reshape(len(self.elements), -1), axis=1)
+        self.inverse_table = list(map(self._index.__getitem__,
+                                      zip(*inverse[:, self._basis].T.tolist())))
 
     # --- basic accessors ----------------------------------------------------
 

@@ -495,7 +495,11 @@ def expansion_factor(g, flag, step=None):
     L to the strictly lower part of r L r^-1: the matrix of order
     n(n-1)/2 with entries r_ik (r^-1)_lj, i > j and k > l.  ``step``, the
     step of an earlier finite-difference version, is ignored; callers
-    still pass it."""
+    still pass it.  ``ValueError`` for n = 1, where there is nothing to
+    expand."""
+    if flag.n == 1:
+        raise ValueError("the flag manifold of R^1 is a point: "
+                         "it has no expansion factor")
     m = np.asarray(g, dtype=float) @ flag.basis
     r = np.triu(flag_from_basis(m).basis.T @ m)
     i, j = np.tril_indices(flag.n, -1)

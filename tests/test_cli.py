@@ -216,6 +216,16 @@ def test_config_stability_refuses_weights_that_are_not_finite(capsys, config,
         "message": f"weights must be positive and finite, got {shown}"}
 
 
+def test_expand_factor_refuses_the_line(capsys):
+    argv = ("expand", "factor", "--gen", "[[2]]", "--flag", "[[1]]")
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "ValueError", "argv": list(argv),
+        "message": "the flag manifold of R^1 is a point: "
+                   "it has no expansion factor"}
+
+
 def test_error_paths(capsys):
     code, out = run(capsys, "thickenings", "count", "--type", "E8")
     assert code == 1

@@ -1,16 +1,20 @@
 """Group construction, word combinatorics, Bruhat order.
 
 The Bruhat order is validated against an independent brute-force
-subword oracle, and element multiplication against plain permutation
-composition via itertools.
+subword oracle, element multiplication against plain permutation
+composition via itertools, and the level-at-a-time construction against
+the element-at-a-time closure kept here as its reference.
 """
 
 import itertools
 import json
+import operator
 import random
+import tracemalloc
 
 import pytest
 
+from test_canonical_order import GROUP_DIGESTS
 from weylkit import coxeter
 from weylkit.coxeter import (CoxeterType, build_group, bruhat_covers,
                              bruhat_leq, longest_element, multiply,
@@ -55,6 +59,81 @@ def test_build_group_parses_each_descriptor_once():
 def test_group_too_large():
     with pytest.raises(GroupTooLarge):
         coxeter.WeylGroup("A3", max_order=10)
+
+
+def test_keys_wider_than_int64_are_refused():
+    # order 2**32 passes the cap, but the key code needs radix 4 per factor
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupTooLarge, match="64-bit code"):
+            coxeter.WeylGroup("A1^32", max_order=2 ** 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+# --- construction against the element-at-a-time closure ----------------------
+
+def _closure_oracle(gens, bases):
+    """The breadth-first closure one element and one generator at a
+    time, on tuples: the reference for ``coxeter._enumerate``."""
+    key = operator.itemgetter(*(b for basis in bases for b in basis))
+    starts = [0, *itertools.accumulate(map(len, bases))][:-1]
+    blocks, tail = list(zip(starts, starts[1:])), starts[-1]
+    elements = [tuple(range(len(gens[0][1])))]
+    index = {key(elements[0]): 0}
+    lengths = [0]
+    heads = [(0,) * len(blocks)]
+    parents = [(-1, -1)]
+    neighbours = []
+    frontier = [0]
+    while frontier:
+        new = {}
+        for ei in frontier:
+            ks = []
+            for s, (f, g) in enumerate(gens):
+                y = tuple(map(g.__getitem__, elements[ei]))
+                k = key(y)
+                ks.append(k)
+                if k not in index and k not in new:
+                    h = heads[ei]
+                    if f < len(h):
+                        h = h[:f] + (h[f] + 1,) + h[f + 1:]
+                    order = sum(((l,) + k[a:b] for l, (a, b)
+                                 in zip(h, blocks)), ()) + k[tail:]
+                    new[k] = (order, k, y, ei, s, h)
+            neighbours.append(ks)
+        frontier = []
+        for _, k, y, parent, s, h in sorted(new.values(),
+                                            key=operator.itemgetter(0)):
+            index[k] = len(elements)
+            frontier.append(len(elements))
+            elements.append(y)
+            lengths.append(lengths[parent] + 1)
+            heads.append(h)
+            parents.append((parent, s))
+    gen_mult = [[index[k] for k in ks] for ks in neighbours]
+    return elements, index, lengths, parents, gen_mult
+
+
+@pytest.mark.parametrize("descriptor", [
+    *GROUP_DIGESTS, "A7", "B5", "D5", "A1^12", "G2xG2", "F4xA1", "A3xB2"])
+def test_construction_matches_closure_oracle(descriptor):
+    W = coxeter.WeylGroup(descriptor)
+    _, gens, bases = W.ctype.permutation_model()
+    elements, index, lengths, parents, gen_mult = _closure_oracle(gens, bases)
+    assert W.elements == elements
+    assert W.lengths == lengths
+    assert W._parents == parents
+    assert W.gen_mult == gen_mult
+    assert W._index == index
+    words = [()]
+    for parent, s in parents[1:]:
+        words.append(words[parent] + (s,))
+    assert W.words == words
+    assert W.inverse_table == [W.gen_fold(0, reversed(w)) for w in words]
+    assert W.w0_index == lengths.index(lengths[-1]) == len(W) - 1
 
 
 # --- multiplication against a permutation-composition oracle ---------------

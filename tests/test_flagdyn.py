@@ -717,6 +717,12 @@ def test_expansion_identity_and_orthogonal():
     assert abs(fd.expansion_factor(g, fr) - 1.0) < 1e-6
 
 
+def test_expansion_refuses_the_line():
+    # the flag manifold of R^1 is a point
+    with pytest.raises(ValueError, match=r"R\^1 is a point"):
+        fd.expansion_factor(np.array([[2.0]]), fd.standard_flag(1))
+
+
 def test_expansion_divergence_along_powers():
     # inverse powers expand at the attracting flag; the log factor grows
     # affinely with slope log(mu1/mu2) = log 16 ... wait: see acceptance
