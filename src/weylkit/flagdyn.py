@@ -22,10 +22,10 @@ enumerator, ``reduced_words``.  Letter a is generator 0 and A its
 inverse, b is generator 1, and so on; words come in shortlex order,
 shorter first and then by letters ordered a < A < b < B < ...  Both
 screen before the exact test: the sample takes one SVD per word length
-and compares a candidate by ``flag_distance`` only with stored flags
-whose first line lies within 2 DEDUP_ANGLE of its own, and the probe
-takes the spectral norm only of words whose Frobenius distance to the
-identity allows it.
+and reads ``flag_angles`` only against stored flags whose first line
+lies within 2 DEDUP_ANGLE of its own, in one call (none when there are
+none), and the probe takes the spectral norm only of words whose
+Frobenius distance to the identity allows it.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import coxeter
+from . import coxeter, symspace
 from .coxeter import WeylElement
-from .errors import AmbiguousRank, BudgetExceeded, NearSingular, NotRegular
+from .errors import (AmbiguousRank, BudgetExceeded, NearSingular, NotRegular,
+                     SingularInput)
 
 RANK_TOL = 1e-8
 RANK_SAFETY = 100.0
@@ -57,17 +58,11 @@ class Flag:
     __slots__ = ("basis", "n")
 
     def __init__(self, basis):
-        basis = np.asarray(basis, dtype=float)
+        basis = np.array(basis, dtype=float, order="C")
         n = basis.shape[0]
         if np.abs(basis @ basis.T - np.eye(n)).max() > 1e-10:
             raise NearSingular("flag basis is not orthonormal")
-        # canonical sign: first entry above 1e-12 of each column positive
-        basis = basis.copy()
-        for j in range(n):
-            col = basis[:, j]
-            lead = col[np.abs(col) > 1e-12]
-            if lead.size and lead[0] < 0:
-                basis[:, j] = -col
+        basis *= symspace.column_signs(basis)
         self.basis = basis
         self.n = n
 
@@ -86,10 +81,7 @@ def flag_from_basis(columns):
         raise NearSingular("basis must be square")
     if np.linalg.cond(m) >= 1e10:
         raise NearSingular("basis too close to singular")
-    q, r = np.linalg.qr(m)
-    signs = np.sign(np.diag(r))
-    q = q * signs
-    return Flag(q)
+    return Flag(np.linalg.qr(m)[0])
 
 
 def standard_flag(n):
@@ -105,14 +97,24 @@ def random_flag(n, rng):
     return flag_from_basis(m)
 
 
-def flag_distance(a, b):
-    """Largest principal angle between corresponding subspaces."""
-    worst = 0.0
-    for i in range(1, a.n):
-        s = np.linalg.svd(a.subspace(i).T @ b.subspace(i), compute_uv=False)
-        c = min(1.0, max(-1.0, float(s.min())))
-        worst = max(worst, float(np.arccos(c)))
+def flag_angles(f, bases):
+    """Largest principal angle between the subspaces of flag f and those
+    of each of a stack of orthonormal ``bases``: for the i-dimensional
+    ones, atan2(max sigma C[i:, :i], min sigma C[:i, :i]) with C = f^T B,
+    which keeps the small angles that arccos loses below about 1e-8
+    (Knyazev and Argentati, SISC 23, 2002)."""
+    c = f.basis.T @ bases
+    worst = np.zeros(len(c))
+    for i in range(1, f.n):
+        sin = np.linalg.svd(c[:, i:, :i], compute_uv=False).max(axis=-1)
+        cos = np.linalg.svd(c[:, :i, :i], compute_uv=False).min(axis=-1)
+        worst = np.maximum(worst, np.arctan2(sin, cos))
     return worst
+
+
+def flag_distance(a, b):
+    """Largest principal angle: ``flag_angles`` for one flag."""
+    return float(flag_angles(a, b.basis[None])[0])
 
 
 @dataclass
@@ -253,7 +255,8 @@ def complementary_position(w):
     return coxeter.multiply(w.group.w0, w)
 
 
-def _real_eigenbasis(g):
+def _eigenflag(g, step):
+    """Flag of g's real eigenbasis by descending modulus (step -1: up)."""
     evals, evecs = np.linalg.eig(np.asarray(g, dtype=float))
     if np.abs(evals.imag).max() > 1e-9 * np.abs(evals).max():
         raise NotRegular("complex eigenvalues: no attracting flag")
@@ -265,24 +268,20 @@ def _real_eigenbasis(g):
     gaps = sorted_moduli[:-1] / sorted_moduli[1:]
     if np.min(gaps) < 1.0 + 1e-9:
         raise NotRegular("eigenvalue moduli are not strictly separated")
-    return evecs[:, order]
+    try:
+        return flag_from_basis(evecs[:, order[::step]])
+    except NearSingular as exc:
+        raise NotRegular("eigenbasis is degenerate") from exc
 
 
 def attracting_flag(g):
     """Flag of the eigenbasis in descending modulus order."""
-    basis = _real_eigenbasis(g)
-    try:
-        return flag_from_basis(basis)
-    except NearSingular as exc:
-        raise NotRegular("eigenbasis is degenerate") from exc
+    return _eigenflag(g, 1)
 
 
 def repelling_flag(g):
-    basis = _real_eigenbasis(g)[:, ::-1]
-    try:
-        return flag_from_basis(basis)
-    except NearSingular as exc:
-        raise NotRegular("eigenbasis is degenerate") from exc
+    """Flag of the eigenbasis in ascending modulus order."""
+    return _eigenflag(g, -1)
 
 
 # --- reduced words ------------------------------------------------------------
@@ -416,16 +415,15 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
     """Attracting flags of all short reduced words whose singular value
     margins clear the threshold, deduplicated by principal angle.
 
-    The i = 1 term of ``flag_distance`` is arccos |a_1 . b_1|, so only
-    stored flags whose line lies within twice DEDUP_ANGLE of the
-    candidate's (one product of first columns) can be duplicates; the
-    factor 2 keeps rounding from dropping a pair."""
-    gens = []
-    for g in _square_generators(generators):
-        d = abs(np.linalg.det(g))
-        if d < 1e-300:
-            raise NearSingular("generator is singular")
-        gens.append(g / d ** (1.0 / g.shape[0]))
+    The i = 1 angle of ``flag_angles`` is the angle between first lines,
+    |a_1 . b_1| its cosine, so only stored flags whose line lies within
+    twice DEDUP_ANGLE of the candidate's (one product of first columns)
+    can be duplicates, all read in one call; the factor 2 keeps rounding
+    from dropping a pair."""
+    try:
+        gens = [symspace.unimodular(g) for g in _square_generators(generators)]
+    except SingularInput as exc:
+        raise NearSingular("generator is singular") from exc
     sample = FlagSample([], [], [])
     if not gens:
         return sample
@@ -441,8 +439,8 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
         for row in np.nonzero(~(margins.min(axis=1) < margin_threshold))[0]:
             flag = Flag(u[row])
             near = np.nonzero(np.abs(lines @ flag.basis[:, 0]) >= screen)[0]
-            if any(flag_distance(flag, sample.flags[t]) < DEDUP_ANGLE
-                   for t in near):
+            stored = np.array([sample.flags[t].basis for t in near])
+            if near.size and (flag_angles(flag, stored) < DEDUP_ANGLE).any():
                 continue
             lines = np.vstack([lines, flag.basis[:, 0]])
             sample.flags.append(flag)
@@ -526,10 +524,6 @@ class NondiscretenessResult:
         return self.certificate is not None
 
 
-def _spectral_norm(m):
-    return float(np.linalg.svd(m, compute_uv=False).max())
-
-
 def _near_identity(mats, epsilon):
     """Rows of a stack that may lie within ``epsilon`` of the identity in
     spectral norm.  ||X||_2 >= ||X||_F / sqrt(n), so a row with
@@ -595,7 +589,7 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
             tried += 1
             if tried > max_tuples:
                 return NondiscretenessResult(None, searched, True)
-            norm = _spectral_norm(cm - ident)
+            norm = float(np.linalg.svd(cm - ident, compute_uv=False).max())
             if norm > comm_tol:
                 cert = NondiscretenessCertificate(
                     [_word_label(word_of(levels[:l], r)) for l, r in chain],

@@ -10,7 +10,8 @@ norm first: the pre-pivoted UDT update of Bai, Lee, Li and Xu (LAA 435,
 not be decreasing (the inverse of a midpoint has increasing scales).
 Log singular values and frames are read out by one-sided Jacobi, which
 is accurate to the conditioning of T, not of the product (Demmel and
-Veselic, SIMAX 13, 1992).  Every operation works on stacks of matrices.
+Veselic, SIMAX 13, 1992), and ``chamber`` centres the logs into the
+chamber vectors.  Every operation works on stacks of matrices.
 ``flagdyn.reduced_words`` needs a stack's ``shape``, indexing by
 integer arrays, assignment to a slice of rows, and ``@`` between two
 stacks of one length, one product per row.
@@ -99,6 +100,12 @@ class Graded:
         order = order[..., None, :]
         return (self.u @ np.take_along_axis(j, order, axis=-1), s,
                 np.take_along_axis(hat, order, axis=-1))
+
+    def chamber(self):
+        """Left frames and chamber vectors (the logs of ``svd`` centred to
+        sum zero, so a scalar factor of the product drops out)."""
+        frames, logs, _ = self.svd()
+        return frames, logs - logs.mean(axis=-1, keepdims=True)
 
 
 def _jacobi(hat, s):

@@ -24,7 +24,8 @@ from itertools import product
 import numpy as np
 
 from . import flagdyn, graded, symspace
-from .errors import DegenerateSegment, NotAntipodalGenerators, TieError
+from .errors import (AmbiguousRank, DegenerateSegment,
+                     NotAntipodalGenerators, TieError)
 from .symspace import FinslerFunctional, RegularityCone, finsler_distance
 
 GAP_TOL = 1e-8
@@ -186,9 +187,8 @@ def _power_letters(gens, N):
 def _segments(left, x, right):
     """Left frames and chamber vectors of diag(e^left) x diag(e^right),
     x orthogonal, for stacks of each."""
-    frames, logs, _ = (graded.Graded.diag(left)
-                       @ graded.Graded(x, right, np.eye(x.shape[-1]))).svd()
-    return frames, logs - logs.mean(axis=-1, keepdims=True)
+    return (graded.Graded.diag(left)
+            @ graded.Graded(x, right, np.eye(x.shape[-1]))).chamber()
 
 
 def _midpoint_segments(letters):
@@ -251,7 +251,7 @@ def _check_general_position(generators):
         for j in range(i + 1, len(flags)):
             try:
                 ok = flagdyn.is_antipodal(flags[i], flags[j])
-            except Exception as exc:
+            except AmbiguousRank as exc:
                 raise NotAntipodalGenerators(
                     f"flag pair ({i},{j}) too degenerate to decide") from exc
             if not ok:
@@ -272,7 +272,7 @@ def schottky_certificate(generators, N, cone=None, zeta=None, epsilon=0.2,
     toward the orbit point bend by less than epsilon / 2 at the middle
     midpoint.
     """
-    gens = [np.asarray(g, dtype=float) for g in generators]
+    gens = flagdyn._square_generators(generators)
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].shape[0]
@@ -320,17 +320,17 @@ def find_schottky_threshold(generators, max_power=60, **kwargs):
 
 def orbit_growth(generators, N, max_word_length):
     """Word length vs orbit distance for all short reduced words of the
-    N-th powers: the undistortion witness data."""
-    gens = [np.asarray(g, dtype=float) for g in generators]
+    N-th powers: the undistortion witness data, twice the norms of the
+    chamber vectors (so a scalar factor of a generator drops out)."""
+    gens = flagdyn._square_generators(generators)
     if not gens:
         raise ValueError("need at least one generator")
     out = []
     for length, (_, _, words) in enumerate(
             flagdyn.reduced_words(_power_letters(gens, N), max_word_length),
             start=1):
-        _, logs, _ = words.svd()
-        out.extend((length, 2.0 * float(d))
-                   for d in np.linalg.norm(logs, axis=-1))
+        _, v = words.chamber()
+        out.extend((length, 2.0 * float(d)) for d in np.linalg.norm(v, axis=1))
     return out
 
 

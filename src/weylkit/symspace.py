@@ -73,13 +73,27 @@ def origin(n):
     return SymPoint(np.eye(n))
 
 
-def point_from_group(g):
-    """Orbit point g . o = g g^T of a unimodular matrix."""
+def unimodular(g):
+    """g scaled by a positive factor to |det| = 1; SingularInput when the
+    determinant is zero to float precision."""
     g = np.asarray(g, dtype=float)
     d = abs(np.linalg.det(g))
     if d < 1e-300:
         raise SingularInput("matrix is singular")
-    g = g / d ** (1.0 / g.shape[0])
+    return g / d ** (1.0 / g.shape[0])
+
+
+def column_signs(m):
+    """+-1 per column: the sign of its first entry above 1e-12 in absolute
+    value, the sign convention of flags and Cartan frames."""
+    big = np.abs(m) > 1e-12
+    lead = m[big.argmax(axis=0), np.arange(m.shape[1])]
+    return np.where(big.any(axis=0) & (lead < 0), -1.0, 1.0)
+
+
+def point_from_group(g):
+    """Orbit point g . o = g g^T of a unimodular matrix."""
+    g = unimodular(g)
     return SymPoint(g @ g.T)
 
 
@@ -111,32 +125,16 @@ def cartan(g, cond_cap=1e12):
     """Singular value decomposition g = U diag(mu) V^T with descending
     mu of product one and a deterministic sign convention (first entry
     of each column of U above 1e-12 is positive)."""
-    g = np.asarray(g, dtype=float)
-    d = np.linalg.det(g)
-    if abs(d) < 1e-300:
-        raise SingularInput("matrix is singular")
-    g = g / abs(d) ** (1.0 / g.shape[0])
-    u, mu, vt = np.linalg.svd(g)
+    u, mu, vt = np.linalg.svd(unimodular(g))
     if mu[-1] <= 0 or mu[0] / mu[-1] > cond_cap:
         raise SingularInput("matrix too ill-conditioned for a Cartan split")
-    v = vt.T
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        lead = col[np.abs(col) > 1e-12]
-        if lead.size and lead[0] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    return u, mu, v
+    signs = column_signs(u)
+    return u * signs, mu, vt.T * signs
 
 
 def delta_distance(x, y):
     """Chamber-valued distance: descending half log spectrum of x^{-1} y."""
-    xi = x.inv_sqrt()
-    w = np.linalg.eigvalsh(xi @ y.mat @ xi)
-    if w[0] <= 0:
-        raise NotPositiveDefinite("relative form is not positive definite")
-    v = 0.5 * np.log(w)[::-1]
-    return v - v.mean()
+    return delta_stack(x.inv_sqrt(), y.mat)
 
 
 def point_stack(points):
@@ -154,10 +152,11 @@ def delta_stack(xi, ys):
     inverse square roots are ``xi`` (one matrix, or a stack matched with
     ``ys``).  Each row is bit-identical to ``delta_distance``."""
     w = np.linalg.eigvalsh(xi @ ys @ xi)
-    if (w[..., 0] <= 0).any():
+    if w[..., 0].min(initial=np.inf) <= 0:
         raise NotPositiveDefinite("relative form is not positive definite")
     v = 0.5 * np.log(w)[..., ::-1]
-    return v - v.mean(axis=-1, keepdims=True)
+    # the arithmetic of mean, without its per-call cost on one pair
+    return v - v.sum(axis=-1, keepdims=True) / v.shape[-1]
 
 
 def delta_iota(v):
@@ -320,16 +319,6 @@ def chamber_ray_point(p, direction, t):
     return SymPoint(rp @ np.diag(np.exp(2.0 * t * direction)) @ rp)
 
 
-def _graded_delta(m, exponents):
-    """Chamber vector of the form m diag(e^exponents) m^T relative to the
-    identity: the log singular values of m diag(e^(exponents / 2)), read
-    by the graded kernel because the exponent spread can exceed float
-    conditioning."""
-    exponents = np.asarray(exponents, dtype=float)
-    _, v, _ = graded.Graded(np.eye(m.shape[0]), exponents / 2.0, m.T).svd()
-    return v - v.mean()
-
-
 def horofunction_estimate(p, direction, x, t_list, phi=None, offset=None,
                           conv_tol=1e-6):
     """Normalized Finsler distance differences along a chamber ray.
@@ -348,14 +337,15 @@ def horofunction_estimate(p, direction, x, t_list, phi=None, offset=None,
         phi = FinslerFunctional.default(p.n)
     off = np.zeros(p.n) if offset is None else np.asarray(offset, dtype=float)
     off = off - off.mean()
+    # dx, do: chamber vectors of m e^h, m = chol(x^-1)^T p^1/2 and p^1/2,
+    # read graded because the spread of h can exceed float conditioning
     rp = p.sqrt()
     mx = np.linalg.cholesky(np.linalg.inv(x.mat)).T @ rp
-    mo = rp
     estimates = []
     for t in t_list:
-        vec = 2.0 * (t * direction + off)
-        dx = _graded_delta(mx, vec)
-        do = _graded_delta(mo, vec)
+        h = t * direction + off
+        _, dx = graded.Graded(np.eye(p.n), h, mx.T).chamber()
+        _, do = graded.Graded(np.eye(p.n), h, rp.T).chamber()
         estimates.append(phi(dx) - phi(do))
     diffs = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
     converged = bool(diffs) and diffs[-1] < conv_tol and \

@@ -235,13 +235,18 @@ def count_balanced(W, node_cap=DEFAULT_NODE_CAP):
     return sum(states.values())
 
 
+def _ints(vals):
+    """Rationals times the lcm of their denominators, as Python ints."""
+    vals = [Fraction(v) for v in vals]
+    denom = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (denom // v.denominator) for v in vals]
+
+
 def _weight_ints(a):
     """Positive finite weights times the lcm of their denominators."""
     if bad := [w for w in a if not 0 < w < math.inf]:
         raise ValueError(f"weights must be positive and finite, got {bad[0]}")
-    vals = [Fraction(w) for w in a]
-    denom = math.lcm(*(v.denominator for v in vals))
-    return [v.numerator * (denom // v.denominator) for v in vals]
+    return _ints(a)
 
 
 def weight_is_balanced(a):
@@ -282,22 +287,22 @@ def metric_thickening(a):
 
 def metric_thickening_general(W, a):
     """Experimental analogue {w : <a, w a> > 0} in the reflection
-    representation of an arbitrary W.  Errors rather than silently
+    representation of an arbitrary W: row j of the matrix of w is w(e_j)
+    in the orbit S that W permutes, so for p = S a, with a and S scaled
+    to Python ints, <a, w a> = sum_j a_j p[w(e_j)], exact.  G2 (entries
+    in Q(sqrt 3)) is refused first.  Errors rather than silently
     returning a set that is not an ideal."""
-    vals = [Fraction(x) for x in a]
-    if len(vals) != W.ambient_dim:
+    ints = np.array(_ints(a), dtype=object)
+    if len(ints) != W.ambient_dim:
         raise WrongGroupType(
             f"weight vector must have length {W.ambient_dim} (ambient dim)")
-    mask = 0
-    for i in range(len(W.elements)):
-        m = W.matrix(i)
-        wa = [sum((m[r][c].a + 0) * vals[c] for c in range(len(vals)))
-              for r in range(len(vals))]
-        if any(m[r][c].b != 0 for r in range(len(vals)) for c in range(len(vals))):
-            raise WrongGroupType("general metric thickenings need rational matrices")
-        dot = sum(x * y for x, y in zip(vals, wa))
-        if dot > 0:
-            mask |= 1 << i
+    if any(x.b for v in W._rows for x in v):
+        raise WrongGroupType("general metric thickenings need rational matrices")
+    p = np.array(_ints(x.a for v in W._rows for x in v),
+                 dtype=object).reshape(len(W._rows), -1) @ ints
+    dots = p[np.array(W.elements)[:, W._basis]] @ ints
+    (mask,) = coxeter.packed_masks(
+        np.packbits([dots > 0], axis=1, bitorder="little"))
     th = Thickening(W, mask)
     _require_ideal(th)
     return th

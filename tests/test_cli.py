@@ -267,6 +267,18 @@ def test_bad_generators_are_refused(capsys, gens, shapes):
         f"generators must be square matrices of one size, got shapes {shapes}")
 
 
+def test_schottky_refuses_generators_of_two_sizes(capsys):
+    # checked before the axis flags, whose positions cannot be compared
+    gens = [np.diag([4.0, 1.0, 0.25]).tolist(), np.diag([2.0, 0.5]).tolist()]
+    code, out = run(capsys, "morse", "schottky", "--gens", json.dumps(gens),
+                    "--N", "4")
+    assert code == 1
+    assert json.loads(out)["error"] == "ValueError"
+    assert json.loads(out)["message"] == (
+        "generators must be square matrices of one size, "
+        "got shapes (3, 3), (2, 2)")
+
+
 @pytest.mark.parametrize("argv", [
     ("limits", "sample", "--gens", "[[[1,0],[0,1,2]]]", "--max-len", "2"),
     ("flags", "antipodal", "--a", "[[1,0],[0,1,2]]", "--b", "[[1,0],[0,1]]"),

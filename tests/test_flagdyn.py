@@ -66,6 +66,44 @@ def test_near_singular_basis_rejected():
         fd.flag_from_basis(m)
 
 
+# --- flag angles ----------------------------------------------------------------
+
+def test_flag_distance_resolves_small_angles():
+    # rotating columns k, k+1 of an exactly orthonormal basis by theta
+    # moves only the subspace of dimension k+1, by theta
+    rng = _rng()
+    for n in (2, 3, 5):
+        f = fd.Flag(np.eye(n)[:, rng.permutation(n)])
+        assert fd.flag_distance(f, f) == 0.0
+        g = fd.random_flag(n, rng)
+        assert fd.flag_distance(g, g) < 1e-15
+        for k in range(n - 1):
+            for theta in (1e-12, 1e-9, 1e-6, 1e-2, 1.5):
+                rot = np.eye(n)
+                rot[k:k + 2, k:k + 2] = [[np.cos(theta), -np.sin(theta)],
+                                         [np.sin(theta), np.cos(theta)]]
+                got = fd.flag_distance(f, fd.Flag(f.basis @ rot))
+                assert abs(got / theta - 1.0) < 1e-6
+
+
+def _arccos_distance(a, b):
+    """The arccos reading flag_distance made before it took sines."""
+    return max(float(np.arccos(min(1.0, np.linalg.svd(
+        a.subspace(i).T @ b.subspace(i), compute_uv=False).min())))
+        for i in range(1, a.n))
+
+
+def test_flag_angles_stack_is_flag_distance():
+    rng = _rng()
+    for n in (2, 3, 4):
+        f = fd.random_flag(n, rng)
+        flags = [fd.random_flag(n, rng) for _ in range(50)]
+        stacked = fd.flag_angles(f, np.array([g.basis for g in flags]))
+        assert stacked.tolist() == [fd.flag_distance(f, g) for g in flags]
+        assert np.allclose(stacked, [_arccos_distance(f, g) for g in flags],
+                           rtol=0, atol=1e-12)
+
+
 # --- relative position ----------------------------------------------------------
 
 def test_position_of_flag_with_itself():
@@ -223,7 +261,7 @@ def test_attracting_flag_conjugation_equivariance():
     h = q @ g @ q.T
     left = fd.attracting_flag(h)
     right = fd.flag_from_basis(q @ fd.attracting_flag(g).basis)
-    assert fd.flag_distance(left, right) < 1e-9
+    assert fd.flag_distance(left, right) < 1e-14
 
 
 def test_attract_repel_swap_under_inverse():
@@ -231,11 +269,10 @@ def test_attract_repel_swap_under_inverse():
     g = np.diag([9.0, 1.0, 1.0 / 9.0])
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     g = q @ g @ q.T
-    # arccos has a ~1e-8 noise floor at zero angle
     assert fd.flag_distance(fd.attracting_flag(np.linalg.inv(g)),
-                            fd.repelling_flag(g)) < 1e-6
+                            fd.repelling_flag(g)) < 1e-14
     assert fd.flag_distance(fd.repelling_flag(np.linalg.inv(g)),
-                            fd.attracting_flag(g)) < 1e-6
+                            fd.attracting_flag(g)) < 1e-14
 
 
 def test_dynamical_convergence_to_attracting_flag():
@@ -249,9 +286,9 @@ def test_dynamical_convergence_to_attracting_flag():
         for step in range(8):
             moved = fd.iterate_flag(g, moved, 2)
             d_now = fd.flag_distance(moved, alpha)
-            assert d_now < d_prev or d_now < 1e-7
+            assert d_now < d_prev
             d_prev = d_now
-        assert d_now < 1e-6
+        assert d_now < 1e-8
 
 
 def test_not_regular_inputs():

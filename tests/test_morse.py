@@ -328,6 +328,36 @@ def test_orbit_growth_needs_a_generator():
         morse.orbit_growth([], 6, 2)
 
 
+def test_orbit_growth_is_the_orbit_distance():
+    # a distance is 2 |delta(o, w.o)|, read from the centred chamber
+    # vector, so a scalar factor of a generator changes nothing
+    g = np.array([[2.0, 1.0], [1.0, 3.0]])
+    h = np.array([[3.0, 0.5], [1.0, 1.0]])
+    data = morse.orbit_growth([g, h], 1, 2)
+    words = [g, np.linalg.inv(g), h, np.linalg.inv(h)]
+    words += [a @ b for i, a in enumerate(words) for j, b in enumerate(words)
+              if j != i ^ 1]
+    want = [2.0 * np.linalg.norm(ss.delta_distance(
+        ss.origin(2), ss.point_from_group(w))) for w in words]
+    assert np.allclose([d for _, d in data], want, rtol=1e-12, atol=0)
+    for scale in (2.0, 0.1, 1e3):
+        scaled = morse.orbit_growth([scale * g, h / scale], 1, 2)
+        assert np.allclose([d for _, d in scaled], [d for _, d in data],
+                           rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("gens,message", [
+    ([np.eye(3), np.eye(2)], "got shapes (3, 3), (2, 2)"),
+    ([[[1.0, 0.0], [0.0, 1.0, 2.0]]], "matrix rows differ in length: [2, 3]"),
+], ids=["two-sizes", "ragged"])
+def test_certificates_refuse_bad_generators(gens, message):
+    for call in (lambda: schottky_certificate(gens, 4),
+                 lambda: morse.orbit_growth(gens, 1, 2)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert message in str(exc.value)
+
+
 # --- defect reports ------------------------------------------------------------------
 
 def test_defect_report_geodesic_samples():

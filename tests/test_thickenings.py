@@ -7,8 +7,10 @@ filter of ALL subsets for every group small enough to allow it.
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from weylkit import thickenings as th
 from weylkit.coxeter import build_group
 from weylkit.errors import (GroupMismatch, GroupTooLarge, NotAnIdeal,
-                            UnsupportedType)
+                            UnsupportedType, WrongGroupType)
 from weylkit.thickenings import (Thickening, count_balanced, down_closure,
                                  enumerate_balanced, is_balanced, is_fat,
                                  is_slim, metric_thickening,
@@ -385,6 +387,72 @@ def test_general_metric_thickening_a1_powers():
     t = th.metric_thickening_general(W, ambient)
     strict, _ = metric_thickening([w * w for w in weights])
     assert t.mask == strict.mask
+
+
+def _general_metric_oracle(W, a):
+    """The Fraction loop that metric_thickening_general ran before it took
+    one integer product: one matrix-vector product per element."""
+    vals = [Fraction(x) for x in a]
+    if len(vals) != W.ambient_dim:
+        raise WrongGroupType("weight vector has the wrong length")
+    mask = 0
+    for i in range(len(W.elements)):
+        m = W.matrix(i)
+        if any(x.b != 0 for row in m for x in row):
+            raise WrongGroupType("general metric thickenings need rational matrices")
+        wa = [sum(row[c].a * vals[c] for c in range(len(vals))) for row in m]
+        if sum(x * y for x, y in zip(vals, wa)) > 0:
+            mask |= 1 << i
+    th._require_ideal(Thickening(W, mask))
+    return mask
+
+
+def _dominant(W, a):
+    """The point of the orbit of ``a`` in the closed dominant chamber:
+    reflect in a simple root a has a negative product with until none is
+    left (one factor)."""
+    a = [Fraction(x) for x in a]
+    roots = W.ctype.factors[0].simple_roots()
+    while alpha := next((r for r in roots
+                         if sum(map(operator.mul, a, r)) < 0), None):
+        c = 2 * sum(map(operator.mul, a, alpha)) / sum(x * x for x in alpha)
+        a = [x - c * y for x, y in zip(a, alpha)]
+    return a
+
+
+def _outcome(fn, W, a):
+    try:
+        return fn(W, a)
+    except (NotAnIdeal, WrongGroupType) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("descriptor", ["A2", "A3", "A4", "B2", "B3", "D4",
+                                        "F4"])
+def test_general_metric_thickening_matches_oracle(descriptor):
+    # dominant weights from small integers, so many lie on walls, and in
+    # type A their iota-invariant parts (a - reversed a) / 2; weights
+    # outside the chamber mostly cut out sets that are not ideals
+    W = build_group(descriptor)
+    rng = np.random.default_rng(len(W))
+    raw = [rng.integers(-3, 4, W.ambient_dim) for _ in range(4)]
+    weights = [_dominant(W, a) for a in raw]
+    if W.ctype.is_type_a:
+        weights += [[(x - y) / 2 for x, y in zip(a, a[::-1])] for a in weights]
+    weights += [*raw, [1] * (W.ambient_dim + 1)]
+    for a in weights:
+        got = _outcome(lambda W, a: th.metric_thickening_general(W, a).mask,
+                       W, a)
+        assert got == _outcome(_general_metric_oracle, W, a)
+
+
+def test_general_metric_thickening_refuses_g2():
+    W = build_group("G2")
+    for a in ([1, 0], [2, 1]):
+        with pytest.raises(WrongGroupType, match="rational matrices"):
+            th.metric_thickening_general(W, a)
+        with pytest.raises(WrongGroupType):
+            _general_metric_oracle(W, a)
 
 
 # --- serialization -------------------------------------------------------------------
