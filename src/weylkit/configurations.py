@@ -27,6 +27,12 @@ def _is_exact(values):
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
+def _mass(weights):
+    """Summed weights: a Fraction when every weight is exact, else a float."""
+    return sum(map(Fraction, weights)) if _is_exact(weights) \
+        else float(sum(weights))
+
+
 @dataclass(frozen=True)
 class WeightedConfig:
     """Points with positive weights; circle points are angles in
@@ -70,9 +76,7 @@ class WeightedConfig:
 
     @property
     def total_mass(self):
-        if _is_exact(self.weights):
-            return sum(Fraction(w) for w in self.weights)
-        return float(sum(self.weights))
+        return _mass(self.weights)
 
     def exact(self):
         return not self.sphere and _is_exact(self.points) \
@@ -116,12 +120,9 @@ def aggregate_masses(config, tol=None):
         clusters.setdefault(find(i), []).append(i)
     out = []
     for members in clusters.values():
-        rep = config.points[min(members)]
-        if _is_exact([config.weights[m] for m in members]):
-            mass = sum(Fraction(config.weights[m]) for m in members)
-        else:
-            mass = float(sum(config.weights[m] for m in members))
-        out.append((rep, mass, tuple(sorted(members))))
+        out.append((config.points[min(members)],
+                    _mass([config.weights[m] for m in members]),
+                    tuple(sorted(members))))
     out.sort(key=lambda c: c[2])
     return out
 
@@ -143,7 +144,7 @@ def relpos_config(z, zp, tol=None):
     if z.n != zp.n or z.sphere != zp.sphere:
         raise ValueError("configurations must have the same shape")
     if tol is None:
-        tol = Fraction(0) if z.exact() and zp.exact() else FLOAT_TOL
+        tol = max(default_tol(z), default_tol(zp))
     return tuple(1 if _coincide(a, b, z.sphere, tol) else -1
                  for a, b in zip(z.points, zp.points))
 

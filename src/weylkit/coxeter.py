@@ -95,19 +95,6 @@ _Q0 = QSqrt3(0)
 _Q1 = QSqrt3(1)
 
 
-def _mat_mul(x, y):
-    n = len(x)
-    return tuple(
-        tuple(sum((x[i][k] * y[k][j] for k in range(n)), _Q0) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_transpose(x):
-    n = len(x)
-    return tuple(tuple(x[j][i] for j in range(n)) for i in range(n))
-
-
 def _dot(u, v):
     return reduce(operator.add, map(operator.mul, u, v))
 
@@ -686,12 +673,9 @@ def mask_rows(masks, n):
 _cached_group = lru_cache(maxsize=64)(WeylGroup)
 
 
-def build_group(ctype, max_order=DEFAULT_MAX_ORDER):
+def build_group(ctype):
     """Construct (and cache) the Weyl group of the given type."""
-    ctype = CoxeterType.parse(ctype)
-    if max_order != DEFAULT_MAX_ORDER:
-        return WeylGroup(ctype, max_order)
-    return _cached_group(ctype)
+    return _cached_group(CoxeterType.parse(ctype))
 
 
 def _same_group(u, v):

@@ -143,6 +143,7 @@ def straightness_check(path, cone, zeta=None, epsilon=0.2, spacing=10.0):
     """Certificate that a piecewise geodesic path is spaced, regular and
     straight: segment lengths >= spacing, segment directions in the
     cone, vertex angles >= pi - epsilon."""
+    symspace.check_finite(epsilon=epsilon, spacing=spacing)
     if len(path) < 2:
         raise ValueError("need at least two points")
     if zeta is None:
@@ -272,6 +273,7 @@ def schottky_certificate(generators, N, cone=None, zeta=None, epsilon=0.2,
     toward the orbit point bend by less than epsilon / 2 at the middle
     midpoint.
     """
+    symspace.check_finite(epsilon=epsilon, spacing=spacing)
     gens = flagdyn._square_generators(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -344,9 +346,6 @@ class MorseDefectReport:
     window_defects: np.ndarray
     segment_regular: list | None
 
-    def worst_defect(self):
-        return float(self.window_defects.max()) if len(self.window_defects) else 0.0
-
 
 def morse_defect_report(path, cone=None, window=10.0, L=2.0, A=1.0, phi=None):
     """Quasi-isometry margins and diamond-betweenness defects of an
@@ -367,6 +366,7 @@ def morse_defect_report(path, cone=None, window=10.0, L=2.0, A=1.0, phi=None):
     pass.  So the temporaries are O(m n^2) per row and O(m^2) per window
     length, where one stack of all pairs would take O(m^2 n^2).
     """
+    symspace.check_finite(window=window, L=L, A=A)
     m = len(path)
     if m < 2:
         raise ValueError("need at least two points")

@@ -14,6 +14,7 @@ conditioning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,14 @@ class SymPoint:
         return f"SymPoint({self.mat.tolist()})"
 
 
+def check_finite(**params):
+    """ValueError naming the first parameter that is NaN or infinite:
+    every comparison with NaN is false, so such a bound passes any test."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
+
+
 def origin(n):
     return SymPoint(np.eye(n))
 
@@ -77,7 +86,13 @@ def unimodular(g):
     """g scaled by a positive factor to |det| = 1; SingularInput when the
     determinant is zero to float precision."""
     g = np.asarray(g, dtype=float)
-    d = abs(np.linalg.det(g))
+    with np.errstate(over="ignore"):
+        d = abs(np.linalg.det(g))
+    if not 1e-300 <= d < np.inf:
+        # det under- or overflowed: bring max|g| into [1/2, 1) by an exact
+        # power of two, which leaves g / |det g|^(1/n) as it is
+        g = np.ldexp(g, -np.frexp(np.abs(g).max())[1])
+        d = abs(np.linalg.det(g))
     if d < 1e-300:
         raise SingularInput("matrix is singular")
     return g / d ** (1.0 / g.shape[0])
@@ -228,6 +243,7 @@ class RegularityCone:
     constraints: tuple = ()
 
     def __post_init__(self):
+        check_finite(margin=self.lower_margin)
         if self.lower_margin <= 0:
             raise ValueError("margin must be positive")
         rows = [np.asarray(r, dtype=float) for r in self.constraints]
@@ -249,13 +265,6 @@ class RegularityCone:
         return all(np.dot(row, u) >= 0 for row in self.constraints)
 
 
-def singular_value_margins(g):
-    """log(mu_l / mu_{l+1}) for the singular values of g."""
-    _, mu, _ = cartan(g, cond_cap=np.inf)
-    lo = np.log(mu)
-    return lo[:-1] - lo[1:]
-
-
 @dataclass
 class RegularityReport:
     margins: np.ndarray          # one row per input matrix
@@ -272,21 +281,19 @@ def sequence_regularity(gs, threshold=1.0, cone=None):
     above ``threshold``; this is the finite-sample proxy for all
     singular value ratios diverging.
     """
+    check_finite(threshold=threshold)
     if len(gs) < 2:
         raise ValueError("need at least two matrices")
-    margins = np.array([singular_value_margins(g) for g in gs])
+    mu = np.linalg.svd(np.array([unimodular(g) for g in gs]))[1]
+    if mu[:, -1].min() <= 0:
+        raise SingularInput("matrix too ill-conditioned for a Cartan split")
+    lo = np.log(mu)
+    margins = lo[:, :-1] - lo[:, 1:]
     increasing = bool(np.all(margins[1:] >= margins[:-1] - 1e-9))
     verdict = increasing and bool(np.all(margins[-1] >= threshold))
     flags = None
     if cone is not None:
-        flags = []
-        for row in margins:
-            # reconstruct a chamber vector from the margins
-            v = np.zeros(len(row) + 1)
-            for i, m in enumerate(row):
-                v[i + 1] = v[i] - m
-            v -= v.mean()
-            flags.append(cone.contains(v) if np.linalg.norm(v) > 0 else False)
+        flags = [cone.contains(v) for v in lo - lo.mean(axis=1, keepdims=True)]
     return RegularityReport(margins, verdict, flags, threshold)
 
 

@@ -400,6 +400,22 @@ def test_zero_margin_is_refused(capsys, verb, inputs):
     assert json.loads(out)["message"] == "margin must be positive"
 
 
+@pytest.mark.parametrize("verb,options,message", [
+    ("straightness", ["--epsilon", "nan", "--s", "0.1", "--margin", "0.01"],
+     "epsilon must be a finite number, got nan"),
+    ("defect", ["--L", "nan"], "L must be a finite number, got nan"),
+    ("defect", ["--margin", "nan"], "margin must be a finite number, got nan"),
+], ids=["straightness-epsilon", "defect-L", "defect-margin"])
+def test_nan_certificate_parameters_are_refused(capsys, verb, options,
+                                                message):
+    path = [np.diag(np.exp([2.0 * t, 0.0, -2.0 * t])).tolist()
+            for t in range(3)]
+    code, out = run(capsys, "morse", verb, "--path", json.dumps(path),
+                    *options)
+    assert code == 1
+    assert json.loads(out)["message"] == message
+
+
 def test_output_into_missing_directory(capsys, tmp_path):
     target = tmp_path / "missing" / "c.txt"
     code, out = run(capsys, "thickenings", "count", "--type", "A2",

@@ -146,6 +146,16 @@ def test_relpos_single_agreement():
     assert relpos_config(a, b) == (-1, 1, -1)
 
 
+def test_relpos_tolerance_follows_the_configurations():
+    # 1e-9 as soon as one side is float, exact equality when both are exact
+    exact = _circle([Fraction(0), Fraction(1), Fraction(2)], [1, 1, 1])
+    near = _circle([5e-10, 1.0 + 2e-9, 2.0], [1, 1, 1])
+    assert relpos_config(exact, near) == (1, -1, 1)
+    assert relpos_config(near, exact) == (1, -1, 1)
+    tiny = _circle([Fraction(1, 10 ** 12), Fraction(1), Fraction(2)], [1, 1, 1])
+    assert relpos_config(exact, tiny) == (-1, 1, 1)
+
+
 # --- diagonal thickening cross-check ------------------------------------------------------
 
 def test_diagonal_check_distinct_points():

@@ -207,10 +207,23 @@ def _mat_is_identity(m):
                for i in range(len(m)) for j in range(len(m)))
 
 
+def _mat_mul(x, y):
+    from weylkit.coxeter import _Q0
+    n = len(x)
+    return tuple(
+        tuple(sum((x[i][k] * y[k][j] for k in range(n)), _Q0) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _mat_transpose(x):
+    n = len(x)
+    return tuple(tuple(x[j][i] for j in range(n)) for i in range(n))
+
+
 @pytest.mark.parametrize("descriptor", ["A2", "B2", "G2", "A1^2", "A2xA1",
                                         "B3", "D4", "F4", "A2xG2"])
 def test_reflection_rep_exactly_orthogonal(descriptor):
-    from weylkit.coxeter import _mat_mul, _mat_transpose
     W = build_group(descriptor)
     for w in W:
         m = w.matrix()
@@ -219,7 +232,6 @@ def test_reflection_rep_exactly_orthogonal(descriptor):
 
 @pytest.mark.parametrize("descriptor", ["A2", "B2", "G2"])
 def test_reflection_rep_is_homomorphism(descriptor):
-    from weylkit.coxeter import _mat_mul
     W = build_group(descriptor)
     for u in W:
         for v in W:

@@ -512,6 +512,19 @@ def test_limit_set_sample_schottky_antipodal():
             assert fd.is_antipodal(longer.flags[i], longer.flags[j])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-160, 1e160, 1e-300, 1e300])
+def test_limit_set_sample_at_extreme_scales(scale):
+    # the determinant of each generator under- or overflows at these scales
+    gens = list(_schottky_pair())
+    want = fd.limit_set_sample(gens, 3, 1.0)
+    got = fd.limit_set_sample([scale * g for g in gens], 3, 1.0)
+    assert got.words == want.words
+    assert np.abs(np.array(got.margins) - np.array(want.margins)).max() < 1e-12
+    for a, b in zip(got.flags, want.flags):
+        assert np.abs(a.basis - b.basis).max() < 1e-13
+
+
 # --- thickened limit sets ----------------------------------------------------------------
 
 def test_membership_of_sample_flag():

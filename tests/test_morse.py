@@ -358,6 +358,28 @@ def test_certificates_refuse_bad_generators(gens, message):
         assert message in str(exc.value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name,call", [
+    ("epsilon", lambda path, gens, v: straightness_check(
+        path, ss.RegularityCone(0.01), epsilon=v, spacing=0.1)),
+    ("spacing", lambda path, gens, v: straightness_check(
+        path, ss.RegularityCone(0.01), epsilon=0.2, spacing=v)),
+    ("epsilon", lambda path, gens, v: schottky_certificate(gens, 2, epsilon=v)),
+    ("spacing", lambda path, gens, v: schottky_certificate(gens, 2, spacing=v)),
+    ("window", lambda path, gens, v: morse_defect_report(path, window=v)),
+    ("L", lambda path, gens, v: morse_defect_report(path, L=v)),
+    ("A", lambda path, gens, v: morse_defect_report(path, A=v)),
+], ids=["straightness-epsilon", "straightness-spacing", "schottky-epsilon",
+        "schottky-spacing", "defect-window", "defect-L", "defect-A"])
+def test_parameters_that_cannot_be_compared_are_refused(name, call, value):
+    # every comparison with NaN is false: a NaN epsilon passed every vertex
+    # and a NaN L read both qi margins as inf
+    path = [ss.flat_point([2.0 * t, 0.0, -2.0 * t]) for t in range(3)]
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number, "
+                                         f"got {value}$"):
+        call(path, list(_schottky_pair()), value)
+
+
 # --- defect reports ------------------------------------------------------------------
 
 def test_defect_report_geodesic_samples():

@@ -122,6 +122,19 @@ def test_cartan_singular_input():
         ss.cartan(np.diag([1.0, 1.0, 0.0]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-160, 1e160, 1e-300, 1e300])
+def test_unimodular_at_extreme_scales(scale):
+    # det(scale * g) under- or overflows here; the point and the Cartan
+    # projection of scale * g are those of g
+    g = np.array([[2.0, 1.0], [1.0, 3.0]])
+    o = ss.origin(2)
+    assert np.array_equal(ss.delta_distance(o, ss.point_from_group(scale * g)),
+                          ss.delta_distance(o, ss.point_from_group(g)))
+    _, mu, _ = ss.cartan(scale * g)
+    assert np.abs(mu - ss.cartan(g)[1]).max() <= np.finfo(float).eps
+
+
 # --- chamber-valued distance ----------------------------------------------------
 
 def test_delta_at_origin():
@@ -327,6 +340,50 @@ def test_sequence_regularity_rotations():
     assert not rep.regular_trend
 
 
+def _regularity_oracle(gs, cone):
+    """Margins from one Cartan read per matrix, and theta flags of the
+    chamber vectors rebuilt from those margins."""
+    margins = []
+    for g in gs:
+        _, mu, _ = ss.cartan(g, cond_cap=np.inf)
+        lo = np.log(mu)
+        margins.append(lo[:-1] - lo[1:])
+    flags = []
+    for row in margins:
+        v = np.zeros(len(row) + 1)
+        for i, m in enumerate(row):
+            v[i + 1] = v[i] - m
+        v -= v.mean()
+        flags.append(cone.contains(v) if np.linalg.norm(v) > 0 else False)
+    return np.array(margins), flags
+
+
+def _regularity_sequences():
+    rng = _rng()
+    for n in range(2, 6):
+        a = np.eye(n) + 0.5 * rng.standard_normal((n, n))
+        yield f"powers{n}", [np.linalg.matrix_power(a, k) for k in range(1, 9)]
+        yield f"random{n}", [rng.standard_normal((n, n)) for _ in range(8)]
+    yield "wall", [np.diag([2.0 ** k, 2.0 ** k, 4.0 ** -k]) for k in range(1, 8)]
+    yield "rotations", [np.array([[np.cos(t), -np.sin(t), 0.0],
+                                  [np.sin(t), np.cos(t), 0.0],
+                                  [0.0, 0.0, 1.0]])
+                        for t in np.linspace(0.3, 2.0, 6)]
+
+
+def test_sequence_regularity_matches_per_matrix_oracle():
+    seen = set()
+    for name, gs in _regularity_sequences():
+        for margin in (0.05, 0.3):
+            cone = ss.RegularityCone(margin)
+            rep = ss.sequence_regularity(gs, cone=cone)
+            margins, flags = _regularity_oracle(gs, cone)
+            assert np.array_equal(rep.margins, margins), name
+            assert rep.theta_flags == flags, name
+            seen.update(flags)
+    assert seen == {True, False}
+
+
 def test_theta_regular_segment():
     cone = ss.RegularityCone(0.3)
     o = ss.origin(3)
@@ -460,6 +517,18 @@ def test_graded_delta_matches_mpmath():
         worst = max(worst, float(np.abs(got - want).max()
                                  / np.abs(want).max()))
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_parameters_that_cannot_be_compared_are_refused(value):
+    # a NaN cone margin used to pass the <= 0 check and call a wall regular
+    with pytest.raises(ValueError, match=f"^margin must be a finite number, "
+                                         f"got {value}$"):
+        ss.RegularityCone(value)
+    gs = [np.diag([2.0 ** k, 1.0, 2.0 ** -k]) for k in range(1, 4)]
+    with pytest.raises(ValueError, match=f"^threshold must be a finite "
+                                         f"number, got {value}$"):
+        ss.sequence_regularity(gs, threshold=value)
 
 
 def test_cone_constraints_must_be_involution_closed():
