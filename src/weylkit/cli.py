@@ -78,8 +78,8 @@ def _num(x):
 
 
 def _matrix(data):
-    return flagdyn._float_matrix([[float(_num(x)) for x in row]
-                                  for row in data])
+    return symspace._float_matrix([[float(_num(x)) for x in row]
+                                   for row in data])
 
 
 def _json_arg(text):

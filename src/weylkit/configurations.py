@@ -222,9 +222,3 @@ def wall_chamber_report(weights):
             signs[key] = 1 if diff > 0 else -1
     return WallChamberReport(tuple(vals), sorted(walls), signs,
                              in_open_chamber=not walls)
-
-
-def rotate(config, angle):
-    """Rotate a circle configuration rigidly (float angles)."""
-    pts = tuple((float(a) + angle) % TWO_PI for a in config.points)
-    return WeightedConfig(pts, config.weights, sphere=False)

@@ -689,10 +689,6 @@ def multiply(u, v):
     return WeylElement(W, W.mult_indices(u.index, v.index))
 
 
-def longest_element(W):
-    return W.w0
-
-
 def bruhat_leq(u, v):
     W = _same_group(u, v)
     return W.leq_indices(u.index, v.index)
@@ -716,25 +712,6 @@ def opposition_involution(w):
     W = w.group
     i = W.mult_indices(W.w0_index, w.index)
     return WeylElement(W, W.mult_indices(i, W.w0_index))
-
-
-def subword_leq(u, v):
-    """Brute-force Bruhat oracle: some subword of a reduced word of v is
-    a reduced word for u.  Exponential in length(v); for tests."""
-    W = _same_group(u, v)
-    word = W.words[v.index]
-    target_len = W.lengths[u.index]
-    n = len(word)
-    for mask in range(1 << n):
-        if mask.bit_count() != target_len:
-            continue
-        i = 0
-        for p in range(n):
-            if (mask >> p) & 1:
-                i = W.gen_mult[i][word[p]]
-        if i == u.index and W.lengths[i] == target_len:
-            return True
-    return False
 
 
 def poset_dot(W, highlight=None):

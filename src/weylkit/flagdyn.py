@@ -92,11 +92,6 @@ def opposite_flag(n):
     return Flag(np.eye(n)[:, ::-1])
 
 
-def random_flag(n, rng):
-    m = rng.standard_normal((n, n))
-    return flag_from_basis(m)
-
-
 def flag_angles(f, bases):
     """Largest principal angle between the subspaces of flag f and those
     of each of a stack of orthonormal ``bases``: for the i-dimensional
@@ -289,36 +284,13 @@ def repelling_flag(g):
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _float_matrix(data):
-    """``data`` as a float array; a ValueError that names the row lengths
-    when its rows differ in length."""
-    try:
-        return np.asarray(data, dtype=float)
-    except ValueError:
-        lengths = [len(row) for row in data]
-        if len(set(lengths)) < 2:
-            raise
-        raise ValueError(f"matrix rows differ in length: {lengths}") from None
-
-
-def _square_generators(generators):
-    """The generators as float arrays; ValueError naming their shapes
-    unless they are square matrices of one size."""
-    gens = [_float_matrix(g) for g in generators]
-    shapes = [g.shape for g in gens]
-    if any(len(s) != 2 or s[0] != s[1] or s != shapes[0] for s in shapes):
-        raise ValueError("generators must be square matrices of one size, "
-                         f"got shapes {', '.join(map(str, shapes))}")
-    return gens
-
-
 def stack_letters(gens):
     """Letters g0, g0^-1, g1, g1^-1, ... as one array: letter a is
     generator a // 2 or its inverse, and its inverse is letter a ^ 1."""
     if len(gens) > len(_LETTERS):
         raise ValueError(f"at most {len(_LETTERS)} generators can be "
                          f"labelled, got {len(gens)}")
-    return np.array([m for g in _square_generators(gens)
+    return np.array([m for g in symspace._square_generators(gens)
                      for m in (g, np.linalg.inv(g))])
 
 
@@ -420,8 +392,10 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
     twice DEDUP_ANGLE of the candidate's (one product of first columns)
     can be duplicates, all read in one call; the factor 2 keeps rounding
     from dropping a pair."""
+    symspace.check_finite(margin_threshold=margin_threshold)
     try:
-        gens = [symspace.unimodular(g) for g in _square_generators(generators)]
+        gens = [symspace.unimodular(g)
+                for g in symspace._square_generators(generators)]
     except SingularInput as exc:
         raise NearSingular("generator is singular") from exc
     sample = FlagSample([], [], [])
@@ -447,15 +421,6 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
             sample.words.append(_word_label(word_of(levels, row)))
             sample.margins.append(margins[row])
     return sample
-
-
-def iterate_flag(g, flag, steps):
-    """Apply g to a flag ``steps`` times, reorthonormalizing at every
-    step so large powers stay well conditioned."""
-    g = np.asarray(g, dtype=float)
-    for _ in range(steps):
-        flag = flag_from_basis(g @ flag.basis)
-    return flag
 
 
 def thickening_membership(f, sample, th, *, tol=RANK_TOL):
@@ -553,7 +518,7 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    gens = _square_generators(generators)
+    gens = symspace._square_generators(generators)
     if not gens:
         return NondiscretenessResult(None, 0, False)
     n = gens[0].shape[0]

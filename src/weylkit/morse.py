@@ -274,7 +274,7 @@ def schottky_certificate(generators, N, cone=None, zeta=None, epsilon=0.2,
     midpoint.
     """
     symspace.check_finite(epsilon=epsilon, spacing=spacing)
-    gens = flagdyn._square_generators(generators)
+    gens = symspace._square_generators(generators)
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].shape[0]
@@ -324,7 +324,7 @@ def orbit_growth(generators, N, max_word_length):
     """Word length vs orbit distance for all short reduced words of the
     N-th powers: the undistortion witness data, twice the norms of the
     chamber vectors (so a scalar factor of a generator drops out)."""
-    gens = flagdyn._square_generators(generators)
+    gens = symspace._square_generators(generators)
     if not gens:
         raise ValueError("need at least one generator")
     out = []

@@ -98,6 +98,29 @@ def unimodular(g):
     return g / d ** (1.0 / g.shape[0])
 
 
+def _float_matrix(data):
+    """``data`` as a float array; a ValueError that names the row lengths
+    when its rows differ in length."""
+    try:
+        return np.asarray(data, dtype=float)
+    except ValueError:
+        lengths = [len(row) for row in data]
+        if len(set(lengths)) < 2:
+            raise
+        raise ValueError(f"matrix rows differ in length: {lengths}") from None
+
+
+def _square_generators(generators):
+    """The generators as float arrays; ValueError naming their shapes
+    unless they are square matrices of one size."""
+    gens = [_float_matrix(g) for g in generators]
+    shapes = [g.shape for g in gens]
+    if any(len(s) != 2 or s[0] != s[1] or s != shapes[0] for s in shapes):
+        raise ValueError("generators must be square matrices of one size, "
+                         f"got shapes {', '.join(map(str, shapes))}")
+    return gens
+
+
 def column_signs(m):
     """+-1 per column: the sign of its first entry above 1e-12 in absolute
     value, the sign convention of flags and Cartan frames."""
@@ -123,17 +146,6 @@ def flat_point(y):
     y = np.asarray(y, dtype=float)
     y = y - y.mean()
     return SymPoint(np.diag(np.exp(y)))
-
-
-def sl3_flat_chart(x, y):
-    """Isometric chart of the rank-2 model flat of the n=3 space.
-
-    The x-axis is the wall y1 = y2, and the positive chamber is the
-    sector of slopes between 0 and sqrt(3).
-    """
-    ex = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
-    ey = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    return flat_point(x * ex + y * ey)
 
 
 def cartan(g, cond_cap=1e12):
@@ -234,25 +246,14 @@ def midpoint(x, y):
 @dataclass(frozen=True)
 class RegularityCone:
     """Uniform chamber-interior cone: every consecutive gap of the
-    normalized chamber vector must be at least ``lower_margin``.
-    Optional extra half-space constraints rows . v >= 0 on normalized
-    vectors refine the cone; the constraint set must be symmetric under
-    the opposition involution (so regularity is orientation-free)."""
+    normalized chamber vector must be at least ``lower_margin``."""
 
     lower_margin: float
-    constraints: tuple = ()
 
     def __post_init__(self):
         check_finite(margin=self.lower_margin)
         if self.lower_margin <= 0:
             raise ValueError("margin must be positive")
-        rows = [np.asarray(r, dtype=float) for r in self.constraints]
-        for r in rows:
-            dual = -r[::-1]
-            if not any(np.abs(dual - other).max() < 1e-12 for other in rows):
-                raise ValueError(
-                    "constraints must be closed under the opposition "
-                    "involution (reverse and negate)")
 
     def contains(self, v):
         v = np.asarray(v, dtype=float)
@@ -262,7 +263,7 @@ class RegularityCone:
         u = v / nv
         if np.min(u[:-1] - u[1:]) < self.lower_margin:
             return False
-        return all(np.dot(row, u) >= 0 for row in self.constraints)
+        return True
 
 
 @dataclass
@@ -284,7 +285,8 @@ def sequence_regularity(gs, threshold=1.0, cone=None):
     check_finite(threshold=threshold)
     if len(gs) < 2:
         raise ValueError("need at least two matrices")
-    mu = np.linalg.svd(np.array([unimodular(g) for g in gs]))[1]
+    mu = np.linalg.svd(np.array([unimodular(g)
+                                 for g in _square_generators(gs)]))[1]
     if mu[:, -1].min() <= 0:
         raise SingularInput("matrix too ill-conditioned for a Cartan split")
     lo = np.log(mu)
@@ -315,15 +317,6 @@ class HorofunctionEstimate:
     estimates: list
     converged: bool
     value: float
-
-
-def chamber_ray_point(p, direction, t):
-    """Point at parameter t of the ray from p whose chamber-valued speed
-    is ``direction`` (only for moderate t; see horofunction_estimate for
-    the well-conditioned large-t path)."""
-    direction = np.asarray(direction, dtype=float)
-    rp = p.sqrt()
-    return SymPoint(rp @ np.diag(np.exp(2.0 * t * direction)) @ rp)
 
 
 def horofunction_estimate(p, direction, x, t_list, phi=None, offset=None,
@@ -358,14 +351,3 @@ def horofunction_estimate(p, direction, x, t_list, phi=None, offset=None,
     converged = bool(diffs) and diffs[-1] < conv_tol and \
         all(d2 <= d1 + conv_tol for d1, d2 in zip(diffs, diffs[1:]))
     return HorofunctionEstimate(list(t_list), estimates, converged, estimates[-1])
-
-
-def dual_cone_defect(x, y, z):
-    """Slack of the dual-cone triangle inequality for the chamber-valued
-    distance: the amount by which d(x,y) + d(y,z) - d(x,z) fails to lie
-    in the root cone (0 when it holds)."""
-    u = delta_distance(x, y) + delta_distance(y, z) - delta_distance(x, z)
-    n = len(u)
-    partial = np.cumsum(u)
-    worst = min(partial[k] - (k + 1) / n * partial[-1] for k in range(n - 1))
-    return -min(worst, 0.0)

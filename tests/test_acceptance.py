@@ -9,12 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from helpers import random_flag, sl3_flat_chart, subword_leq
 from weylkit import configurations as cf
 from weylkit import flagdyn as fd
 from weylkit import morse
 from weylkit import symspace as ss
 from weylkit import thickenings as th
-from weylkit.coxeter import build_group, bruhat_leq, subword_leq
+from weylkit.coxeter import build_group, bruhat_leq
 
 SCHOTTKY_N0 = 6  # frozen regression value for the standard pair
 
@@ -90,8 +91,8 @@ def test_criterion_3_position_oracle_and_genericity():
     generic = 0
     for n in (3, 4, 5):
         for _ in range(67):
-            a = fd.random_flag(n, rng)
-            b = fd.random_flag(n, rng)
+            a = random_flag(n, rng)
+            b = random_flag(n, rng)
             res = fd.relative_position(a, b)
             assert res.w == res.w.group.w0
             generic += 1
@@ -151,7 +152,7 @@ def test_criterion_5_regularity_diagnostics():
 
     m = 100  # window length up to 200 in integer parameters
     xs = np.arange(-m, m + 1.0)
-    kink = [ss.sl3_flat_chart(x, abs(x)) for x in xs]
+    kink = [sl3_flat_chart(x, abs(x)) for x in xs]
     kink_rep = morse.morse_defect_report(kink, window=10.0, L=2.0, A=1.0)
     lengths = kink_rep.window_lengths
     defects = kink_rep.window_defects
@@ -163,7 +164,7 @@ def test_criterion_5_regularity_diagnostics():
     rng = np.random.default_rng(555)
     slopes = rng.uniform(0.3, np.sqrt(3.0) - 0.3, size=2 * m)
     ys = np.concatenate([[0.0], np.cumsum(slopes)])
-    graph = [ss.sl3_flat_chart(x, y) for x, y in zip(np.arange(2 * m + 1.0), ys)]
+    graph = [sl3_flat_chart(x, y) for x, y in zip(np.arange(2 * m + 1.0), ys)]
     graph_rep = morse.morse_defect_report(graph, window=10.0, L=2.5, A=0.5)
     assert graph_rep.window_defects.max() <= 1e-8
     assert graph_rep.qi_lower_margin > -1e-8

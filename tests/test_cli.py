@@ -291,6 +291,27 @@ def test_ragged_matrix_is_refused(capsys, argv):
     assert data["message"] == "matrix rows differ in length: [2, 3]"
 
 
+def test_seq_regularity_refuses_generators_of_two_sizes(capsys):
+    code, out = run(capsys, "seq", "regularity", "--gens",
+                    "[[[1,0],[0,2]],[[1,0,0],[0,1,0],[0,0,1]]]")
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "ValueError"
+    assert data["message"] == ("generators must be square matrices of one "
+                               "size, got shapes (2, 2), (3, 3)")
+
+
+def test_limits_sample_refuses_a_nan_margin(capsys):
+    code, out = run(capsys, "limits", "sample", "--gens",
+                    "[[[4,0,0],[0,1,0],[0,0,0.25]]]", "--max-len", "2",
+                    "--margin", "nan")
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "ValueError"
+    assert data["message"] == (
+        "margin_threshold must be a finite number, got nan")
+
+
 @pytest.mark.parametrize("argv,message", [
     (("thickenings", "check", "--type", "A2", "--members", '["x1"]'),
      "label 'x1' names no element of A2"),

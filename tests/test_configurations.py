@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import rotate
 from weylkit import configurations as cf
 from weylkit.configurations import (WeightedConfig, aggregate_masses,
                                     diagonal_thickening_check, is_semistable,
@@ -88,7 +89,7 @@ def test_rotation_invariance():
         if n >= 2 and rng.random() < 0.5:
             angles[1] = angles[0]
         z = _circle(angles.tolist(), rng.uniform(0.1, 3.0, size=n).tolist())
-        rotated = cf.rotate(z, float(rng.uniform(0, 6.28)))
+        rotated = rotate(z, float(rng.uniform(0, 6.28)))
         assert is_stable(z) == is_stable(rotated)
         assert is_semistable(z) == is_semistable(rotated)
 

@@ -14,12 +14,12 @@ import tracemalloc
 
 import pytest
 
+from helpers import subword_leq
 from test_canonical_order import GROUP_DIGESTS
 from weylkit import coxeter
 from weylkit.coxeter import (CoxeterType, build_group, bruhat_covers,
-                             bruhat_leq, longest_element, multiply,
-                             opposition_involution, poset_dot,
-                             subword_leq)
+                             bruhat_leq, multiply, opposition_involution,
+                             poset_dot)
 from weylkit.errors import GroupMismatch, GroupTooLarge, UnsupportedType
 
 ORDERS = {
@@ -184,17 +184,17 @@ def test_group_mismatch():
 # --- longest element --------------------------------------------------------
 
 def test_longest_element():
-    assert longest_element(build_group("A2")).length == 3
+    assert build_group("A2").w0.length == 3
     B2 = build_group("B2")
-    w0 = longest_element(B2)
+    w0 = B2.w0
     assert w0.length == 4
     assert w0 == B2.element_from_word([0, 1, 0, 1])  # (ab)^2
     A13 = build_group("A1^3")
-    assert longest_element(A13).length == 3
-    assert A13.sign_vector(longest_element(A13).index) == (-1, -1, -1)
+    assert A13.w0.length == 3
+    assert A13.sign_vector(A13.w0.index) == (-1, -1, -1)
     for t in ORDERS:
         W = build_group(t)
-        w0 = longest_element(W)
+        w0 = W.w0
         assert multiply(w0, w0) == W.identity
         assert len(W.reflections()) == w0.length
 

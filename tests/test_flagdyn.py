@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import iterate_flag, random_flag
 from test_thickenings import all_ideals
 from weylkit import flagdyn as fd
 from weylkit import morse
@@ -75,7 +76,7 @@ def test_flag_distance_resolves_small_angles():
     for n in (2, 3, 5):
         f = fd.Flag(np.eye(n)[:, rng.permutation(n)])
         assert fd.flag_distance(f, f) == 0.0
-        g = fd.random_flag(n, rng)
+        g = random_flag(n, rng)
         assert fd.flag_distance(g, g) < 1e-15
         for k in range(n - 1):
             for theta in (1e-12, 1e-9, 1e-6, 1e-2, 1.5):
@@ -96,8 +97,8 @@ def _arccos_distance(a, b):
 def test_flag_angles_stack_is_flag_distance():
     rng = _rng()
     for n in (2, 3, 4):
-        f = fd.random_flag(n, rng)
-        flags = [fd.random_flag(n, rng) for _ in range(50)]
+        f = random_flag(n, rng)
+        flags = [random_flag(n, rng) for _ in range(50)]
         stacked = fd.flag_angles(f, np.array([g.basis for g in flags]))
         assert stacked.tolist() == [fd.flag_distance(f, g) for g in flags]
         assert np.allclose(stacked, [_arccos_distance(f, g) for g in flags],
@@ -132,8 +133,8 @@ def test_position_shared_line_only():
 def test_position_inverse_identity():
     rng = _rng()
     for _ in range(30):
-        a = fd.random_flag(4, rng)
-        b = fd.random_flag(4, rng)
+        a = random_flag(4, rng)
+        b = random_flag(4, rng)
         wab = fd.relative_position(a, b).w
         wba = fd.relative_position(b, a).w
         assert wab.inverse() == wba
@@ -156,8 +157,8 @@ def test_float_position_matches_exact_oracle():
 def test_rank_matrix_invariants():
     rng = _rng()
     for _ in range(10):
-        a = fd.random_flag(4, rng)
-        b = fd.random_flag(4, rng)
+        a = random_flag(4, rng)
+        b = random_flag(4, rng)
         d = fd.relative_position(a, b).rank_matrix
         assert d[4][4] == 4
         assert np.all(np.diff(d, axis=0) >= 0)
@@ -239,8 +240,8 @@ def test_antipodal_examples():
 def test_random_pairs_generically_antipodal():
     rng = _rng()
     for _ in range(1000):
-        a = fd.random_flag(3, rng)
-        b = fd.random_flag(3, rng)
+        a = random_flag(3, rng)
+        b = random_flag(3, rng)
         assert fd.is_antipodal(a, b)
 
 
@@ -280,11 +281,11 @@ def test_dynamical_convergence_to_attracting_flag():
     g = np.diag([4.0, 1.0, 0.25])
     alpha = fd.attracting_flag(g)
     for _ in range(5):
-        f = fd.random_flag(3, rng)
+        f = random_flag(3, rng)
         d_prev = fd.flag_distance(f, alpha)
         moved = f
         for step in range(8):
-            moved = fd.iterate_flag(g, moved, 2)
+            moved = iterate_flag(g, moved, 2)
             d_now = fd.flag_distance(moved, alpha)
             assert d_now < d_prev
             d_prev = d_now
@@ -451,6 +452,14 @@ def test_ragged_generator_refused(call):
         call([[[1, 0], [0, 1, 2]]])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_limit_sample_refuses_a_threshold_that_cannot_be_compared(value):
+    # a NaN threshold failed every margin < threshold test and kept every word
+    with pytest.raises(ValueError, match=f"^margin_threshold must be a "
+                                         f"finite number, got {value}$"):
+        fd.limit_set_sample([np.diag([4.0, 1.0, 0.25])], 2, value)
+
+
 # --- limit set samples ----------------------------------------------------------------
 
 def test_limit_set_sample_cyclic():
@@ -560,32 +569,36 @@ def _standard_pair_sample():
     return fd.limit_set_sample([g1, g2], 5, 1.0)
 
 
-class _PairByPair:
-    """The reading that the stacked membership replaces: one
-    relative_position per sample flag, in sample order.  The positions of
-    a flag, refusals included, are read once and shared by every
-    thickening it is tested against."""
-
-    def __init__(self, f, sample):
-        self.f, self.sample, self.seen = f, sample, []
-
-    def _positions(self):
-        yield from self.seen
-        for lam in self.sample.flags[len(self.seen):]:
-            try:
-                w = fd.relative_position(self.f, lam).w
-            except AmbiguousRank as exc:
-                w = exc
-            self.seen.append(w)
-            yield w
-
-    def membership(self, thickening):
-        for w, lam in zip(self._positions(), self.sample.flags):
-            if isinstance(w, AmbiguousRank):
-                raise w
-            if w in thickening:
-                return True, lam
-        return False, None
+def _memberships_in_sample_order(flags, sample, thickening):
+    """The reading that the stacked membership replaces: each flag walks
+    the sample in order up to its first witness or refused position, as
+    relative_position reads it.  The flags still walking are read against
+    one sample flag lambda at a time, as one stack C = f^T lambda, where
+    thickening_membership stacks over the sample instead.  Returns the
+    outcome of each flag in the form of ``_outcome``."""
+    W = fd.position_group(3)
+    transposed = np.array([f.basis.T for f in flags])
+    outcomes = [(False, None)] * len(flags)
+    walking = np.arange(len(flags))
+    for lam in sample.flags:
+        ranks, _, first = fd._corner_ranks(transposed[walking] @ lam.basis,
+                                           fd.RANK_TOL)
+        w, _, late = fd._read_positions(ranks)
+        still = np.ones(len(walking), dtype=bool)
+        for r, (k, p, corner, jump) in enumerate(
+                zip(walking, w.tolist(), first, late)):
+            refusal = corner if corner is not None else jump
+            if refusal is not None:
+                outcomes[k] = ("AmbiguousRank", refusal)
+            elif W.element_from_one_line(p) in thickening:
+                outcomes[k] = (True, id(lam))
+            else:
+                continue
+            still[r] = False
+        walking = walking[still]
+        if not walking.size:
+            break
+    return outcomes
 
 
 def _outcome(call):
@@ -600,14 +613,14 @@ def test_membership_matches_pair_by_pair():
     sample = _standard_pair_sample()
     assert len(sample) == 448
     rng = np.random.default_rng(20)
-    flags = sample.flags + [fd.random_flag(3, rng) for _ in range(20)]
-    readers = [_PairByPair(f, sample) for f in flags]
+    flags = sample.flags + [random_flag(3, rng) for _ in range(20)]
     outcomes = set()
     for thickening in th.enumerate_balanced(build_group("A2")):
-        for f, reader in zip(flags, readers):
+        want = _memberships_in_sample_order(flags, sample, thickening)
+        for f, expected in zip(flags, want):
             got = _outcome(lambda: fd.thickening_membership(f, sample,
                                                             thickening))
-            assert got == _outcome(lambda: reader.membership(thickening))
+            assert got == expected
             outcomes.add(got[0])
         assert fd.thickening_membership(
             flags[0], fd.FlagSample([], [], []), thickening) == (False, None)
@@ -701,7 +714,7 @@ def test_slim_disjointness():
     sigma_hat = fd.opposite_flag(3)
     rng = _rng()
     for k in range(300):
-        f = fd.random_flag(3, rng)
+        f = random_flag(3, rng)
         in_a = fd.relative_position(f, sigma).w in balanced
         in_b = fd.relative_position(f, sigma_hat).w in balanced
         assert not (in_a and in_b)
@@ -742,8 +755,8 @@ def test_key_lemma_inequality_on_cyclic_example():
     limits = [lam_plus, lam_minus]
     rng = _rng()
     for _ in range(20):
-        xi = fd.random_flag(3, rng)
-        moved = fd.iterate_flag(g, xi, 30)
+        xi = random_flag(3, rng)
+        moved = iterate_flag(g, xi, 30)
         found = False
         for lam in limits:
             for lam_p in limits:
@@ -763,7 +776,7 @@ def test_expansion_identity_and_orthogonal():
     rng = _rng()
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     g = q * np.sign(np.linalg.det(q))
-    fr = fd.random_flag(3, rng)
+    fr = random_flag(3, rng)
     assert abs(fd.expansion_factor(g, fr) - 1.0) < 1e-6
 
 
@@ -813,7 +826,7 @@ def test_expansion_matches_central_difference_oracle():
     for t in range(200):
         n = 2 + t % 5
         g = rng.standard_normal((n, n))
-        flag = fd.random_flag(n, rng)
+        flag = random_flag(n, rng)
         want = _fd_expansion(g, flag)
         assert abs(fd.expansion_factor(g, flag) - want) <= 1e-6 * want
 
@@ -909,7 +922,7 @@ def test_key_lemma_sharp_instance():
     lam_minus = fd.repelling_flag(g)
     basis = np.array([[0.0, 0.0, 1.0], [0.3, 1.0, 0.0], [1.0, 0.2, 0.1]]).T
     xi = fd.flag_from_basis(basis)
-    moved = fd.iterate_flag(g, xi, 40)
+    moved = iterate_flag(g, xi, 40)
     lhs = fd.relative_position(moved, lam_plus).w
     rhs = fd.complementary_position(fd.relative_position(xi, lam_minus).w)
     assert lhs.label() == "231"

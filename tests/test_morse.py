@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mp_oracle
+from helpers import sl3_flat_chart
 from weylkit import flagdyn, morse
 from weylkit import symspace as ss
 from weylkit.errors import (DegenerateSegment, NotAntipodalGenerators,
@@ -398,7 +399,7 @@ def test_defect_report_geodesic_samples():
 
 
 def _graph_path(f, xs):
-    return [ss.sl3_flat_chart(x, f(x)) for x in xs]
+    return [sl3_flat_chart(x, f(x)) for x in xs]
 
 
 def test_bounded_slope_graph_is_uniform_quasigeodesic():
@@ -408,7 +409,7 @@ def test_bounded_slope_graph_is_uniform_quasigeodesic():
     slopes = rng.uniform(0.3, np.sqrt(3.0) - 0.3, size=40)
     xs = np.arange(41.0)
     ys = np.concatenate([[0.0], np.cumsum(slopes)])
-    pts = [ss.sl3_flat_chart(x, y) for x, y in zip(xs, ys)]
+    pts = [sl3_flat_chart(x, y) for x, y in zip(xs, ys)]
     rep = morse_defect_report(pts, window=5.0, L=2.5, A=0.5)
     assert rep.window_defects.max() < 1e-9
     assert rep.qi_lower_margin > -1e-9
@@ -433,7 +434,7 @@ def test_defect_report_segment_regular_flags():
     rep = morse_defect_report(pts, cone=cone, window=2.0)
     assert rep.segment_regular is not None
     assert all(rep.segment_regular)  # each unit segment has slope 1: interior
-    wall_pts = [ss.sl3_flat_chart(x, 0.0) for x in range(4)]
+    wall_pts = [sl3_flat_chart(x, 0.0) for x in range(4)]
     rep2 = morse_defect_report(wall_pts, cone=cone, window=2.0)
     assert not any(rep2.segment_regular)
 
@@ -486,7 +487,7 @@ def _criterion_5_paths():
     rng = np.random.default_rng(555)
     slopes = rng.uniform(0.3, np.sqrt(3.0) - 0.3, size=2 * m)
     ys = np.concatenate([[0.0], np.cumsum(slopes)])
-    graph = [ss.sl3_flat_chart(x, y) for x, y in zip(np.arange(2 * m + 1.0), ys)]
+    graph = [sl3_flat_chart(x, y) for x, y in zip(np.arange(2 * m + 1.0), ys)]
     return {"kink": (kink, 2.0, 1.0), "graph": (graph, 2.5, 0.5)}
 
 

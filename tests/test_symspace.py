@@ -5,9 +5,12 @@ integration of path length in the trace-form metric, and the Finsler
 metric laws are sampled over random triples.
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from helpers import chamber_ray_point, dual_cone_defect
 from weylkit import symspace as ss
 from weylkit.errors import (DegenerateSegment, NonRegularDirection,
                             NotPositiveDefinite, SingularInput)
@@ -270,7 +273,7 @@ def test_dual_cone_triangle_inequality():
         x = _random_point(rng)
         y = _random_point(rng)
         z = _random_point(rng)
-        assert ss.dual_cone_defect(x, y, z) < 1e-9
+        assert dual_cone_defect(x, y, z) < 1e-9
 
 
 # --- Riemannian distance ----------------------------------------------------------
@@ -420,7 +423,7 @@ def test_horofunction_on_ray_value():
     direction = np.array([1.0, 0.0, -1.0])
     phi = ss.FinslerFunctional.default(3)
     s = 0.7
-    x = ss.chamber_ray_point(o, direction, s)
+    x = chamber_ray_point(o, direction, s)
     assert np.allclose(ss.delta_distance(o, x), s * direction, atol=1e-12)
     est = ss.horofunction_estimate(o, direction, x, [5, 10, 20, 40])
     assert est.converged
@@ -486,7 +489,7 @@ def test_graded_distance_matches_plain_path():
         x = _random_point(rng)
         direction = np.array([1.3, 0.1, -1.4])
         t = 2.0
-        pt = ss.chamber_ray_point(p, direction, t)
+        pt = chamber_ray_point(p, direction, t)
         direct = ss.finsler_distance(x, pt, phi) - ss.finsler_distance(
             ss.origin(3), pt, phi)
         est = ss.horofunction_estimate(p, direction, x, [t], phi)
@@ -531,9 +534,12 @@ def test_parameters_that_cannot_be_compared_are_refused(value):
         ss.sequence_regularity(gs, threshold=value)
 
 
-def test_cone_constraints_must_be_involution_closed():
-    with pytest.raises(ValueError):
-        ss.RegularityCone(0.1, constraints=((1.0, 0.0, 0.0),))
-    sym = ss.RegularityCone(0.1, constraints=((1.0, 0.0, 0.0),
-                                              (0.0, 0.0, -1.0)))
-    assert sym.contains(np.array([1.0, 0.0, -1.0]))
+@pytest.mark.parametrize("gs,message", [
+    ([np.eye(2), np.eye(3)], "generators must be square matrices of one "
+                             "size, got shapes (2, 2), (3, 3)"),
+    ([np.eye(2), [[1.0, 0.0], [0.0, 1.0, 2.0]]],
+     "matrix rows differ in length: [2, 3]"),
+], ids=["two-sizes", "ragged"])
+def test_sequence_regularity_refuses_bad_generators(gs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ss.sequence_regularity(gs)
