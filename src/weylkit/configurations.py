@@ -97,10 +97,9 @@ def default_tol(config):
     return Fraction(0) if config.exact() else FLOAT_TOL
 
 
-def aggregate_masses(config, tol=None):
+def aggregate_masses(config):
     """Cluster coinciding points; masses are the summed member weights."""
-    if tol is None:
-        tol = default_tol(config)
+    tol = default_tol(config)
     n = config.n
     parent = list(range(n))
 
@@ -115,41 +114,35 @@ def aggregate_masses(config, tol=None):
             if _coincide(config.points[i], config.points[j], config.sphere,
                          tol):
                 parent[find(i)] = find(j)
-    clusters = {}
+    clusters = {}  # in order of their first members, each one ascending
     for i in range(n):
         clusters.setdefault(find(i), []).append(i)
-    out = []
-    for members in clusters.values():
-        out.append((config.points[min(members)],
-                    _mass([config.weights[m] for m in members]),
-                    tuple(sorted(members))))
-    out.sort(key=lambda c: c[2])
-    return out
+    return [(config.points[m[0]], _mass([config.weights[i] for i in m]),
+             tuple(m)) for m in clusters.values()]
 
 
-def is_stable(config, tol=None):
+def is_stable(config):
     """No location carries mass >= half of the total."""
     total = config.total_mass
-    return all(2 * mass < total for _, mass, _ in aggregate_masses(config, tol))
+    return all(2 * mass < total for _, mass, _ in aggregate_masses(config))
 
 
-def is_semistable(config, tol=None):
+def is_semistable(config):
     """No location carries mass > half of the total."""
     total = config.total_mass
-    return all(2 * mass <= total for _, mass, _ in aggregate_masses(config, tol))
+    return all(2 * mass <= total for _, mass, _ in aggregate_masses(config))
 
 
-def relpos_config(z, zp, tol=None):
+def relpos_config(z, zp):
     """Sign vector of the relative position: +1 where the entries agree."""
     if z.n != zp.n or z.sphere != zp.sphere:
         raise ValueError("configurations must have the same shape")
-    if tol is None:
-        tol = max(default_tol(z), default_tol(zp))
+    tol = max(default_tol(z), default_tol(zp))
     return tuple(1 if _coincide(a, b, z.sphere, tol) else -1
                  for a, b in zip(z.points, zp.points))
 
 
-def diagonal_thickening_check(z, weights=None, strict=True, tol=None):
+def diagonal_thickening_check(z, strict=True):
     """Does the configuration lie in the (strict or nonstrict) half-space
     thickening of the diagonal?
 
@@ -161,15 +154,13 @@ def diagonal_thickening_check(z, weights=None, strict=True, tol=None):
     """
     if z.sphere:
         raise ValueError("the cross-check is defined for circle configurations")
-    weights = z.weights if weights is None else tuple(weights)
-    cfg = WeightedConfig(z.points, weights, sphere=False)
-    tol = default_tol(cfg) if tol is None else tol
-    clusters = aggregate_masses(cfg, tol)
-    total = cfg.total_mass
+    tol = default_tol(z)
+    clusters = aggregate_masses(z)
+    total = z.total_mass
     backend_measure = any(2 * mass > total if strict else 2 * mass >= total
                           for _, mass, _ in clusters)
 
-    strict_th, nonstrict_th = thickenings.metric_thickening(weights)
+    strict_th, nonstrict_th = thickenings.metric_thickening(z.weights)
     th = strict_th if strict else nonstrict_th
     backend_thickening = False
     for rep, _, _ in clusters:
@@ -177,7 +168,7 @@ def diagonal_thickening_check(z, weights=None, strict=True, tol=None):
         if not 0 <= float(rep) < TWO_PI:
             raise ValueError("angles must lie in [0, 2 pi)")
         eps = tuple(1 if _coincide(p, rep, False, tol) else -1
-                    for p in cfg.points)
+                    for p in z.points)
         if th.group.element_from_signs(eps) in th:
             backend_thickening = True
             break

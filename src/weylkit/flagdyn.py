@@ -505,16 +505,15 @@ def _near_identity(mats, epsilon):
 
 
 def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
-                                comm_tol=1e-6, max_words=3_000_000,
-                                max_tuples=5000):
+                                max_words=3_000_000):
     """Search for a violation of the nilpotence dichotomy in a small
     identity neighborhood.
 
     Enumerates reduced words of length up to ``max_len``; if it finds
     elements within ``epsilon`` of the identity (spectral norm) whose
-    n-fold iterated commutator is not the identity, those words
-    certify that the generated subgroup is not discrete.  Returning no
-    certificate is inconclusive (semi-decision truncated by budget).
+    n-fold iterated commutator is more than 1e-6 from the identity, those
+    words certify that the generated subgroup is not discrete.  No
+    certificate is inconclusive (budget: ``max_words``, 5000 tuples).
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -552,10 +551,10 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
                 cm = cm @ mk @ np.linalg.inv(cm) @ np.linalg.inv(mk)
                 chain.append((lk, rk))
             tried += 1
-            if tried > max_tuples:
+            if tried > 5000:
                 return NondiscretenessResult(None, searched, True)
             norm = float(np.linalg.svd(cm - ident, compute_uv=False).max())
-            if norm > comm_tol:
+            if norm > 1e-6:
                 cert = NondiscretenessCertificate(
                     [_word_label(word_of(levels[:l], r)) for l, r in chain],
                     norm)

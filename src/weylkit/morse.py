@@ -39,6 +39,7 @@ class ZetaType:
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=float)
+        symspace.check_finite(**{"type vector": v})
         if abs(v.sum()) > 1e-10:
             raise ValueError("type vector must be traceless")
         if np.min(v[:-1] - v[1:]) <= 0:
@@ -58,11 +59,11 @@ class ZetaType:
         return np.asarray(self.vector, dtype=float)
 
 
-def _frame(frames, vectors, tol=GAP_TOL):
+def _frame(frames, vectors):
     """Chamber frame of a segment, refused when it is degenerate or lies
     on a wall."""
     gaps = vectors[:-1] - vectors[1:]
-    if np.linalg.norm(vectors) < tol or gaps.min() < tol:
+    if np.linalg.norm(vectors) < GAP_TOL or gaps.min() < GAP_TOL:
         raise TieError("segment is degenerate or lies on a wall")
     return frames
 
@@ -125,9 +126,9 @@ def finsler_betweenness_defect(x, y, z, phi=None):
             - finsler_distance(x, y, phi))
 
 
-def diamond_membership(x, y, z, phi=None, tol=1e-8):
-    """Is z on some Finsler geodesic from x to y?"""
-    return finsler_betweenness_defect(x, y, z, phi) <= tol
+def diamond_membership(x, y, z, phi=None):
+    """Is z on some Finsler geodesic from x to y (defect at most 1e-8)?"""
+    return finsler_betweenness_defect(x, y, z, phi) <= 1e-8
 
 
 @dataclass

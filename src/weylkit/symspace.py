@@ -14,7 +14,6 @@ conditioning.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +70,16 @@ class SymPoint:
 
 
 def check_finite(**params):
-    """ValueError naming the first parameter that is NaN or infinite:
-    every comparison with NaN is false, so such a bound passes any test."""
+    """ValueError naming the first parameter that is NaN or infinite, or
+    holds such an entry: every comparison with NaN is false, so such a
+    value passes any test."""
     for name, value in params.items():
-        if not math.isfinite(value):
+        bad = np.asarray(value, dtype=float)
+        bad = bad[~np.isfinite(bad)]
+        if bad.size and np.ndim(value) == 0:
             raise ValueError(f"{name} must be a finite number, got {value}")
+        if bad.size:
+            raise ValueError(f"{name} entries must be finite, got {bad[0]}")
 
 
 def origin(n):
@@ -99,15 +103,17 @@ def unimodular(g):
 
 
 def _float_matrix(data):
-    """``data`` as a float array; a ValueError that names the row lengths
-    when its rows differ in length."""
+    """``data`` as a float array; a ValueError naming the row lengths when
+    they differ, or the first entry that is NaN or infinite."""
     try:
-        return np.asarray(data, dtype=float)
+        m = np.asarray(data, dtype=float)
     except ValueError:
         lengths = [len(row) for row in data]
         if len(set(lengths)) < 2:
             raise
         raise ValueError(f"matrix rows differ in length: {lengths}") from None
+    check_finite(matrix=m)
+    return m
 
 
 def _square_generators(generators):
@@ -148,12 +154,12 @@ def flat_point(y):
     return SymPoint(np.diag(np.exp(y)))
 
 
-def cartan(g, cond_cap=1e12):
+def cartan(g):
     """Singular value decomposition g = U diag(mu) V^T with descending
     mu of product one and a deterministic sign convention (first entry
     of each column of U above 1e-12 is positive)."""
     u, mu, vt = np.linalg.svd(unimodular(g))
-    if mu[-1] <= 0 or mu[0] / mu[-1] > cond_cap:
+    if mu[-1] <= 0 or mu[0] / mu[-1] > 1e12:
         raise SingularInput("matrix too ill-conditioned for a Cartan split")
     signs = column_signs(u)
     return u * signs, mu, vt.T * signs
@@ -199,6 +205,7 @@ class FinslerFunctional:
 
     def __init__(self, c):
         c = np.asarray(c, dtype=float)
+        check_finite(coefficient=c)
         if np.max(np.abs(c + c[::-1])) > 1e-12:
             raise ValueError("coefficients must be antisymmetric (iota-invariant)")
         if np.min(c[:-1] - c[1:]) <= 0:
@@ -257,13 +264,12 @@ class RegularityCone:
 
     def contains(self, v):
         v = np.asarray(v, dtype=float)
+        check_finite(**{"chamber vector": v})
         nv = np.linalg.norm(v)
         if nv == 0:
             return False
         u = v / nv
-        if np.min(u[:-1] - u[1:]) < self.lower_margin:
-            return False
-        return True
+        return bool(np.min(u[:-1] - u[1:]) >= self.lower_margin)
 
 
 @dataclass
@@ -319,8 +325,7 @@ class HorofunctionEstimate:
     value: float
 
 
-def horofunction_estimate(p, direction, x, t_list, phi=None, offset=None,
-                          conv_tol=1e-6):
+def horofunction_estimate(p, direction, x, t_list, phi=None, offset=None):
     """Normalized Finsler distance differences along a chamber ray.
 
     Evaluates phi-distance(x, p_t) - phi-distance(o, p_t) for the ray
@@ -330,12 +335,13 @@ def horofunction_estimate(p, direction, x, t_list, phi=None, offset=None,
     same sector, which must not change the limit.
     """
     direction = np.asarray(direction, dtype=float)
+    off = np.zeros(p.n) if offset is None else np.asarray(offset, dtype=float)
+    check_finite(direction=direction, t_list=t_list, offset=off)
     direction = direction - direction.mean()
     if np.min(direction[:-1] - direction[1:]) <= 0:
         raise NonRegularDirection("direction must have strictly positive gaps")
     if phi is None:
         phi = FinslerFunctional.default(p.n)
-    off = np.zeros(p.n) if offset is None else np.asarray(offset, dtype=float)
     off = off - off.mean()
     # dx, do: chamber vectors of m e^h, m = chol(x^-1)^T p^1/2 and p^1/2,
     # read graded because the spread of h can exceed float conditioning
@@ -348,6 +354,6 @@ def horofunction_estimate(p, direction, x, t_list, phi=None, offset=None,
         _, do = graded.Graded(np.eye(p.n), h, rp.T).chamber()
         estimates.append(phi(dx) - phi(do))
     diffs = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
-    converged = bool(diffs) and diffs[-1] < conv_tol and \
-        all(d2 <= d1 + conv_tol for d1, d2 in zip(diffs, diffs[1:]))
+    converged = bool(diffs) and diffs[-1] < 1e-6 and \
+        all(d2 <= d1 + 1e-6 for d1, d2 in zip(diffs, diffs[1:]))
     return HorofunctionEstimate(list(t_list), estimates, converged, estimates[-1])

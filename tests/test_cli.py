@@ -5,11 +5,13 @@ import builtins
 import hashlib
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from weylkit import flagdyn
 from weylkit.cli import build_parser, main, render_json
 
 
@@ -645,3 +647,69 @@ def test_parser_structure_pinned():
     assert len(shape) == 2 + 12 + 22  # 12 commands, 22 verbs
     text = json.dumps(shape, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PARSER_DIGEST
+
+
+@pytest.mark.parametrize("argv", [
+    ("limits", "sample", "--gens", "[[[NaN,0],[0,1]]]", "--max-len", "2"),
+    ("flags", "position", "--a", "[[NaN,0],[0,1]]", "--b", "[[1,0],[0,1]]"),
+    ("expand", "factor", "--gen", "[[NaN,0],[0,1]]", "--flag",
+     "[[1,0],[0,1]]"),
+], ids=["limits-sample", "flags-position", "expand-factor"])
+def test_matrix_entries_that_are_not_finite_are_refused(capsys, argv):
+    # refused before numpy, which would warn and not converge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, *argv)
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "ValueError"
+    assert data["message"] == "matrix entries must be finite, got nan"
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--direction", "nan,0", "direction entries must be finite, got nan"),
+    ("--direction", "inf,0", "direction entries must be finite, got inf"),
+    ("--t", "5,nan", "t_list entries must be finite, got nan"),
+], ids=["direction-nan", "direction-inf", "t-nan"])
+def test_horo_estimate_refuses_entries_that_are_not_finite(capsys, option,
+                                                           value, message):
+    # a NaN ray would otherwise be printed as a NaN estimate
+    argv = {"--p": "[[1,0],[0,1]]", "--x": "[[2,0],[0,0.5]]",
+            "--direction": "1,0", option: value}
+    code, out = run(capsys, "horo", "estimate",
+                    *[part for item in argv.items() for part in item])
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "ValueError" and data["message"] == message
+
+
+def test_discreteness_probe_prints_a_certificate(capsys):
+    def rotation(c, s, axes):
+        g = np.eye(3)
+        g[np.ix_(axes, axes)] = [[c, -s], [s, c]]
+        return g
+
+    gens = [rotation(np.cos(2.4), np.sin(2.4), [0, 1]),
+            rotation(np.cos(1.7), np.sin(1.7), [1, 2])]
+    want = flagdyn.nondiscreteness_certificate(gens, epsilon=0.1, max_len=8)
+    assert want.found
+    code, out = run(capsys, "discreteness", "probe", "--gens",
+                    json.dumps([g.tolist() for g in gens]),
+                    "--epsilon", "0.1", "--max-len", "8")
+    assert code == 0
+    data = json.loads(out)
+    assert data["nondiscrete_certificate"] == {
+        "words": want.certificate.words,
+        "commutator_norm": want.certificate.commutator_norm}
+    assert data["words_searched"] == want.words_searched
+
+
+def test_a_bare_path_reads_its_json_file(capsys, tmp_path):
+    gens = [np.diag([4.0, 1.0, 0.25]).tolist()]
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(gens))
+    code, bare = run(capsys, "limits", "sample", "--gens", str(path),
+                     "--max-len", "2")
+    assert code == 0
+    assert bare == run(capsys, "limits", "sample", "--gens", json.dumps(gens),
+                       "--max-len", "2")[1]

@@ -40,16 +40,20 @@ def test_aggregate_coincident_points():
 
 
 def test_aggregate_with_float_tolerance():
+    # 1e-9 apart sits exactly on the FLOAT_TOL boundary, which coincides
     z = _circle([0.0, 1e-9, np.pi], [1.0, 1.0, 2.0])
-    masses = aggregate_masses(z, tol=1e-6)
+    masses = aggregate_masses(z)
     got = sorted(m for _, m, _ in masses)
     assert got == [2.0, 2.0]
     assert abs(sum(m for _, m, _ in masses) - 4.0) < 1e-12
+    # 2e-9 apart is past FLOAT_TOL: the points stay separate
+    z = _circle([1.0, 1.0 + 2e-9], [1.0, 1.0])
+    assert [members for _, _, members in aggregate_masses(z)] == [(0,), (1,)]
 
 
 def test_aggregate_wraparound():
     z = _circle([0.0, TAU - 1e-10], [1.0, 1.0])
-    assert len(aggregate_masses(z, tol=1e-6)) == 1
+    assert len(aggregate_masses(z)) == 1
 
 
 # --- stability ---------------------------------------------------------------------
@@ -279,8 +283,28 @@ def test_weights_that_are_not_positive_and_finite_are_refused(weight):
         WeightedConfig.circle([0.5, 1.0], [1, weight])
     with pytest.raises(ValueError, match="weights must be positive and finite"):
         WeightedConfig.on_sphere([[1.0, 0, 0], [0, 1.0, 0]], [1.0, weight])
-    z = WeightedConfig.circle([0.5, 1.0], [1, 2])
-    with pytest.raises(ValueError, match="weights must be positive and finite"):
-        cf.diagonal_thickening_check(z, weights=[1, weight])
     with pytest.raises(ValueError, match="weights must be positive and finite"):
         wall_chamber_report([1, weight])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: WeightedConfig((0.5,), (1, 2)),
+                 "need matching nonempty points and weights", id="unmatched"),
+    pytest.param(lambda: _circle([7.0], [1]), "angles must lie in [0, 2 pi)",
+                 id="angle-past-2pi"),
+    pytest.param(lambda: WeightedConfig.on_sphere([[2.0, 0.0, 0.0]], [1.0]),
+                 "sphere points must be unit vectors", id="not-unit"),
+    pytest.param(lambda: relpos_config(_circle([0.5], [1]),
+                                       _circle([0.5, 1.0], [1, 1])),
+                 "configurations must have the same shape", id="relpos-shape"),
+    pytest.param(lambda: cf.diagonal_thickening_check(
+        WeightedConfig.on_sphere([[1.0, 0.0, 0.0]], [1.0])),
+        "the cross-check is defined for circle configurations",
+        id="cross-check-on-sphere"),
+    pytest.param(lambda: wall_chamber_report([1] * 23),
+                 "wall scan capped at 22 weights", id="23-walls"),
+])
+def test_refusals_name_their_condition(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -579,3 +579,29 @@ def test_sign_vectors_of_the_wrong_length_are_refused(signs):
     assert str(exc.value) == message
     with pytest.raises(ValueError):
         W.element_from_label(signs)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: build_group("A2^0"), UnsupportedType, "empty type",
+                 id="A2^0"),
+    pytest.param(lambda: build_group("G3"), UnsupportedType,
+                 "only G2 is supported", id="G3"),
+    pytest.param(lambda: build_group("F2"), UnsupportedType,
+                 "only F4 is supported", id="F2"),
+    pytest.param(lambda: build_group("D1"), UnsupportedType,
+                 "D requires rank >= 2", id="D1"),
+    pytest.param(lambda: build_group("B1"), UnsupportedType,
+                 "B requires rank >= 2 (B1 = A1)", id="B1"),
+    pytest.param(lambda: build_group("A2").element_from_signs((1, -1)),
+                 GroupMismatch, "sign vectors only exist for A1 powers",
+                 id="signs-of-A2"),
+    pytest.param(lambda: build_group("B2").one_line(0), GroupMismatch,
+                 "one-line form only exists for type A", id="one-line-of-B2"),
+    pytest.param(lambda: build_group("A7").leq_masks(), GroupTooLarge,
+                 f"order matrix capped at {coxeter.ORDER_MATRIX_CAP} elements",
+                 id="leq-masks-of-A7"),
+])
+def test_refusals_name_their_condition(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -7,6 +7,7 @@ domain-of-discontinuity machinery.
 """
 
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -450,6 +451,21 @@ def test_ragged_generator_refused(call):
     with pytest.raises(ValueError,
                        match=r"^matrix rows differ in length: \[2, 3\]$"):
         call([[[1, 0], [0, 1, 2]]])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    fd.stack_letters,
+    lambda gens: fd.limit_set_sample(gens, 2, 1.0),
+    lambda gens: fd.nondiscreteness_certificate(gens, max_len=2),
+], ids=["stack_letters", "limit_set_sample", "probe"])
+def test_generator_entries_that_are_not_finite_refused(call, value):
+    # refused before numpy's SVD, which would warn and not converge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            call([np.eye(2), [[value, 0.0], [0.0, 1.0]]])
+    assert str(exc.value) == f"matrix entries must be finite, got {value}"
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -928,3 +944,21 @@ def test_key_lemma_sharp_instance():
     assert lhs.label() == "231"
     assert rhs.label() == "231"
     assert bruhat_leq(lhs, rhs)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: fd.flag_from_basis([[1, 0]]), NearSingular,
+                 "basis must be square", id="basis-not-square"),
+    pytest.param(lambda: fd.Flag([[1, 1], [0, 1]]), NearSingular,
+                 "flag basis is not orthonormal", id="flag-not-orthonormal"),
+    pytest.param(lambda: fd.attracting_flag([[2, 1e12], [0, 2.0000001]]),
+                 NotRegular, "eigenbasis is degenerate",
+                 id="degenerate-eigenbasis"),
+    pytest.param(lambda: fd.limit_set_sample([[[1, 0], [0, 0]]], 2, 1.0),
+                 NearSingular, "generator is singular",
+                 id="singular-generator"),
+])
+def test_refusals_name_their_condition(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -58,6 +58,11 @@ def test_zeta_validation():
         ZetaType((0.9, 0.1, -1.0))  # not duality-symmetric
     with pytest.raises(ValueError):
         ZetaType((2.0, 0.0, -2.0))  # not unit norm
+    # every check compares with NaN, so (nan, 0, nan) would pass them all
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^type vector entries must be "
+                                             f"finite, got {bad}$"):
+            ZetaType((bad, 0.0, -bad))
 
 
 def test_zeta_direction_model_case():
@@ -350,7 +355,11 @@ def test_orbit_growth_is_the_orbit_distance():
 @pytest.mark.parametrize("gens,message", [
     ([np.eye(3), np.eye(2)], "got shapes (3, 3), (2, 2)"),
     ([[[1.0, 0.0], [0.0, 1.0, 2.0]]], "matrix rows differ in length: [2, 3]"),
-], ids=["two-sizes", "ragged"])
+    ([np.eye(3), np.diag([1.0, np.nan, 1.0])],
+     "matrix entries must be finite, got nan"),
+    ([np.eye(3), np.diag([1.0, -np.inf, 1.0])],
+     "matrix entries must be finite, got -inf"),
+], ids=["two-sizes", "ragged", "nan", "-inf"])
 def test_certificates_refuse_bad_generators(gens, message):
     for call in (lambda: schottky_certificate(gens, 4),
                  lambda: morse.orbit_growth(gens, 1, 2)):
@@ -599,3 +608,30 @@ def test_orbit_internals_match_point_computations():
         ang2 = morse._frame_angle(ahead[b, c], to_b[b], zeta)
         b_pt = ss.point_from_group(B)
         assert abs(ang2 - zeta_angle(mb_pt, mc_pt, b_pt, zeta)) < 1e-9
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: straightness_check([ss.origin(3)],
+                                            ss.RegularityCone(0.05)),
+                 ValueError, "need at least two points",
+                 id="straightness-one-point"),
+    pytest.param(lambda: morse_defect_report([ss.origin(3)]), ValueError,
+                 "need at least two points", id="defect-one-point"),
+    pytest.param(lambda: schottky_certificate([], 6), ValueError,
+                 "need at least one generator", id="schottky-no-generators"),
+    pytest.param(lambda: schottky_certificate([np.diag([4.0, 1.0, 0.25])] * 2,
+                                              6),
+                 NotAntipodalGenerators,
+                 "axis flags 0 and 2 are not antipodal",
+                 id="axes-not-antipodal"),
+])
+def test_refusals_name_their_condition(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_threshold_search_without_a_passing_power_returns_none():
+    gens = [np.diag([1.2, 1.0, 1 / 1.2])]
+    assert not schottky_certificate(gens, 2).passed
+    assert morse.find_schottky_threshold(gens, max_power=2) is None

@@ -348,7 +348,7 @@ def _regularity_oracle(gs, cone):
     chamber vectors rebuilt from those margins."""
     margins = []
     for g in gs:
-        _, mu, _ = ss.cartan(g, cond_cap=np.inf)
+        _, mu, _ = np.linalg.svd(ss.unimodular(g))
         lo = np.log(mu)
         margins.append(lo[:-1] - lo[1:])
     flags = []
@@ -539,7 +539,63 @@ def test_parameters_that_cannot_be_compared_are_refused(value):
                              "size, got shapes (2, 2), (3, 3)"),
     ([np.eye(2), [[1.0, 0.0], [0.0, 1.0, 2.0]]],
      "matrix rows differ in length: [2, 3]"),
-], ids=["two-sizes", "ragged"])
+    ([np.eye(3), np.diag([np.nan] * 3)],
+     "matrix entries must be finite, got nan"),
+    ([np.eye(3), np.diag([np.inf, 1.0, 1.0])],
+     "matrix entries must be finite, got inf"),
+], ids=["two-sizes", "ragged", "nan", "inf"])
 def test_sequence_regularity_refuses_bad_generators(gs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ss.sequence_regularity(gs)
+
+
+@pytest.mark.parametrize("vector", [[np.nan] * 3, [np.inf, 0.0, -np.inf]],
+                         ids=["nan", "inf"])
+def test_vectors_that_are_not_finite_are_refused(vector):
+    # every comparison with NaN is false, so the checks of the cone and of
+    # the functional would pass both vectors
+    bad = vector[0]
+    with pytest.raises(ValueError) as exc:
+        ss.RegularityCone(0.1).contains(vector)
+    assert str(exc.value) == \
+        f"chamber vector entries must be finite, got {bad}"
+    with pytest.raises(ValueError) as exc:
+        ss.FinslerFunctional(vector)
+    assert str(exc.value) == f"coefficient entries must be finite, got {bad}"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, kwargs", [
+    ("direction", lambda v: {"direction": [1.0, v, -1.0]}),
+    ("t_list", lambda v: {"t_list": [5, v]}),
+    ("offset", lambda v: {"offset": [0.0, v, 0.0]}),
+], ids=["direction", "t_list", "offset"])
+def test_horofunction_refuses_entries_that_are_not_finite(name, kwargs, value):
+    # a NaN direction or ray parameter would give a NaN estimate
+    o = ss.origin(3)
+    args = {"direction": [1.0, 0.0, -1.0], "t_list": [5, 10], **kwargs(value)}
+    with pytest.raises(ValueError) as exc:
+        ss.horofunction_estimate(o, x=o, **args)
+    assert str(exc.value) == f"{name} entries must be finite, got {value}"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: ss.SymPoint([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                 NotPositiveDefinite, "point must be a square matrix",
+                 id="point-not-square"),
+    pytest.param(lambda: ss.cartan(np.diag([1e7, 1.0, 1e-7])), SingularInput,
+                 "matrix too ill-conditioned for a Cartan split",
+                 id="cartan-condition"),
+    pytest.param(lambda: ss.FinslerFunctional([1.0, 0.0, 0.0]), ValueError,
+                 "coefficients must be antisymmetric (iota-invariant)",
+                 id="finsler-not-antisymmetric"),
+    pytest.param(lambda: ss.FinslerFunctional([-1.0, 0.0, 1.0]), ValueError,
+                 "coefficients must be strictly decreasing",
+                 id="finsler-not-decreasing"),
+    pytest.param(lambda: ss.sequence_regularity([np.eye(2)]), ValueError,
+                 "need at least two matrices", id="one-matrix"),
+])
+def test_refusals_name_their_condition(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -519,3 +519,16 @@ def test_a2_slim_and_fat_classification():
     r1 = W.element_from_label("231")
     r2 = W.element_from_label("312")
     assert fat4 == {down_closure(W, [r1]).mask, down_closure(W, [r2]).mask}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: th.weight_is_balanced([1] * 31), ValueError,
+                 "weight vectors capped at length 30", id="31-weights"),
+    pytest.param(lambda: th.metric_thickening([]), WrongGroupType,
+                 "metric thickenings require W = A1^n, n >= 1",
+                 id="no-weights"),
+])
+def test_refusals_name_their_condition(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -13,7 +13,9 @@ traced run times one round of every workload, so the per-layer metrics
 are summarised the same way over all traced pairs, whatever their
 workload; a change wins a pair when it moves the metric in the direction
 that ``BENCHMARK.json`` calls better.  The output also records the line
-count of ``src/`` on both sides, in total and per module, and the Python
+count of ``src/`` on both sides, in total and per module, the number of
+function parameters with a default in ``src/`` on both sides (positional
+and keyword-only ones: every value a caller can set), and the Python
 and numpy versions and CPU count of the machine that runs it.  PARENT_LOG
 and CHANGE_LOG hold the output of the Tier-1 suite run with
 ``--durations=5`` on each side; the output gives the suite's wall time
@@ -21,6 +23,7 @@ and its five slowest test phases from them.  The JSON goes to stdout.
 """
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -71,6 +74,18 @@ def src_lines(checkout):
     src = Path(checkout) / "src"
     return {str(p.relative_to(src)): len(p.read_text().splitlines())
             for p in sorted(src.rglob("*.py"))}
+
+
+def param_defaults(checkout):
+    """Parameters with a default, positional or keyword-only, over all
+    functions under src/ of one checkout."""
+    count = 0
+    for path in sorted((Path(checkout) / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                count += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+    return count
 
 
 def spread(values):
@@ -148,6 +163,8 @@ def main(argv=None):
         "src_lines": {side: sum(lines.values())
                       for side, lines in modules.items()},
         "src_module_lines": modules,
+        "src_param_defaults": {"parent": param_defaults(args.parent),
+                               "change": param_defaults(args.change)},
         "tier1": {"parent": tier1(args.tier1[0]),
                   "change": tier1(args.tier1[1])},
         "workloads": {w: workload_summary(parent[w], change[w], better)
