@@ -442,8 +442,9 @@ def main(argv=None):
         else:
             sys.stdout.write(out)
         return 0
-    except (WeylkitError, OSError, ValueError, KeyError) as exc:
-        # json.JSONDecodeError is a ValueError
+    except (WeylkitError, OSError, ValueError, KeyError,
+            ArithmeticError) as exc:
+        # JSONDecodeError is a ValueError, Fraction("1/0") an ArithmeticError
         sys.stdout.write(render_json({
             "error": type(exc).__name__,
             "message": str(exc),

@@ -60,7 +60,7 @@ class Flag:
     def __init__(self, basis):
         basis = np.array(basis, dtype=float, order="C")
         n = basis.shape[0]
-        if np.abs(basis @ basis.T - np.eye(n)).max() > 1e-10:
+        if not np.abs(basis @ basis.T - np.eye(n)).max() <= 1e-10:
             raise NearSingular("flag basis is not orthonormal")
         basis *= symspace.column_signs(basis)
         self.basis = basis
@@ -76,7 +76,7 @@ class Flag:
 def flag_from_basis(columns):
     """Orthonormalize an invertible matrix preserving the nested spans
     of its leading columns (Gram-Schmidt order)."""
-    m = np.asarray(columns, dtype=float)
+    m = symspace._float_matrix(columns)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NearSingular("basis must be square")
     if np.linalg.cond(m) >= 1e10:
@@ -224,6 +224,8 @@ def relative_position_exact(basis_a, basis_b):
         if len(basis) != n or any(np.ndim(row) != 1 or len(row) != n
                                   for row in basis):
             raise NearSingular(f"basis {name} is not a square {n} x {n} matrix")
+        symspace.check_finite(**{f"basis {name}": [
+            x for row in basis for x in row if isinstance(x, float)]})
     m, pivots = _gauss_jordan([[Fraction(x) for x in [*ra, *rb]]
                                for ra, rb in zip(basis_a, basis_b)])
     if pivots != list(range(n)):
@@ -252,19 +254,17 @@ def complementary_position(w):
 
 def _eigenflag(g, step):
     """Flag of g's real eigenbasis by descending modulus (step -1: up)."""
-    evals, evecs = np.linalg.eig(np.asarray(g, dtype=float))
+    evals, evecs = np.linalg.eig(symspace._float_matrix(g))
     if np.abs(evals.imag).max() > 1e-9 * np.abs(evals).max():
         raise NotRegular("complex eigenvalues: no attracting flag")
-    evals = evals.real
-    evecs = evecs.real
-    moduli = np.abs(evals)
+    moduli = np.abs(evals.real)
     order = np.argsort(-moduli)
     sorted_moduli = moduli[order]
     gaps = sorted_moduli[:-1] / sorted_moduli[1:]
     if np.min(gaps) < 1.0 + 1e-9:
         raise NotRegular("eigenvalue moduli are not strictly separated")
     try:
-        return flag_from_basis(evecs[:, order[::step]])
+        return flag_from_basis(evecs.real[:, order[::step]])
     except NearSingular as exc:
         raise NotRegular("eigenbasis is degenerate") from exc
 
@@ -377,7 +377,8 @@ class FlagSample:
 
     @staticmethod
     def from_json_obj(obj):
-        return FlagSample([Flag(np.array(b)) for b in obj["flags"]],
+        return FlagSample([Flag(symspace._float_matrix(b))
+                           for b in obj["flags"]],
                           list(obj["words"]),
                           [np.array(m) for m in obj["margins"]])
 
@@ -463,7 +464,7 @@ def expansion_factor(g, flag, step=None):
     if flag.n == 1:
         raise ValueError("the flag manifold of R^1 is a point: "
                          "it has no expansion factor")
-    m = np.asarray(g, dtype=float) @ flag.basis
+    m = symspace._float_matrix(g) @ flag.basis
     r = np.triu(flag_from_basis(m).basis.T @ m)
     i, j = np.tril_indices(flag.n, -1)
     jac = r[np.ix_(i, i)] * np.linalg.inv(r)[np.ix_(j, j)].T

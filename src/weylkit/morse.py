@@ -152,7 +152,7 @@ def straightness_check(path, cone, zeta=None, epsilon=0.2, spacing=10.0):
     first_violation = None
     spacing_margin = np.inf
     flags = []
-    mats, xi = symspace.point_stack(path)
+    mats, xi = map(np.array, zip(*[(p.mat, p.inv_sqrt()) for p in path]))
     for i, v in enumerate(symspace.delta_stack(xi[:-1], mats[1:])):
         seg = 2.0 * float(np.linalg.norm(v))
         spacing_margin = min(spacing_margin, seg - spacing)
@@ -358,14 +358,14 @@ def morse_defect_report(path, cone=None, window=10.0, L=2.0, A=1.0, phi=None):
     point relative to the endpoints, the practical stand-in for the
     distance to the endpoint diamond.
 
-    The chamber vectors of all m(m-1)/2 pairs are read row by row: one
-    batched eigh gives every x^-1/2, and row s is one batched eigvalsh
-    over x_s^-1/2 x_t x_s^-1/2 for t > s, bit-identical to
-    ``delta_distance`` pair by pair.  Each row folds into the (L, A)
-    margins and into an m x m table of Finsler distances, and each
-    window length reads its defects from that table in one indexed
-    pass.  So the temporaries are O(m n^2) per row and O(m^2) per window
-    length, where one stack of all pairs would take O(m^2 n^2).
+    The chamber vectors of all m(m-1)/2 pairs are read row by row: row s
+    is one batched eigvalsh over x_s^-1/2 x_t x_s^-1/2 for t > s, from
+    each point's own x^-1/2, bit-identical to ``delta_distance``.  Each
+    row folds into the (L, A) margins and into an m x m table of Finsler
+    distances, and each window length reads its defects from that table
+    in one indexed pass.  So the temporaries are O(m n^2) per row and
+    O(m^2) per window length, where one stack of all pairs would take
+    O(m^2 n^2).
     """
     symspace.check_finite(window=window, L=L, A=A)
     m = len(path)
@@ -373,7 +373,7 @@ def morse_defect_report(path, cone=None, window=10.0, L=2.0, A=1.0, phi=None):
         raise ValueError("need at least two points")
     if phi is None:
         phi = FinslerFunctional.default(path[0].n)
-    mats, xi = symspace.point_stack(path)
+    mats, xi = map(np.array, zip(*[(p.mat, p.inv_sqrt()) for p in path]))
     qi_lower = qi_upper = np.inf
     fins = np.zeros((m, m))
     steps = np.empty((m - 1, path[0].n))

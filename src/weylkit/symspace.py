@@ -27,15 +27,18 @@ DET_TOL = 1e-10
 
 
 class SymPoint:
-    """Symmetric positive definite matrix with det normalized to 1."""
+    """Read-only positive definite matrix of det 1, and its eigh."""
 
-    __slots__ = ("mat", "n")
+    __slots__ = ("mat", "n", "_eig")
 
     def __init__(self, mat):
-        mat = np.asarray(mat, dtype=float)
+        mat = _float_matrix(mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise NotPositiveDefinite("point must be a square matrix")
         scale = max(1.0, float(np.abs(mat).max()))
+        # from 2^1023 on the sums below can overflow; halving keeps the point
+        if scale >= 2.0 ** 1023:
+            mat, scale = 0.5 * mat, 0.5 * scale
         if np.abs(mat - mat.T).max() > SYM_TOL * scale:
             raise NotPositiveDefinite("matrix is not symmetric")
         mat = 0.5 * (mat + mat.T)
@@ -45,24 +48,27 @@ class SymPoint:
         # normalize det to 1 by scalar division
         logdet = float(np.sum(np.log(evals)))
         mat = mat * np.exp(-logdet / mat.shape[0])
+        mat.flags.writeable = False
         self.mat = mat
         self.n = mat.shape[0]
         residual = abs(float(np.linalg.slogdet(self.mat)[1]))
-        cond = float(evals[-1] / evals[0])
+        cond = float(evals[-1]) / float(evals[0])  # inf past the float range
         # rounding moves the smallest eigenvalue by about eps * cond
         # relative, and the residual with it; from eps * cond = 1 on that
-        # eigenvalue is noise, and only the fixed bound is left
+        # eigenvalue is noise, and only the fixed bound is left; >= refuses
+        # an overflowed determinant, whose residual and bound are both inf
         noise = np.finfo(float).eps * cond
         bound = DET_TOL * max(1.0, float(np.log(cond)))
-        if residual > bound + (noise if noise < 1.0 else 0.0):
+        if residual >= bound + (noise if noise < 1.0 else 0.0):
             raise NotPositiveDefinite("determinant normalization failed")
+        self._eig = np.linalg.eigh(mat)
 
     def sqrt(self):
-        w, v = np.linalg.eigh(self.mat)
+        w, v = self._eig
         return (v * np.sqrt(w)) @ v.T
 
     def inv_sqrt(self):
-        w, v = np.linalg.eigh(self.mat)
+        w, v = self._eig
         return (v / np.sqrt(w)) @ v.T
 
     def __repr__(self):
@@ -89,7 +95,7 @@ def origin(n):
 def unimodular(g):
     """g scaled by a positive factor to |det| = 1; SingularInput when the
     determinant is zero to float precision."""
-    g = np.asarray(g, dtype=float)
+    g = _float_matrix(g)
     with np.errstate(over="ignore"):
         d = abs(np.linalg.det(g))
     if not 1e-300 <= d < np.inf:
@@ -143,7 +149,7 @@ def point_from_group(g):
 
 def apply_isometry(g, x):
     """The congruence action g . P = g P g^T (renormalized)."""
-    g = np.asarray(g, dtype=float)
+    g = _float_matrix(g)
     return SymPoint(g @ x.mat @ g.T)
 
 
@@ -170,22 +176,13 @@ def delta_distance(x, y):
     return delta_stack(x.inv_sqrt(), y.mat)
 
 
-def point_stack(points):
-    """The matrices of the points and their inverse square roots, as two
-    stacks, from one batched eigh; each x^-1/2 is bit-identical to
-    ``inv_sqrt``."""
-    mats = np.array([p.mat for p in points])
-    w, v = np.linalg.eigh(mats)
-    return mats, (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
-
-
 def delta_stack(xi, ys):
     """``delta_distance`` for a stack of pairs, from one batched eigvalsh:
     the chamber vectors of the matrices ``ys`` seen from the points whose
     inverse square roots are ``xi`` (one matrix, or a stack matched with
     ``ys``).  Each row is bit-identical to ``delta_distance``."""
     w = np.linalg.eigvalsh(xi @ ys @ xi)
-    if w[..., 0].min(initial=np.inf) <= 0:
+    if not w[..., 0].min(initial=np.inf) > 0:  # NaN after an overflow
         raise NotPositiveDefinite("relative form is not positive definite")
     v = 0.5 * np.log(w)[..., ::-1]
     # the arithmetic of mean, without its per-call cost on one pair

@@ -666,6 +666,55 @@ def test_matrix_entries_that_are_not_finite_are_refused(capsys, argv):
     assert data["message"] == "matrix entries must be finite, got nan"
 
 
+def _refused(capsys, argv):
+    """The JSON error of a verb that must exit 1 with nothing on stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    return json.loads(captured.out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("config", "walls", "--weights", "1/0,1"),
+    ("flags", "position", "--a", '[["1/0",0],[0,1]]', "--b", "[[1,0],[0,1]]"),
+    ("config", "stability", "--config", '{"angles":["1/0"],"weights":[1]}'),
+    ("dist", "delta", "--x", '[["1/0",0],[0,1]]', "--y", "[[1,0],[0,1]]"),
+    ("flags", "position", "--exact", "--a", "[[Infinity,0],[0,1]]",
+     "--b", "[[1,0],[0,1]]"),
+], ids=["walls", "position", "stability", "delta", "exact-position-inf"])
+def test_arithmetic_errors_keep_the_exit_contract(capsys, argv):
+    # the first four raised ZeroDivisionError out of main, the last
+    # OverflowError (Fraction of an infinite float)
+    data = _refused(capsys, argv)
+    assert (data["error"], data["message"]) == (
+        ("ValueError", "basis a entries must be finite, got inf")
+        if "--exact" in argv else ("ZeroDivisionError", "Fraction(1, 0)"))
+
+
+def test_single_matrix_verbs_refuse_entries_that_are_not_finite(capsys,
+                                                               tmp_path):
+    data = _refused(capsys, ["flags", "position", "--exact", "--a",
+                             "[[1,0],[0,1]]", "--b", "[[NaN,0],[0,1]]"])
+    assert data["message"] == "basis b entries must be finite, got nan"
+    data = _refused(capsys, ["expand", "factor", "--gen", "[[1,0],[0,1]]",
+                             "--flag", "[[-Infinity,0],[0,1]]"])
+    assert data["message"] == "matrix entries must be finite, got -inf"
+    sample = tmp_path / "sample.json"
+    sample.write_text('{"flags": [[[NaN, 0], [0, 1]]], "words": ["a"], '
+                      '"margins": [[1.0]]}')
+    data = _refused(capsys, ["domain", "membership", "--flag", "[[1,0],[0,1]]",
+                             "--sample", str(sample), "--thickening", "[]"])
+    assert data["message"] == "matrix entries must be finite, got nan"
+
+
+def test_dist_refuses_a_point_past_the_float_range(capsys):
+    # the symmetrising sum overflowed, and the distance printed NaN
+    data = _refused(capsys, ["dist", "delta", "--x", "[[1,0],[0,1]]",
+                             "--y", "[[1e308,0],[0,1e-308]]"])
+    assert (data["error"], data["message"]) == \
+        ("NotPositiveDefinite", "matrix is not positive definite")
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("--direction", "nan,0", "direction entries must be finite, got nan"),
     ("--direction", "inf,0", "direction entries must be finite, got inf"),

@@ -469,6 +469,43 @@ def test_generator_entries_that_are_not_finite_refused(call, value):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    fd.flag_from_basis,
+    fd.attracting_flag,
+    fd.repelling_flag,
+    lambda m: fd.expansion_factor(m, fd.standard_flag(2)),
+    lambda m: fd.FlagSample.from_json_obj(
+        {"flags": [m], "words": ["a"], "margins": [[1.0]]}),
+], ids=["flag_from_basis", "attracting_flag", "repelling_flag",
+        "expansion_factor", "from_json_obj"])
+def test_single_matrix_entries_that_are_not_finite_refused(call, value):
+    # numpy would not converge on them, or an unchecked Flag would keep them
+    with pytest.raises(ValueError) as exc:
+        call([[value, 0.0], [0.0, 1.0]])
+    assert str(exc.value) == f"matrix entries must be finite, got {value}"
+
+
+def test_flag_refuses_a_nan_basis():
+    # every comparison with NaN is false, so a > test let this basis pass
+    with pytest.raises(NearSingular, match="^flag basis is not orthonormal$"):
+        fd.Flag([[np.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_exact_position_refuses_float_entries_that_are_not_finite(value):
+    with pytest.raises(ValueError) as exc:
+        fd.relative_position_exact([[1, 0], [0, 1]], [[value, 0], [0, 1]])
+    assert str(exc.value) == f"basis b entries must be finite, got {value}"
+
+
+def test_exact_position_keeps_huge_integers_exact():
+    # 10**400 has no float; the exact path must not convert it
+    big = [[10 ** 400, 0], [1, 1]]
+    assert fd.relative_position_exact(big, big).w.length == 0
+    assert fd.relative_position_exact(big, [[0, 1], [1, 0]]).w.length == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_limit_sample_refuses_a_threshold_that_cannot_be_compared(value):
     # a NaN threshold failed every margin < threshold test and kept every word
     with pytest.raises(ValueError, match=f"^margin_threshold must be a "
@@ -919,6 +956,22 @@ def test_probe_budget_exhausted():
     assert res.budget_exhausted is True
 
 
+def test_probe_without_generators_searches_nothing():
+    res = fd.nondiscreteness_certificate([])
+    assert (res.found, res.words_searched, res.budget_exhausted) == \
+        (False, 0, False)
+
+
+def test_probe_stops_after_5000_commutator_tuples():
+    # commuting generators: every commutator is the identity, so no tuple
+    # certifies, and the 484 words of length <= 5 stay far below max_words
+    res = fd.nondiscreteness_certificate([_rot_z(0.02), _rot_z(0.03)],
+                                         epsilon=0.3, max_len=5)
+    assert not res.found
+    assert res.words_searched == 484
+    assert res.budget_exhausted is True
+
+
 def test_probe_integer_generators_find_nothing():
     e12 = np.eye(3)
     e12[0, 1] = 1.0
@@ -957,6 +1010,13 @@ def test_key_lemma_sharp_instance():
     pytest.param(lambda: fd.limit_set_sample([[[1, 0], [0, 0]]], 2, 1.0),
                  NearSingular, "generator is singular",
                  id="singular-generator"),
+    # values 1e-7 and 1e-8 of one corner read about 7e-8 and 7e-9: apart
+    # from the gray band, but only a factor 10 apart
+    pytest.param(lambda: fd.relative_position(
+        fd.standard_flag(4), fd.flag_from_basis(
+            np.eye(4) + np.pad(np.diag([1e-7, 1e-8]), ((2, 0), (0, 2))))),
+        AmbiguousRank, "singular value gap 1.00e+01 below safety factor",
+        id="gap-below-safety"),
 ])
 def test_refusals_name_their_condition(call, error, message):
     with pytest.raises(error) as exc:

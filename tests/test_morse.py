@@ -624,6 +624,18 @@ def test_orbit_internals_match_point_computations():
                  NotAntipodalGenerators,
                  "axis flags 0 and 2 are not antipodal",
                  id="axes-not-antipodal"),
+    # axes turned by 2e-8: the corner value of the two attracting flags
+    # reads about 1.4e-8, inside the gray band
+    pytest.param(lambda: schottky_certificate(
+        [np.diag([4.0, 1.0, 0.25]),
+         _rot_z(2e-8) @ np.diag([4.0, 1.0, 0.25]) @ _rot_z(2e-8).T], 6),
+        NotAntipodalGenerators, "flag pair (0,2) too degenerate to decide",
+        id="axes-too-degenerate"),
+    # a flat path along (1, 1, -2): both segments at vertex 1 on a wall
+    pytest.param(lambda: straightness_check(
+        [ss.flat_point(k * np.array([5.0, 5.0, -10.0])) for k in range(3)],
+        ss.RegularityCone(0.05)), TieError,
+        "vertex 1: adjacent segment on a wall", id="vertex-on-a-wall"),
 ])
 def test_refusals_name_their_condition(call, error, message):
     with pytest.raises(error) as exc:

@@ -180,10 +180,9 @@ def test_stacked_reader_is_bit_identical_to_delta_distance(n):
     pts = [_random_point(rng, n, scale=2.0) for _ in range(12)]
     pts += [ss.flat_point(rng.standard_normal(n)) for _ in range(4)]
     pts.append(pts[3])  # a repeated point gives a zero vector
-    mats, xi = ss.point_stack(pts)
+    mats = np.array([p.mat for p in pts])
+    xi = np.array([p.inv_sqrt() for p in pts])
     for s, x in enumerate(pts):
-        assert np.array_equal(mats[s], x.mat)
-        assert np.array_equal(xi[s], x.inv_sqrt())
         row = ss.delta_stack(xi[s], mats[s + 1:])
         for v, y in zip(row, pts[s + 1:]):
             assert np.array_equal(v, ss.delta_distance(x, y))
@@ -579,6 +578,40 @@ def test_horofunction_refuses_entries_that_are_not_finite(name, kwargs, value):
     assert str(exc.value) == f"{name} entries must be finite, got {value}"
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    ss.SymPoint,
+    ss.unimodular,
+    lambda m: ss.apply_isometry(m, ss.origin(2)),
+], ids=["SymPoint", "unimodular", "apply_isometry"])
+def test_matrix_entries_that_are_not_finite_are_refused(call, value):
+    with pytest.raises(ValueError) as exc:
+        call([[value, 0.0], [0.0, 1.0]])
+    assert str(exc.value) == f"matrix entries must be finite, got {value}"
+
+
+def test_point_entries_whose_sum_overflows_are_halved_first():
+    # 1e308 + 1e308 overflows, and the distances read NaN; the point of
+    # diag(1e308, 1e-100, 1e-100) is that of diag(1e208, 1e-200, 1e-200)
+    o = ss.origin(3)
+    far = ss.delta_distance(o, ss.SymPoint(np.diag([1e308, 1e-100, 1e-100])))
+    near = ss.delta_distance(o, ss.SymPoint(np.diag([1e208, 1e-200, 1e-200])))
+    assert np.allclose(far, near, rtol=1e-14, atol=0)
+    assert np.allclose(far, np.log(1e136) * np.array([1.0, -0.5, -0.5]))
+    big = ss.SymPoint([[1e308, 1e308], [1e308, 1.5e308]])
+    assert np.allclose(big.mat, ss.SymPoint([[1.0, 1.0], [1.0, 1.5]]).mat,
+                       rtol=1e-12, atol=0)
+
+
+def test_point_is_read_only_and_keeps_its_roots():
+    x = ss.point_from_group([[2.0, 1.0, 0.0], [0.0, 1.0, 3.0],
+                             [1.0, 0.0, 1.0]])
+    with pytest.raises(ValueError):
+        x.mat[0, 0] = 1.0
+    assert np.allclose(x.sqrt() @ x.sqrt(), x.mat, rtol=0, atol=1e-12)
+    assert np.allclose(x.sqrt() @ x.inv_sqrt(), np.eye(3), rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: ss.SymPoint([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
                  NotPositiveDefinite, "point must be a square matrix",
@@ -594,6 +627,22 @@ def test_horofunction_refuses_entries_that_are_not_finite(name, kwargs, value):
                  id="finsler-not-decreasing"),
     pytest.param(lambda: ss.sequence_regularity([np.eye(2)]), ValueError,
                  "need at least two matrices", id="one-matrix"),
+    # 1e-300 / det^(1/3) = 1e-400 underflows to a zero singular value
+    pytest.param(lambda: ss.sequence_regularity(
+        [np.eye(3), np.diag([1e300, 1e300, 1e-300])]), SingularInput,
+        "matrix too ill-conditioned for a Cartan split",
+        id="sequence-singular-value-zero"),
+    pytest.param(lambda: ss.delta_stack(np.eye(2), np.diag([1.0, -1.0])),
+                 NotPositiveDefinite, "relative form is not positive definite",
+                 id="relative-form-indefinite"),
+    # the eigen solver scales the matrix down, and 1e-308 underflows to 0
+    pytest.param(lambda: ss.SymPoint([[1e308, 0.0], [0.0, 1e-308]]),
+                 NotPositiveDefinite, "matrix is not positive definite",
+                 id="point-spread-past-float-range"),
+    # its largest eigenvalue, 2.2e308, overflows to inf
+    pytest.param(lambda: ss.SymPoint(
+        np.full((3, 3), 7e307) + 1e307 * np.eye(3)), NotPositiveDefinite, "determinant normalization failed",
+                 id="point-eigenvalue-overflow"),
 ])
 def test_refusals_name_their_condition(call, error, message):
     with pytest.raises(error) as exc:
