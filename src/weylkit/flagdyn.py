@@ -25,7 +25,9 @@ screen before the exact test: the sample takes one SVD per word length
 and reads ``flag_angles`` only against stored flags whose first line
 lies within 2 DEDUP_ANGLE of its own, in one call (none when there are
 none), and the probe takes the spectral norm only of words whose
-Frobenius distance to the identity allows it.
+Frobenius distance to the identity allows it.  The probe never builds
+its longest words: it screens each one by trace and norm from its parent
+and forms only the few that pass.
 """
 
 from __future__ import annotations
@@ -383,6 +385,7 @@ class FlagSample:
                           [np.array(m) for m in obj["margins"]])
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def limit_set_sample(generators, max_word_length, margin_threshold,
                      max_words=200000):
     """Attracting flags of all short reduced words whose singular value
@@ -392,7 +395,13 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
     |a_1 . b_1| its cosine, so only stored flags whose line lies within
     twice DEDUP_ANGLE of the candidate's (one product of first columns)
     can be duplicates, all read in one call; the factor 2 keeps rounding
-    from dropping a pair."""
+    from dropping a pair.
+
+    A length with a product past the float range is refused with
+    SingularInput before its SVD.  The sample runs under ``np.errstate``,
+    so neither that overflow nor a singular value that reads 0 warns:
+    such a value logs to -inf, its margin reads +inf, and the word's
+    other margins decide."""
     symspace.check_finite(margin_threshold=margin_threshold)
     try:
         gens = [symspace.unimodular(g)
@@ -407,6 +416,8 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
     levels = []
     for parent, letter, mats in reduced_words(stack_letters(gens),
                                               max_word_length, max_words):
+        if not np.isfinite(mats).all():
+            raise SingularInput("product spans more than the float range")
         levels.append((parent, letter))
         u, mu, _ = np.linalg.svd(mats)
         lo = np.log(mu)
@@ -505,6 +516,47 @@ def _near_identity(mats, epsilon):
     return np.nonzero(frob < n * epsilon ** 2 * (1 + 1e-9))[0]
 
 
+def _children_near_identity(mats, letters, last, epsilon):
+    """Children P L_a of a stack of parents P, ``last`` their last
+    letters, that may lie within ``epsilon`` of the identity in spectral
+    norm, as arrays of parent and letter in shortlex order; no child is
+    formed.  ||X - I||_2 < epsilon needs |tr X - n| < n epsilon, as
+    |tr Y| <= n ||Y||_2, and ||P||_F sigma_min(L_a) < sqrt(n) (1 +
+    epsilon), as sigma_min(L) ||P||_F <= ||P L||_F <= sqrt(n) ||P L||_2.
+    Both bounds get the slack gamma ||P||_F ||L_a||_F, gamma = 2 n^2 u /
+    (1 - 2 n^2 u), for the rounding of the screen and of the product, and
+    epsilon's term the factor 1 + 1e-9 of ``_near_identity``; a child
+    whose screen value is not finite is kept.  One (m, n^2) @ (n^2, k)
+    product of traces per block of parents."""
+    k, n = letters.shape[0], letters.shape[-1]
+    nu = n * n * np.finfo(float).eps  # 2 n^2 u, u the unit roundoff
+    gamma = nu / (1 - nu)
+    transposes = letters.transpose(0, 2, 1).reshape(k, n * n).T
+    size = np.linalg.norm(letters, axis=(1, 2))
+    finite = np.isfinite(letters).all(axis=(1, 2))
+    low = np.full(k, np.nan)  # sigma_min, not read past the float range
+    low[finite] = np.linalg.svd(letters[finite], compute_uv=False)[:, -1]
+    step = BLOCK_ENTRIES // max(k * n * n, 1) + 1
+    parents, kept_letters = [], []
+    for s in range(0, len(mats), step):
+        block = mats[s:s + step]
+        frob = np.sqrt(np.einsum("kij,kij->k", block, block))[:, None]
+        slack = gamma * frob * size
+        trace = np.abs(block.reshape(-1, n * n) @ transposes - n)
+        norm = frob * low
+        drop = ((np.isfinite(trace)
+                 & (trace >= n * epsilon * (1 + 1e-9) + slack))
+                | (np.isfinite(norm)
+                   & (norm >= np.sqrt(n) * (1 + epsilon * (1 + 1e-9))
+                      + slack)))
+        p, a = np.nonzero(~drop & (last[s:s + step, None]
+                                   != np.arange(k) ^ 1))
+        parents.append(p + s)
+        kept_letters.append(a)
+    return np.concatenate(parents), np.concatenate(kept_letters)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
                                 max_words=3_000_000):
     """Search for a violation of the nilpotence dichotomy in a small
@@ -515,6 +567,13 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
     n-fold iterated commutator is more than 1e-6 from the identity, those
     words certify that the generated subgroup is not discrete.  No
     certificate is inconclusive (budget: ``max_words``, 5000 tuples).
+
+    ``reduced_words`` builds the lengths below ``max_len``.  The words of
+    length ``max_len`` (two thirds of all words for two generators) are
+    screened from their parents by ``_children_near_identity``, and only
+    the children that pass are formed, one letter at a time, which gives
+    the bits of ``reduced_words``.  A word past the float range is
+    dropped; the search runs under ``np.errstate``, so it does not warn.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -523,20 +582,35 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
         return NondiscretenessResult(None, 0, False)
     n = gens[0].shape[0]
     ident = np.eye(n)
+    letters = stack_letters(gens)
+    built = max_len - 1 if max_len > 1 else max_len
+
+    def near(mats):
+        """Rows of ``mats`` within epsilon of the identity, not on it."""
+        rows = _near_identity(mats, epsilon)
+        dist = np.linalg.svd(mats[rows] - ident, compute_uv=False).max(axis=1)
+        return rows[(dist > 1e-12) & (dist < epsilon)]
+
     levels = []
     searched = 0
     exhausted = False
     small = []  # (levels up to the word, row, matrix) of elements near 1
     try:
-        for parent, letter, mats in reduced_words(stack_letters(gens),
-                                                  max_len, max_words):
+        for parent, letter, mats in reduced_words(letters, built, max_words):
             levels.append((parent, letter))
             searched += len(mats)
-            rows = _near_identity(mats, epsilon)
-            dist = np.linalg.svd(mats[rows] - ident,
-                                 compute_uv=False).max(axis=1)
-            for row in rows[(dist > 1e-12) & (dist < epsilon)]:
-                small.append((len(levels), int(row), mats[row].copy()))
+            small += [(len(levels), r, mats[r].copy()) for r in near(mats)]
+        if built < max_len:
+            count = (len(letters) - 1) * len(mats)
+            if max_words is not None and searched + count > max_words:
+                raise BudgetExceeded(f"word budget {max_words} exhausted")
+            pp, aa = _children_near_identity(mats, letters, letter, epsilon)
+            children = np.empty((len(pp), n, n))
+            for a in range(len(letters)):
+                children[aa == a] = mats[pp[aa == a]] @ letters[a]
+            searched += count
+            levels.append((pp, aa))  # its rows are the children formed
+            small += [(len(levels), r, children[r]) for r in near(children)]
     except BudgetExceeded:
         exhausted = True
 

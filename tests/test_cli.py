@@ -715,6 +715,15 @@ def test_dist_refuses_a_point_past_the_float_range(capsys):
         ("NotPositiveDefinite", "matrix is not positive definite")
 
 
+def test_limits_sample_refuses_a_product_past_the_float_range(capsys):
+    # a cube of the first generator overflows; the SVD of that length hung
+    data = _refused(capsys, [
+        "limits", "sample", "--gens", "[[[1e150,0,0],[0,1e-150,0],[0,0,1]],"
+        "[[1,0.001,0],[-0.001,1,0],[0,0,1]]]", "--max-len", "4"])
+    assert (data["error"], data["message"]) == \
+        ("SingularInput", "product spans more than the float range")
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("--direction", "nan,0", "direction entries must be finite, got nan"),
     ("--direction", "inf,0", "direction entries must be finite, got inf"),

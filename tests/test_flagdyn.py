@@ -7,19 +7,21 @@ domain-of-discontinuity machinery.
 """
 
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import iterate_flag, random_flag
+from helpers import iterate_flag, probe_building_every_length, random_flag
 from test_thickenings import all_ideals
 from weylkit import flagdyn as fd
 from weylkit import morse
 from weylkit import thickenings as th
 from weylkit.coxeter import build_group, bruhat_leq, multiply
-from weylkit.errors import AmbiguousRank, BudgetExceeded, NearSingular, NotRegular
+from weylkit.errors import (AmbiguousRank, BudgetExceeded, NearSingular,
+                            NotRegular, SingularInput)
 
 
 def _rng():
@@ -589,6 +591,20 @@ def test_limit_set_sample_at_extreme_scales(scale):
 
 # --- thickened limit sets ----------------------------------------------------------------
 
+def test_limit_sample_reads_a_zero_singular_value_without_warning():
+    # aa reads singular values (1e300, 1, 0): its log -inf makes its last
+    # margin +inf, and its flag is the one of a, so the sample keeps the
+    # six flags it kept when the log warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample = fd.limit_set_sample(_PROBE_SETS["past-float-range"], 2, 1.0)
+    assert sample.words == ["a", "A", "ba", "bA", "Ba", "BA"]
+    assert [m.tolist() for m in sample.margins] == \
+        2 * [[345.38776394910684, 345.38776394910684]] \
+        + 2 * [[345.3877644491066, 345.3877634491071]] \
+        + 2 * [[345.3877634491071, 345.3877644491066]]
+
+
 def test_membership_of_sample_flag():
     g = np.diag([4.0, 1.0, 0.25])
     sample = fd.limit_set_sample([g], 3, 1.0)
@@ -724,6 +740,57 @@ def test_near_identity_screen_keeps_every_small_word():
     mats[huge[4]] = np.eye(n)
     mats[huge[4], 0, 1] = 1e160
     assert fd._near_identity(mats, 0.1).tolist() == small
+
+
+def _children(parents, letters):
+    """Every child P L_a of a stack of parents, one letter at a time as
+    the probe forms them: entry [p, a] is parent p times letter a."""
+    return np.stack([parents @ letter for letter in letters], axis=1)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 0.1])
+def test_child_screen_keeps_every_small_child(eps):
+    # a parent P = X L_a^-1 puts its child near X = I + E, ||E||_2 just
+    # below eps; the letters are orthogonal or scaled non-orthogonal, so
+    # both the trace and the norm bound are met near their edge
+    rng = np.random.default_rng(2000)
+    n = 3
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a = 10.0 ** rng.uniform(-3, 3) * (np.eye(n)
+                                      + 0.5 * rng.standard_normal((n, n)))
+    letters = np.array([q, q.T, a, np.linalg.inv(a)])
+    parents = []
+    for _ in range(400):
+        e = rng.standard_normal((n, n))
+        e *= eps * (1 - 10.0 ** -rng.uniform(1, 15)) / np.linalg.norm(e, 2)
+        parents.append((np.eye(n) + e) @ np.linalg.inv(
+            letters[rng.integers(len(letters))]))
+    parents += list(rng.standard_normal((100, n, n)))
+    parents = np.array(parents)
+    children = _children(parents, letters)
+    small = np.linalg.svd(children - np.eye(n),
+                          compute_uv=False).max(axis=-1) < eps
+    assert small.sum() > 200
+    everyone = np.full(len(parents), -1)  # -1 inverts no letter
+    pp, aa = fd._children_near_identity(parents, letters, everyone, eps)
+    kept = np.zeros_like(small)
+    kept[pp, aa] = True
+    assert not (small & ~kept).any()
+    assert kept.sum() < 2 * small.sum()
+    # children of parents that end in letter 0 do not take letter 1
+    last = np.zeros(len(parents), dtype=int)
+    pp, aa = fd._children_near_identity(parents, letters, last, eps)
+    assert 1 not in aa
+    assert sorted(zip(pp, aa)) == [(p, a) for p, a in zip(pp, aa)]
+    # parents whose norms overflow keep every child
+    huge = np.full((3, n, n), 1e160)
+    huge[1] *= -1
+    huge[2, 0, 0] = 1e-300
+    with np.errstate(over="ignore", invalid="ignore"):
+        pp, aa = fd._children_near_identity(huge, letters, np.full(3, -1),
+                                             eps)
+    assert sorted(zip(pp.tolist(), aa.tolist())) == \
+        [(p, a) for p in range(3) for a in range(len(letters))]
 
 
 def test_probe_refuses_bad_configuration():
@@ -982,6 +1049,78 @@ def test_probe_integer_generators_find_nothing():
     assert not res.budget_exhausted
 
 
+# generator sets for the reference: rotations dense in SO(3), integer
+# unipotents, random near-identity sets for n = 2..4 with 1 to 3
+# generators, tiny rotations, a pair whose products leave the float range,
+# a generator whose inverse does, and the identity
+_PROBE_SETS = {
+    "dense": [_rotation([0, 0, 1], 2.4), _rotation([1, 0, 0], 1.7)],
+    "unipotent": [np.eye(3) + np.eye(3, k=1) * [[0], [1], [0]],
+                  np.eye(3) + np.eye(3, k=1) * [[1], [0], [0]]],
+    **{f"random-n{n}-{count}": [
+        np.eye(n) + 0.2 * np.random.default_rng(10 * n + count)
+        .standard_normal((n, n)) for _ in range(count)]
+       for n, count in ((2, 1), (2, 3), (3, 2), (4, 2))},
+    "tiny-rotations": [_rot_z(0.02), _rotation([1, 1, 0], 0.03)],
+    "past-float-range": [np.diag([1e150, 1e-150, 1.0]),
+                         [[1, 0.001, 0], [-0.001, 1, 0], [0, 0, 1]]],
+    "inverse-past-float-range": [np.diag([1e-310, 1.0]),
+                                 [[0.6, -0.8], [0.8, 0.6]]],
+    "identity": [np.eye(3)],
+}
+
+
+def _reference(gens, eps, max_len, max_words):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return probe_building_every_length(gens, eps, max_len, max_words)
+
+
+@pytest.mark.parametrize("name", list(_PROBE_SETS))
+def test_probe_matches_the_probe_that_builds_every_length(name):
+    gens = _PROBE_SETS[name]
+    k = 2 * len(gens)
+    # words up to lengths 1..10; the longest length whose words fit in
+    # 50000, at most 9
+    sizes = np.cumsum([k * (k - 1) ** i for i in range(10)])
+    top = min(int(np.searchsorted(sizes, 50000, side="right")), 9)
+    for eps in (1e-6, 0.1, 0.5):
+        for max_len in range(top + 1):
+            got = fd.nondiscreteness_certificate(gens, eps, max_len, 50000)
+            assert repr(got) == repr(_reference(gens, eps, max_len, 50000))
+        # budgets one below and at the count that the last length needs,
+        # and one below the count that the length before it needs
+        for max_words in (sizes[top - 1] - 1, sizes[top - 1],
+                          sizes[top - 2] - 1):
+            got = fd.nondiscreteness_certificate(gens, eps, top, max_words)
+            want = _reference(gens, eps, top, max_words)
+            assert repr(got) == repr(want)
+            assert got.budget_exhausted or max_words == sizes[top - 1]
+
+
+def test_probe_past_the_float_range_does_not_warn():
+    gens = _PROBE_SETS["past-float-range"]
+    for max_len, searched in ((3, 52), (6, 1456)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fd.nondiscreteness_certificate(gens, max_len=max_len)
+        assert repr(res) == repr(_reference(gens, 0.1, max_len, 3_000_000))
+        assert (res.found, res.words_searched, res.budget_exhausted) == \
+            (False, searched, False)
+
+
+def test_probe_never_holds_its_longest_words():
+    # the 708588 words of length 12 took 51 MB; length 11 takes 17 MB
+    gens = _PROBE_SETS["dense"]
+    tracemalloc.start()
+    try:
+        res = fd.nondiscreteness_certificate(gens, epsilon=0.1, max_len=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.words_searched == 1062880
+    assert peak < 45 * 2 ** 20
+
+
 def test_key_lemma_sharp_instance():
     # a flag whose line sits on the repelling axis degenerates, under
     # powers, onto a limit in sharp position: the inequality against the
@@ -1010,6 +1149,10 @@ def test_key_lemma_sharp_instance():
     pytest.param(lambda: fd.limit_set_sample([[[1, 0], [0, 0]]], 2, 1.0),
                  NearSingular, "generator is singular",
                  id="singular-generator"),
+    pytest.param(lambda: fd.limit_set_sample(
+        _PROBE_SETS["past-float-range"], 3, 1.0), SingularInput,
+        "product spans more than the float range",
+        id="product-past-float-range"),
     # values 1e-7 and 1e-8 of one corner read about 7e-8 and 7e-9: apart
     # from the gray band, but only a factor 10 apart
     pytest.param(lambda: fd.relative_position(
