@@ -25,9 +25,9 @@ screen before the exact test: the sample takes one SVD per word length
 and reads ``flag_angles`` only against stored flags whose first line
 lies within 2 DEDUP_ANGLE of its own, in one call (none when there are
 none), and the probe takes the spectral norm only of words whose
-Frobenius distance to the identity allows it.  The probe never builds
-its longest words: it screens each one by trace and norm from its parent
-and forms only the few that pass.
+Frobenius distance to the identity allows it.  The probe never holds
+its longest words: it forms them a block of parents at a time and keeps
+only the few that pass the Frobenius screen.
 """
 
 from __future__ import annotations
@@ -399,9 +399,10 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
 
     A length with a product past the float range is refused with
     SingularInput before its SVD.  The sample runs under ``np.errstate``,
-    so neither that overflow nor a singular value that reads 0 warns:
-    such a value logs to -inf, its margin reads +inf, and the word's
-    other margins decide."""
+    so neither that overflow nor a singular value that reads 0 warns.
+    One such value logs to -inf and its margin reads +inf, so the word's
+    other margins decide; between two of them the margin reads NaN, an
+    unknown gap, and the word is skipped."""
     symspace.check_finite(margin_threshold=margin_threshold)
     try:
         gens = [symspace.unimodular(g)
@@ -422,7 +423,7 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
         u, mu, _ = np.linalg.svd(mats)
         lo = np.log(mu)
         margins = lo[:, :-1] - lo[:, 1:]
-        for row in np.nonzero(~(margins.min(axis=1) < margin_threshold))[0]:
+        for row in np.nonzero(margins.min(axis=1) >= margin_threshold)[0]:
             flag = Flag(u[row])
             near = np.nonzero(np.abs(lines @ flag.basis[:, 0]) >= screen)[0]
             stored = np.array([sample.flags[t].basis for t in near])
@@ -518,42 +519,26 @@ def _near_identity(mats, epsilon):
 
 def _children_near_identity(mats, letters, last, epsilon):
     """Children P L_a of a stack of parents P, ``last`` their last
-    letters, that may lie within ``epsilon`` of the identity in spectral
-    norm, as arrays of parent and letter in shortlex order; no child is
-    formed.  ||X - I||_2 < epsilon needs |tr X - n| < n epsilon, as
-    |tr Y| <= n ||Y||_2, and ||P||_F sigma_min(L_a) < sqrt(n) (1 +
-    epsilon), as sigma_min(L) ||P||_F <= ||P L||_F <= sqrt(n) ||P L||_2.
-    Both bounds get the slack gamma ||P||_F ||L_a||_F, gamma = 2 n^2 u /
-    (1 - 2 n^2 u), for the rounding of the screen and of the product, and
-    epsilon's term the factor 1 + 1e-9 of ``_near_identity``; a child
-    whose screen value is not finite is kept.  One (m, n^2) @ (n^2, k)
-    product of traces per block of parents."""
+    letters, that may lie within ``epsilon`` of the identity: arrays of
+    their parent and letter in shortlex order, and their matrices.  The
+    children of a block of parents are formed by the masked GEMM of
+    ``reduced_words``, so they have its bits, and only the rows that
+    ``_near_identity`` keeps outlive the block."""
     k, n = letters.shape[0], letters.shape[-1]
-    nu = n * n * np.finfo(float).eps  # 2 n^2 u, u the unit roundoff
-    gamma = nu / (1 - nu)
-    transposes = letters.transpose(0, 2, 1).reshape(k, n * n).T
-    size = np.linalg.norm(letters, axis=(1, 2))
-    finite = np.isfinite(letters).all(axis=(1, 2))
-    low = np.full(k, np.nan)  # sigma_min, not read past the float range
-    low[finite] = np.linalg.svd(letters[finite], compute_uv=False)[:, -1]
     step = BLOCK_ENTRIES // max(k * n * n, 1) + 1
-    parents, kept_letters = [], []
+    right = letters.transpose(1, 0, 2).reshape(n, k * n)
+    parents, kept_letters, children = [], [], []
     for s in range(0, len(mats), step):
-        block = mats[s:s + step]
-        frob = np.sqrt(np.einsum("kij,kij->k", block, block))[:, None]
-        slack = gamma * frob * size
-        trace = np.abs(block.reshape(-1, n * n) @ transposes - n)
-        norm = frob * low
-        drop = ((np.isfinite(trace)
-                 & (trace >= n * epsilon * (1 + 1e-9) + slack))
-                | (np.isfinite(norm)
-                   & (norm >= np.sqrt(n) * (1 + epsilon * (1 + 1e-9))
-                      + slack)))
-        p, a = np.nonzero(~drop & (last[s:s + step, None]
-                                   != np.arange(k) ^ 1))
-        parents.append(p + s)
-        kept_letters.append(a)
-    return np.concatenate(parents), np.concatenate(kept_letters)
+        keep = last[s:s + step, None] != np.arange(k) ^ 1
+        block = (mats[s:s + step].reshape(-1, n) @ right).reshape(
+            -1, n, k, n).swapaxes(1, 2)[keep]
+        rows = _near_identity(block, epsilon)
+        p, a = np.nonzero(keep)
+        parents.append(p[rows] + s)
+        kept_letters.append(a[rows])
+        children.append(block[rows])
+    return (np.concatenate(parents), np.concatenate(kept_letters),
+            np.concatenate(children))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -570,10 +555,10 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
 
     ``reduced_words`` builds the lengths below ``max_len``.  The words of
     length ``max_len`` (two thirds of all words for two generators) are
-    screened from their parents by ``_children_near_identity``, and only
-    the children that pass are formed, one letter at a time, which gives
-    the bits of ``reduced_words``.  A word past the float range is
-    dropped; the search runs under ``np.errstate``, so it does not warn.
+    formed by ``_children_near_identity`` a block of parents at a time,
+    and only those that pass the Frobenius screen are kept.  A word past
+    the float range is dropped; the search runs under ``np.errstate``, so
+    it does not warn.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -604,12 +589,10 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
             count = (len(letters) - 1) * len(mats)
             if max_words is not None and searched + count > max_words:
                 raise BudgetExceeded(f"word budget {max_words} exhausted")
-            pp, aa = _children_near_identity(mats, letters, letter, epsilon)
-            children = np.empty((len(pp), n, n))
-            for a in range(len(letters)):
-                children[aa == a] = mats[pp[aa == a]] @ letters[a]
+            pp, aa, children = _children_near_identity(mats, letters, letter,
+                                                       epsilon)
             searched += count
-            levels.append((pp, aa))  # its rows are the children formed
+            levels.append((pp, aa))  # its rows are the children kept
             small += [(len(levels), r, children[r]) for r in near(children)]
     except BudgetExceeded:
         exhausted = True

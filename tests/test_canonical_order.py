@@ -129,9 +129,9 @@ def _rotation(axis, angle):
 
 
 def test_dense_rotation_probe_pinned():
-    # every word of length <= 12 is searched; the Frobenius screen, and
-    # for length 12 the trace and norm screen from the parents, must keep
-    # each one within epsilon of the identity
+    # every word of length <= 12 is searched, the last length a block of
+    # parents at a time; the Frobenius screen must keep each one within
+    # epsilon of the identity
     gens = [_rotation([0, 0, 1], 2.4), _rotation([1, 0, 0], 1.7)]
     res = flagdyn.nondiscreteness_certificate(gens, epsilon=0.1, max_len=12)
     assert res.certificate.words == ["abABabAB", "aBAbaBAb", "aBAbaBAb"]

@@ -591,7 +591,7 @@ def test_limit_set_sample_at_extreme_scales(scale):
 
 # --- thickened limit sets ----------------------------------------------------------------
 
-def test_limit_sample_reads_a_zero_singular_value_without_warning():
+def test_limit_sample_reads_zero_singular_values_without_warning():
     # aa reads singular values (1e300, 1, 0): its log -inf makes its last
     # margin +inf, and its flag is the one of a, so the sample keeps the
     # six flags it kept when the log warned
@@ -603,6 +603,13 @@ def test_limit_sample_reads_a_zero_singular_value_without_warning():
         2 * [[345.38776394910684, 345.38776394910684]] \
         + 2 * [[345.3877644491066, 345.3877634491071]] \
         + 2 * [[345.3877634491071, 345.3877644491066]]
+    # aaa reads singular values (1e300, 1e100, 0, 0): the gap between the
+    # two zeros reads NaN, and is unknown, so the word is skipped like a
+    # and aa, whose last two singular values are equal
+    g = np.diag([1e100, 10 ** (100 / 3), 10 ** (-200 / 3), 10 ** (-200 / 3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fd.limit_set_sample([g], 3, 1.0).words == []
 
 
 def test_membership_of_sample_flag():
@@ -742,55 +749,24 @@ def test_near_identity_screen_keeps_every_small_word():
     assert fd._near_identity(mats, 0.1).tolist() == small
 
 
-def _children(parents, letters):
-    """Every child P L_a of a stack of parents, one letter at a time as
-    the probe forms them: entry [p, a] is parent p times letter a."""
-    return np.stack([parents @ letter for letter in letters], axis=1)
-
-
-@pytest.mark.parametrize("eps", [1e-9, 1e-6, 0.1])
-def test_child_screen_keeps_every_small_child(eps):
-    # a parent P = X L_a^-1 puts its child near X = I + E, ||E||_2 just
-    # below eps; the letters are orthogonal or scaled non-orthogonal, so
-    # both the trace and the norm bound are met near their edge
-    rng = np.random.default_rng(2000)
-    n = 3
-    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    a = 10.0 ** rng.uniform(-3, 3) * (np.eye(n)
-                                      + 0.5 * rng.standard_normal((n, n)))
-    letters = np.array([q, q.T, a, np.linalg.inv(a)])
-    parents = []
-    for _ in range(400):
-        e = rng.standard_normal((n, n))
-        e *= eps * (1 - 10.0 ** -rng.uniform(1, 15)) / np.linalg.norm(e, 2)
-        parents.append((np.eye(n) + e) @ np.linalg.inv(
-            letters[rng.integers(len(letters))]))
-    parents += list(rng.standard_normal((100, n, n)))
-    parents = np.array(parents)
-    children = _children(parents, letters)
-    small = np.linalg.svd(children - np.eye(n),
-                          compute_uv=False).max(axis=-1) < eps
-    assert small.sum() > 200
-    everyone = np.full(len(parents), -1)  # -1 inverts no letter
-    pp, aa = fd._children_near_identity(parents, letters, everyone, eps)
-    kept = np.zeros_like(small)
-    kept[pp, aa] = True
-    assert not (small & ~kept).any()
-    assert kept.sum() < 2 * small.sum()
-    # children of parents that end in letter 0 do not take letter 1
-    last = np.zeros(len(parents), dtype=int)
-    pp, aa = fd._children_near_identity(parents, letters, last, eps)
-    assert 1 not in aa
-    assert sorted(zip(pp, aa)) == [(p, a) for p, a in zip(pp, aa)]
-    # parents whose norms overflow keep every child
-    huge = np.full((3, n, n), 1e160)
-    huge[1] *= -1
-    huge[2, 0, 0] = 1e-300
-    with np.errstate(over="ignore", invalid="ignore"):
-        pp, aa = fd._children_near_identity(huge, letters, np.full(3, -1),
-                                             eps)
-    assert sorted(zip(pp.tolist(), aa.tolist())) == \
-        [(p, a) for p in range(3) for a in range(len(letters))]
+def test_children_near_identity_are_the_next_length_screened():
+    # parents over five blocks; the children kept are the rows of the
+    # next length of reduced_words that _near_identity keeps, bit for bit
+    letters = fd.stack_letters([_rot_z(0.02), _rot_z(0.01) @ np.array(
+        [[1, 0, 0], [0, np.cos(0.03), -np.sin(0.03)],
+         [0, np.sin(0.03), np.cos(0.03)]])])
+    *_, (_, last, parents), (parent, letter, mats) = fd.reduced_words(
+        letters, 9)
+    step = fd.BLOCK_ENTRIES // (len(letters) * 9) + 1
+    assert len(parents) // step == 4
+    for eps in (1e-6, 0.05, 0.2):
+        rows = fd._near_identity(mats, eps)
+        pp, aa, children = fd._children_near_identity(parents, letters, last,
+                                                      eps)
+        assert pp.tolist() == parent[rows].tolist()
+        assert aa.tolist() == letter[rows].tolist()
+        assert children.tobytes() == mats[rows].tobytes()
+    assert len(set(pp // step)) == 5
 
 
 def test_probe_refuses_bad_configuration():
