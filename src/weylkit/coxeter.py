@@ -6,19 +6,19 @@ order are all table lookups after construction.
 
 Every group is a permutation group on one small finite set S.  For an
 irreducible factor, S is the orbit of the standard basis vectors under
-the simple reflections of the exact ambient realization (rationals, and
-Q(sqrt 3) for G2): n+1 vectors for A(n), 2n for B(n) and D(n), 12 for G2
-and 24 for F4.  For a product, S is the disjoint union of the factors'
-sets, each vector padded with zeros into its factor's block of
-coordinates.  An element is the permutation it induces on S, so
-construction composes a whole length level with the generators by one
-array indexing, and its reflection matrix is read off from the images of
-the basis vectors, which keeps orthogonality and the homomorphism
-property exact.
+the simple reflections of an ambient realization over the rationals:
+n+1 vectors for A(n), 2n for B(n) and D(n), 6 for G2 and 24 for F4.
+For a product, S is the disjoint union of the factors' sets, each
+vector padded with zeros into its factor's block of coordinates.  An
+element is the permutation it induces on S, so construction composes a
+whole length level with the generators by one array indexing, and its
+reflection matrix is read off from the images of the basis vectors,
+which keeps orthogonality and the homomorphism property exact.
 
 For type A(n) the matrices are (n+1) x (n+1) permutation matrices; they
-act on the trace-zero hyperplane, which is the rank-n model flat.  All
-other families act directly on R^rank.
+act on the trace-zero hyperplane, which is the rank-n model flat.  G2
+acts the same way on the sum-zero plane of R^3 (Bourbaki, plate IX), by
+3 x 3 rational matrices.  All other families act directly on R^rank.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -43,64 +43,8 @@ ORDER_MATRIX_CAP = 4 * 10 ** 4
 _FAMILY_NAMES = ("A", "B", "D", "G", "F")
 
 
-class QSqrt3:
-    """Exact scalar a + b*sqrt(3) with rational a, b."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = a if isinstance(a, Fraction) else Fraction(a)
-        self.b = b if isinstance(b, Fraction) else Fraction(b)
-
-    def __add__(self, other):
-        return QSqrt3(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return QSqrt3(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other):
-        return QSqrt3(self.a * other.a + 3 * self.b * other.b,
-                      self.a * other.b + self.b * other.a)
-
-    def __truediv__(self, other):
-        norm = other.a * other.a - 3 * other.b * other.b
-        return self * QSqrt3(other.a / norm, -other.b / norm)
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def __neg__(self):
-        return QSqrt3(-self.a, -self.b)
-
-    def __eq__(self, other):
-        return isinstance(other, QSqrt3) and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * 3 ** 0.5
-
-    def __repr__(self):
-        if self.b == 0:
-            return str(self.a)
-        return f"({self.a}+{self.b}r3)"
-
-    def key(self):
-        return (self.a.numerator, self.a.denominator,
-                self.b.numerator, self.b.denominator)
-
-
-_Q0 = QSqrt3(0)
-_Q1 = QSqrt3(1)
-
-
 def _dot(u, v):
-    return reduce(operator.add, map(operator.mul, u, v))
-
-
-def _as_q(x):
-    return x if isinstance(x, QSqrt3) else QSqrt3(x)
+    return sum(map(operator.mul, u, v))
 
 
 @dataclass(frozen=True)
@@ -127,19 +71,18 @@ class _Family:
 
     @property
     def ambient_dim(self):
-        if self.name == "A":
+        if self.name in ("A", "G"):
             return self.rank + 1
-        if self.name == "G":
-            return 2
         if self.name == "F":
             return 4
         return self.rank
 
     def simple_roots(self):
-        if self.name == "G":
-            return [(_Q0, _Q1), (_Q1, QSqrt3(0, -1))]
         n, dim = self.rank, self.ambient_dim
-        if self.name == "F":
+        if self.name == "G":
+            # short, then long, in the sum-zero plane of R^3
+            roots = [(0, 1, -1), (1, -2, 1)]
+        elif self.name == "F":
             h = Fraction(1, 2)
             roots = [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (h, -h, -h, -h)]
         else:
@@ -156,7 +99,7 @@ class _Family:
         """Sort key of S.  It fixes the canonical element order: signed
         index order for A, B, D, entry-wise exact keys for G2 and F4."""
         if self.name in ("G", "F"):
-            return tuple(_as_q(x).key() for x in v)
+            return tuple((x.numerator, x.denominator) for x in v)
         return v[::-1]
 
     def permutation_model(self):
@@ -167,9 +110,8 @@ class _Family:
         # coroot 2 alpha / (alpha . alpha)
         coroots = [tuple((a + a) / _dot(alpha, alpha) for a in alpha)
                    for alpha in roots]
-        scalar = type(roots[0][0])
         dim = self.ambient_dim
-        basis = [tuple(scalar(int(k == j)) for k in range(dim))
+        basis = [tuple(Fraction(int(k == j)) for k in range(dim))
                  for j in range(dim)]
         orbit = list(basis)
         seen = set(orbit)
@@ -412,7 +354,7 @@ class WeylGroup:
         self.ctype = ctype
         orbit, gens, self._bases = ctype.permutation_model()
         self._basis = [b for basis in self._bases for b in basis]
-        self._rows = [tuple(map(_as_q, v)) for v in orbit]
+        self._rows = [tuple(map(Fraction, v)) for v in orbit]
         (self.elements, self._index, self.lengths, self._parents,
          self.gen_mult) = _enumerate(gens, self._bases)
         assert len(self.elements) == ctype.order, (ctype, len(self.elements))

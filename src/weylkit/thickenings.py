@@ -289,16 +289,22 @@ def metric_thickening_general(W, a):
     """Experimental analogue {w : <a, w a> > 0} in the reflection
     representation of an arbitrary W: row j of the matrix of w is w(e_j)
     in the orbit S that W permutes, so for p = S a, with a and S scaled
-    to Python ints, <a, w a> = sum_j a_j p[w(e_j)], exact.  G2 (entries
-    in Q(sqrt 3)) is refused first.  Errors rather than silently
-    returning a set that is not an ideal."""
-    ints = np.array(_ints(a), dtype=object)
-    if len(ints) != W.ambient_dim:
+    to Python ints, <a, w a> = sum_j a_j p[w(e_j)], exact, in every type.
+    An A(n) or G2 factor fixes the all-ones vector of its block of
+    coordinates, so a weight whose entries there do not sum to 0 (off the
+    flat) is refused.  Errors rather than returning a non-ideal."""
+    a = [Fraction(x) for x in a]
+    if len(a) != W.ambient_dim:
         raise WrongGroupType(
             f"weight vector must have length {W.ambient_dim} (ambient dim)")
-    if any(x.b for v in W._rows for x in v):
-        raise WrongGroupType("general metric thickenings need rational matrices")
-    p = np.array(_ints(x.a for v in W._rows for x in v),
+    hi = 0
+    for f in W.ctype.factors:
+        lo, hi = hi, hi + f.ambient_dim
+        if f.name in ("A", "G") and (total := sum(a[lo:hi])):
+            raise WrongGroupType(f"weight entries {lo}..{hi - 1} ({f.name}"
+                                 f"{f.rank} block) sum to {total}, not 0")
+    ints = np.array(_ints(a), dtype=object)
+    p = np.array(_ints(x for v in W._rows for x in v),
                  dtype=object).reshape(len(W._rows), -1) @ ints
     dots = p[np.array(W.elements)[:, W._basis]] @ ints
     (mask,) = coxeter.packed_masks(

@@ -37,10 +37,10 @@ GROUP_DIGESTS = {
     "D2": "828a5f857a64b6b8f1f0d5430dc9e11c8e071894995f44e0ea4e5d9fa14cbad7",
     "D3": "5fd8f6008cfded408af4eec35856b2e64f5f1cb69753308e6e70b1f483e501a7",
     "D4": "f21ba09e12ea3a489addf6eb451c24ffa0ec066b4d2dbef97f6d6cec9bd1f2a4",
-    "G2": "235ac6275ae09b8361afdcfd4d194668fd68c524294ea14f98cde3c5324503ff",
+    "G2": "4ec585e995553c3907926d2cc547c861711d24d67919c1c2af82533615ff0cbc",
     "F4": "5858fce2b20f3905c6dea16d88f381724397a36035b9912809b8db9a48ccb4a3",
     "A1^6": "3d7d8b64fd9b1ba35484f830ce39a57e97b1d65688666c27c39baf368756fa05",
-    "A2xG2": "0fb7a3e7f5970055fac85965d9d9effd84cc020f7f3ddb27c941faae0ad253a3",
+    "A2xG2": "7e780c0cff9030a2918fa192579861cd2ab072cfdf5d00ac5ee0e5af6cfd9ab8",
     "B3xA1": "69fc52be315a8dfeb1a6285bbd0c94ac0d8098e7a1aa153ea920a75fad8bf0fe",
 }
 
@@ -73,7 +73,10 @@ def _sha(text):
 
 
 def group_digest(W):
-    matrix_keys = [tuple(e.key() for row in W.matrix(i) for e in row)
+    # an entry x keys as (num, den, 0, 1), the key it had as x + 0 sqrt 3
+    # when G2 was realised over Q(sqrt 3), so digests without G2 held
+    matrix_keys = [tuple((e.numerator, e.denominator, 0, 1)
+                         for row in W.matrix(i) for e in row)
                    for i in range(len(W))]
     return _sha(repr((W.lengths, W.words, W.gen_mult, W.inverse_table,
                       matrix_keys)))

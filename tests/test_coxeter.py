@@ -202,16 +202,14 @@ def test_longest_element():
 # --- reflection representation ----------------------------------------------
 
 def _mat_is_identity(m):
-    from weylkit.coxeter import _Q0, _Q1
-    return all(m[i][j] == (_Q1 if i == j else _Q0)
+    return all(m[i][j] == (1 if i == j else 0)
                for i in range(len(m)) for j in range(len(m)))
 
 
 def _mat_mul(x, y):
-    from weylkit.coxeter import _Q0
     n = len(x)
     return tuple(
-        tuple(sum((x[i][k] * y[k][j] for k in range(n)), _Q0) for j in range(n))
+        tuple(sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
 
@@ -301,11 +299,10 @@ def test_product_order_is_componentwise():
 
 
 def _block_diagonal(blocks):
-    from weylkit.coxeter import _Q0
     dim = sum(map(len, blocks))
     rows, off = [], 0
     for b in blocks:
-        rows += [(_Q0,) * off + tuple(r) + (_Q0,) * (dim - off - len(b))
+        rows += [(0,) * off + tuple(r) + (0,) * (dim - off - len(b))
                  for r in b]
         off += len(b)
     return tuple(rows)

@@ -398,9 +398,7 @@ def _general_metric_oracle(W, a):
     mask = 0
     for i in range(len(W.elements)):
         m = W.matrix(i)
-        if any(x.b != 0 for row in m for x in row):
-            raise WrongGroupType("general metric thickenings need rational matrices")
-        wa = [sum(row[c].a * vals[c] for c in range(len(vals))) for row in m]
+        wa = [sum(row[c] * vals[c] for c in range(len(vals))) for row in m]
         if sum(x * y for x, y in zip(vals, wa)) > 0:
             mask |= 1 << i
     th._require_ideal(Thickening(W, mask))
@@ -428,31 +426,52 @@ def _outcome(fn, W, a):
 
 
 @pytest.mark.parametrize("descriptor", ["A2", "A3", "A4", "B2", "B3", "D4",
-                                        "F4"])
+                                        "F4", "G2"])
 def test_general_metric_thickening_matches_oracle(descriptor):
     # dominant weights from small integers, so many lie on walls, and in
     # type A their iota-invariant parts (a - reversed a) / 2; weights
-    # outside the chamber mostly cut out sets that are not ideals
+    # outside the chamber mostly cut out sets that are not ideals.  An A
+    # or G2 weight off the sum-zero plane is refused, so there the raw
+    # weights are projected onto it as n a - (sum a) 1 first
     W = build_group(descriptor)
+    n = W.ambient_dim
     rng = np.random.default_rng(len(W))
-    raw = [rng.integers(-3, 4, W.ambient_dim) for _ in range(4)]
+    raw = [rng.integers(-3, 4, n) for _ in range(4)]
+    if descriptor[0] in "AG":
+        off_plane = [a for a in raw if a.sum()]
+        assert off_plane
+        for a in off_plane:
+            with pytest.raises(WrongGroupType, match="block"):
+                th.metric_thickening_general(W, a)
+        raw = [n * a - a.sum() for a in raw]
     weights = [_dominant(W, a) for a in raw]
     if W.ctype.is_type_a:
         weights += [[(x - y) / 2 for x, y in zip(a, a[::-1])] for a in weights]
-    weights += [*raw, [1] * (W.ambient_dim + 1)]
+    weights += [*raw, [1] * (n + 1)]
     for a in weights:
         got = _outcome(lambda W, a: th.metric_thickening_general(W, a).mask,
                        W, a)
         assert got == _outcome(_general_metric_oracle, W, a)
 
 
-def test_general_metric_thickening_refuses_g2():
+def test_general_metric_thickening_g2_balanced_are_metric():
+    # both balanced thickenings of G2 are metric, each with its weight
     W = build_group("G2")
-    for a in ([1, 0], [2, 1]):
-        with pytest.raises(WrongGroupType, match="rational matrices"):
-            th.metric_thickening_general(W, a)
-        with pytest.raises(WrongGroupType):
-            _general_metric_oracle(W, a)
+    assert sorted(t.mask for t in enumerate_balanced(W)) == [63, 95]
+    assert th.metric_thickening_general(W, [-6, -2, 8]).mask == 63
+    assert th.metric_thickening_general(W, [-6, 2, 4]).mask == 95
+
+
+@pytest.mark.parametrize("descriptor,a,message", [
+    ("G2", [1, 0, 0], r"entries 0\.\.2 \(G2 block\) sum to 1, not 0"),
+    ("A2", [5, 3, 1], r"entries 0\.\.2 \(A2 block\) sum to 9, not 0"),
+    ("A2xG2", [1, 0, -1, 1, 2, 3],
+     r"entries 3\.\.5 \(G2 block\) sum to 6, not 0"),
+])
+def test_general_metric_thickening_refuses_weights_off_the_plane(
+        descriptor, a, message):
+    with pytest.raises(WrongGroupType, match=message):
+        th.metric_thickening_general(build_group(descriptor), a)
 
 
 # --- serialization -------------------------------------------------------------------
