@@ -16,18 +16,18 @@ Lambda_k, with one stacked SVD per corner, so ``thickening_membership``
 reads one stack against the whole sample and ``relative_position`` is
 the case k = 1.
 
-Limit-set samples and the nondiscreteness probe (and the orbit growth
-data in ``morse``, on graded products) walk reduced words through one
-enumerator, ``reduced_words``.  Letter a is generator 0 and A its
-inverse, b is generator 1, and so on; words come in shortlex order,
-shorter first and then by letters ordered a < A < b < B < ...  Both
-screen before the exact test: the sample takes one SVD per word length
-and reads ``flag_angles`` only against stored flags whose first line
-lies within 2 DEDUP_ANGLE of its own, in one call (none when there are
-none), and the probe takes the spectral norm only of words whose
-Frobenius distance to the identity allows it.  The probe never holds
-its longest words: it forms them a block of parents at a time and keeps
-only the few that pass the Frobenius screen.
+Limit-set samples (and the orbit growth data in ``morse``, on graded
+products) walk reduced words one length at a time through
+``reduced_words``; the nondiscreteness probe walks them depth first, a
+block of parents at a time, through its GEMM ``_children``, and never
+holds a whole length.  Letter a is generator 0 and A its inverse, b is
+generator 1, and so on; words come in shortlex order, shorter first and
+then by letters ordered a < A < b < B < ...  Both screen before the
+exact test: the sample takes one SVD per word length and reads
+``flag_angles`` only against stored flags whose first line lies within
+2 DEDUP_ANGLE of its own, in one call (none when there are none), and
+the probe takes the spectral norm only of the few words whose Frobenius
+distance to the identity allows it.
 """
 
 from __future__ import annotations
@@ -296,6 +296,16 @@ def stack_letters(gens):
                      for m in (g, np.linalg.inv(g))])
 
 
+def _children(mats, letters, keep):
+    """Products P L_a of a stack of parents P by the letters a that
+    ``keep`` (parents x letters) allows, in shortlex order: one GEMM by
+    all k letters, masked to the reduced words."""
+    n = letters.shape[-1]
+    right = letters.transpose(1, 0, 2).reshape(n, -1)
+    return (mats.reshape(-1, n) @ right).reshape(
+        -1, n, len(letters), n).swapaxes(1, 2)[keep]
+
+
 def reduced_words(letters, max_len, max_words=None):
     """Reduced words in stacked ``letters``, one length at a time in
     shortlex order.
@@ -307,8 +317,8 @@ def reduced_words(letters, max_len, max_words=None):
     ``letters`` come in inverse pairs a, a ^ 1: a stack of matrices, or
     one like ``graded.Graded``.  Words are parent-major and parents of
     length >= 1 have k - 1 children, so parents s..e make rows
-    (k-1)s..(k-1)e in one block: a GEMM by all k letters, masked to the
-    reduced words, or for a graded stack one batched ``@``.
+    (k-1)s..(k-1)e in one block: ``_children`` for dense letters, or for
+    a graded stack one batched ``@``.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -329,23 +339,24 @@ def reduced_words(letters, max_len, max_words=None):
         for s in range(0, 0 if mats is None else len(mats), step):
             rows = slice((k - 1) * s, (k - 1) * (s + step))
             if dense:
-                right = letters.transpose(1, 0, 2).reshape(n, k * n)
-                out[rows] = (mats[s:s + step].reshape(-1, n) @ right).reshape(
-                    -1, n, k, n).swapaxes(1, 2)[keep[s:s + step]]
+                out[rows] = _children(mats[s:s + step], letters,
+                                      keep[s:s + step])
             else:
                 out[rows] = mats[parent[rows]] @ letters[last[rows]]
         mats = out
         yield parent, last, mats
 
 
-def word_of(levels, row):
-    """Letter indices of word ``row`` of the last of ``levels``, a list
-    of the ``(parent, letter)`` arrays of reduced_words."""
-    word = []
-    for parent, letter in reversed(levels):
-        word.append(int(letter[row]))
-        row = int(parent[row])
-    return word[::-1]
+def word_of(k, length, row):
+    """Letter indices of word ``row`` of length ``length`` in the shortlex
+    order of ``reduced_words`` over k letters.  Row r of length >= 2 is
+    child j = r mod (k-1) of row r // (k-1), and child j of a word ending
+    in letter a takes the j-th letter other than a ^ 1."""
+    prefixes = [int(row) // (k - 1) ** e for e in range(length - 1, -1, -1)]
+    word = prefixes[:1] + [r % (k - 1) for r in prefixes[1:]]
+    for i in range(1, length):
+        word[i] += word[i] >= word[i - 1] ^ 1
+    return word
 
 
 def _word_label(word):
@@ -414,12 +425,10 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
         return sample
     screen = np.cos(2 * DEDUP_ANGLE)
     lines = np.empty((0, len(gens[0])))  # first columns of the stored flags
-    levels = []
-    for parent, letter, mats in reduced_words(stack_letters(gens),
-                                              max_word_length, max_words):
+    for length, (_, _, mats) in enumerate(reduced_words(
+            stack_letters(gens), max_word_length, max_words), start=1):
         if not np.isfinite(mats).all():
             raise SingularInput("product spans more than the float range")
-        levels.append((parent, letter))
         u, mu, _ = np.linalg.svd(mats)
         lo = np.log(mu)
         margins = lo[:, :-1] - lo[:, 1:]
@@ -431,7 +440,8 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
                 continue
             lines = np.vstack([lines, flag.basis[:, 0]])
             sample.flags.append(flag)
-            sample.words.append(_word_label(word_of(levels, row)))
+            sample.words.append(_word_label(word_of(2 * len(gens), length,
+                                                    row)))
             sample.margins.append(margins[row])
     return sample
 
@@ -517,30 +527,6 @@ def _near_identity(mats, epsilon):
     return np.nonzero(frob < n * epsilon ** 2 * (1 + 1e-9))[0]
 
 
-def _children_near_identity(mats, letters, last, epsilon):
-    """Children P L_a of a stack of parents P, ``last`` their last
-    letters, that may lie within ``epsilon`` of the identity: arrays of
-    their parent and letter in shortlex order, and their matrices.  The
-    children of a block of parents are formed by the masked GEMM of
-    ``reduced_words``, so they have its bits, and only the rows that
-    ``_near_identity`` keeps outlive the block."""
-    k, n = letters.shape[0], letters.shape[-1]
-    step = BLOCK_ENTRIES // max(k * n * n, 1) + 1
-    right = letters.transpose(1, 0, 2).reshape(n, k * n)
-    parents, kept_letters, children = [], [], []
-    for s in range(0, len(mats), step):
-        keep = last[s:s + step, None] != np.arange(k) ^ 1
-        block = (mats[s:s + step].reshape(-1, n) @ right).reshape(
-            -1, n, k, n).swapaxes(1, 2)[keep]
-        rows = _near_identity(block, epsilon)
-        p, a = np.nonzero(keep)
-        parents.append(p[rows] + s)
-        kept_letters.append(a[rows])
-        children.append(block[rows])
-    return (np.concatenate(parents), np.concatenate(kept_letters),
-            np.concatenate(children))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
                                 max_words=3_000_000):
@@ -553,12 +539,19 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
     words certify that the generated subgroup is not discrete.  No
     certificate is inconclusive (budget: ``max_words``, 5000 tuples).
 
-    ``reduced_words`` builds the lengths below ``max_len``.  The words of
-    length ``max_len`` (two thirds of all words for two generators) are
-    formed by ``_children_near_identity`` a block of parents at a time,
-    and only those that pass the Frobenius screen are kept.  A word past
-    the float range is dropped; the search runs under ``np.errstate``, so
-    it does not warn.
+    The sizes k (k-1)^(L-1) of the lengths L give the deepest length
+    within ``max_words``.  The words are walked depth first over an
+    explicit stack of blocks of parents, as many per block as in
+    ``reduced_words``: a popped block's children are formed by its GEMM,
+    ``_children``, so they have its bits, and are screened by
+    ``_near_identity`` and pushed as blocks.  Only the rows the screen
+    keeps outlive their block, and the stack holds the children of one
+    block per length, so no length is held whole (about 3 MB at length
+    12 for two generators in SO(3)).  The kept rows take one exact SVD
+    and are sorted by (length, row), the order of the lengths, and each
+    first element's commutator tuples are formed as one stack.  A word
+    past the float range is dropped; the search runs under
+    ``np.errstate``, so it does not warn.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -568,53 +561,60 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
     n = gens[0].shape[0]
     ident = np.eye(n)
     letters = stack_letters(gens)
-    built = max_len - 1 if max_len > 1 else max_len
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    k = len(letters)
+    searched, depth, size = 0, 0, k
+    while depth < max_len and (max_words is None
+                               or searched + size <= max_words):
+        searched, depth, size = searched + size, depth + 1, size * (k - 1)
+    exhausted = depth < max_len
+    step = BLOCK_ENTRIES // (k * n * n) + 1  # parents per block
 
-    def near(mats):
-        """Rows of ``mats`` within epsilon of the identity, not on it."""
+    stack = []  # (length, first shortlex row, last letters, matrices)
+    kept = [(np.empty(0, int), np.empty(0, int), np.empty((0, n, n)))]
+
+    def visit(length, first, last, mats):
         rows = _near_identity(mats, epsilon)
-        dist = np.linalg.svd(mats[rows] - ident, compute_uv=False).max(axis=1)
-        return rows[(dist > 1e-12) & (dist < epsilon)]
+        kept.append((np.full(len(rows), length), first + rows, mats[rows]))
+        if length < depth:
+            stack.extend((length, first + s, last[s:s + step],
+                          mats[s:s + step]) for s in range(0, len(mats), step))
 
-    levels = []
-    searched = 0
-    exhausted = False
-    small = []  # (levels up to the word, row, matrix) of elements near 1
-    try:
-        for parent, letter, mats in reduced_words(letters, built, max_words):
-            levels.append((parent, letter))
-            searched += len(mats)
-            small += [(len(levels), r, mats[r].copy()) for r in near(mats)]
-        if built < max_len:
-            count = (len(letters) - 1) * len(mats)
-            if max_words is not None and searched + count > max_words:
-                raise BudgetExceeded(f"word budget {max_words} exhausted")
-            pp, aa, children = _children_near_identity(mats, letters, letter,
-                                                       epsilon)
-            searched += count
-            levels.append((pp, aa))  # its rows are the children kept
-            small += [(len(levels), r, children[r]) for r in near(children)]
-    except BudgetExceeded:
-        exhausted = True
+    if depth:
+        visit(1, 0, np.arange(k), letters)
+    while stack:
+        length, first, last, mats = stack.pop()
+        keep = last[:, None] != np.arange(k) ^ 1
+        visit(length + 1, (k - 1) * first, np.nonzero(keep)[1],
+              _children(mats, letters, keep))
+    lengths, rows, small = map(np.concatenate, zip(*kept))
+    dist = np.linalg.svd(small - ident, compute_uv=False).max(axis=1)
+    near = np.nonzero((dist > 1e-12) & (dist < epsilon))[0]
+    near = near[np.lexsort((rows[near], lengths[near]))]
+    lengths, rows, small = lengths[near], rows[near], small[near]
 
+    m = len(small)
+    inverse = np.linalg.inv(small)
     tried = 0
-    for i, (li, ri, mi) in enumerate(small):
-        for j, (lj, rj, mj) in enumerate(small):
-            if j == i:
-                continue
-            chain = [(li, ri), (lj, rj)]
-            cm = mi @ mj @ np.linalg.inv(mi) @ np.linalg.inv(mj)
-            for step in range(n - 2):
-                lk, rk, mk = small[(i + j + step) % len(small)]
-                cm = cm @ mk @ np.linalg.inv(cm) @ np.linalg.inv(mk)
-                chain.append((lk, rk))
-            tried += 1
-            if tried > 5000:
-                return NondiscretenessResult(None, searched, True)
-            norm = float(np.linalg.svd(cm - ident, compute_uv=False).max())
-            if norm > 1e-6:
-                cert = NondiscretenessCertificate(
-                    [_word_label(word_of(levels[:l], r)) for l, r in chain],
-                    norm)
-                return NondiscretenessResult(cert, searched, exhausted)
+    for i in range(m):
+        j = np.delete(np.arange(m), i)
+        over = tried + len(j) > 5000
+        j = j[:5000 - tried]
+        tried += len(j)
+        cm = small[i] @ small[j] @ inverse[i] @ inverse[j]
+        for s in range(n - 2):
+            c = (i + j + s) % m
+            cm = cm @ small[c] @ np.linalg.inv(cm) @ inverse[c]
+        norm = np.linalg.svd(cm - ident, compute_uv=False).max(axis=1)
+        hit = np.nonzero(norm > 1e-6)[0]
+        if hit.size:
+            t = hit[0]
+            chain = [i, j[t], *((i + j[t] + s) % m for s in range(n - 2))]
+            cert = NondiscretenessCertificate(
+                [_word_label(word_of(k, lengths[c], rows[c])) for c in chain],
+                float(norm[t]))
+            return NondiscretenessResult(cert, searched, exhausted)
+        if over:
+            return NondiscretenessResult(None, searched, True)
     return NondiscretenessResult(None, searched, exhausted)

@@ -93,8 +93,8 @@ def probe_building_every_length(generators, epsilon=0.1, max_len=12,
                                 max_words=3_000_000):
     """The nondiscreteness probe that forms every word up to ``max_len``
     and screens each length with ``_near_identity``: the reference for
-    ``nondiscreteness_certificate``, which never forms its longest
-    words.  Products past the float range warn here."""
+    ``nondiscreteness_certificate``, which never holds a whole length.
+    Products past the float range warn here."""
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     gens = symspace._square_generators(generators)
@@ -136,7 +136,8 @@ def probe_building_every_length(generators, epsilon=0.1, max_len=12,
             norm = float(np.linalg.svd(cm - ident, compute_uv=False).max())
             if norm > 1e-6:
                 cert = NondiscretenessCertificate(
-                    [_word_label(word_of(levels[:l], r)) for l, r in chain],
+                    [_word_label(word_of(2 * len(gens), l, r))
+                     for l, r in chain],
                     norm)
                 return NondiscretenessResult(cert, searched, exhausted)
     return NondiscretenessResult(None, searched, exhausted)

@@ -152,7 +152,8 @@ def test_orbit_growth_pinned():
         for parent, letter, _ in flagdyn.reduced_words(
                 flagdyn.stack_letters(gens), 5):
             levels.append((parent, letter))
-            logs = [mp_oracle.word_logs(letters, flagdyn.word_of(levels, row))
+            logs = [mp_oracle.word_logs(
+                        letters, flagdyn.word_of(4, len(levels), row))
                     for row in range(len(parent))]
             want += [(len(levels), 2 * np.linalg.norm(v - v.mean()))
                      for v in logs]

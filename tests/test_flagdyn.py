@@ -319,7 +319,7 @@ def test_reduced_words_levels():
             fd.reduced_words(letters, 4), start=1):
         levels.append((parent, letter))
         assert len(mats) == len(parent) == 2 * k * (2 * k - 1) ** (length - 1)
-        labels = [fd._word_label(fd.word_of(levels, row))
+        labels = [fd._word_label(fd.word_of(2 * k, length, row))
                   for row in range(len(mats))]
         keys = [[rank[ch] for ch in label] for label in labels]
         assert keys == sorted(keys) and len(set(labels)) == len(labels)
@@ -332,6 +332,24 @@ def test_reduced_words_levels():
             assert all(a.lower() != b.lower() or a == b
                        for a, b in zip(label, label[1:]))
     assert len(levels) == 4
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_word_of_reads_the_parent_and_letter_arrays(count):
+    # every row up to length 5, against the word read back through the
+    # (parent, letter) arrays of reduced_words
+    letters = fd.stack_letters(_three_generators()[:count])
+    levels = []
+    for length, (parent, letter, _) in enumerate(
+            fd.reduced_words(letters, 5), start=1):
+        levels.append((parent, letter))
+        for row in range(len(parent)):
+            word, r = [], row
+            for p, a in reversed(levels):
+                word.append(int(a[r]))
+                r = int(p[r])
+            assert fd.word_of(2 * count, length, row) == word[::-1]
+    assert fd.word_of(2 * count, 0, 0) == []
 
 
 @pytest.mark.parametrize("max_words", [0, 5, 6, 35, 36, 185, 186, None])
@@ -749,26 +767,6 @@ def test_near_identity_screen_keeps_every_small_word():
     assert fd._near_identity(mats, 0.1).tolist() == small
 
 
-def test_children_near_identity_are_the_next_length_screened():
-    # parents over five blocks; the children kept are the rows of the
-    # next length of reduced_words that _near_identity keeps, bit for bit
-    letters = fd.stack_letters([_rot_z(0.02), _rot_z(0.01) @ np.array(
-        [[1, 0, 0], [0, np.cos(0.03), -np.sin(0.03)],
-         [0, np.sin(0.03), np.cos(0.03)]])])
-    *_, (_, last, parents), (parent, letter, mats) = fd.reduced_words(
-        letters, 9)
-    step = fd.BLOCK_ENTRIES // (len(letters) * 9) + 1
-    assert len(parents) // step == 4
-    for eps in (1e-6, 0.05, 0.2):
-        rows = fd._near_identity(mats, eps)
-        pp, aa, children = fd._children_near_identity(parents, letters, last,
-                                                      eps)
-        assert pp.tolist() == parent[rows].tolist()
-        assert aa.tolist() == letter[rows].tolist()
-        assert children.tobytes() == mats[rows].tobytes()
-    assert len(set(pp // step)) == 5
-
-
 def test_probe_refuses_bad_configuration():
     gens = _three_generators()
     for eps in (0.0, -1.0, np.inf, np.nan):
@@ -1073,6 +1071,33 @@ def test_probe_matches_the_probe_that_builds_every_length(name):
             assert got.budget_exhausted or max_words == sizes[top - 1]
 
 
+@pytest.mark.parametrize("name", ["dense", "random-n2-3", "past-float-range"])
+def test_probe_matches_the_reference_with_blocks_inside_lengths(name,
+                                                                monkeypatch):
+    # 50 floats per block: 2 or 3 parents, so from length 2 on the walk's
+    # blocks end inside every length; the longest length within 50000
+    # words, and the budgets of the test above
+    monkeypatch.setattr(fd, "BLOCK_ENTRIES", 50)
+    gens = _PROBE_SETS[name]
+    k = 2 * len(gens)
+    sizes = np.cumsum([k * (k - 1) ** i for i in range(10)])
+    top = min(int(np.searchsorted(sizes, 50000, side="right")), 9)
+    for eps in (1e-6, 0.1, 0.5):
+        for max_words in (50000, sizes[top - 1] - 1, sizes[top - 2] - 1):
+            got = fd.nondiscreteness_certificate(gens, eps, top, max_words)
+            assert repr(got) == repr(_reference(gens, eps, top, max_words))
+
+
+@pytest.mark.parametrize("gen", [np.diag([2.0, 0.5, 1.0]), _rot_z(2.4)],
+                         ids=["diagonal", "rotation"])
+def test_probe_walks_3000_lengths_of_one_generator(gen):
+    # two words per length: the walk goes 3000 lengths deep, past the
+    # interpreter's recursion limit
+    res = fd.nondiscreteness_certificate([gen], max_len=3000)
+    assert res.words_searched == 6000
+    assert repr(res) == repr(_reference([gen], 0.1, 3000, 3_000_000))
+
+
 def test_probe_past_the_float_range_does_not_warn():
     gens = _PROBE_SETS["past-float-range"]
     for max_len, searched in ((3, 52), (6, 1456)):
@@ -1085,7 +1110,8 @@ def test_probe_past_the_float_range_does_not_warn():
 
 
 def test_probe_never_holds_its_longest_words():
-    # the 708588 words of length 12 took 51 MB; length 11 takes 17 MB
+    # the walk holds the children of one block per length, about 3 MiB;
+    # the 354294 words of length 11 alone take 17 MB
     gens = _PROBE_SETS["dense"]
     tracemalloc.start()
     try:
@@ -1094,7 +1120,7 @@ def test_probe_never_holds_its_longest_words():
     finally:
         tracemalloc.stop()
     assert res.words_searched == 1062880
-    assert peak < 45 * 2 ** 20
+    assert peak < 8 * 2 ** 20
 
 
 def test_key_lemma_sharp_instance():

@@ -296,8 +296,8 @@ def test_graded_logs_match_mpmath_on_criterion_6_words():
             rows = range(len(parent)) if len(levels) <= 3 else \
                 range(0, len(parent), 101)
             for row in rows:
-                want = mp_oracle.word_logs(letters,
-                                           flagdyn.word_of(levels, row))
+                want = mp_oracle.word_logs(
+                    letters, flagdyn.word_of(4, len(levels), row))
                 worst = max(worst, _relative_error(logs[row], want))
     assert worst < 1e-9
 
