@@ -11,7 +11,9 @@ not be decreasing (the inverse of a midpoint has increasing scales).
 Log singular values and frames are read out by one-sided Jacobi, which
 is accurate to the conditioning of T, not of the product (Demmel and
 Veselic, SIMAX 13, 1992), and ``chamber`` centres the logs into the
-chamber vectors.  Every operation works on stacks of matrices.
+chamber vectors.  Every operation works on stacks of matrices, and the
+Jacobi read-out rotates only members that are not yet orthogonal, so a
+read-out depends only on its own product, the same bits in any stack.
 ``flagdyn.reduced_words`` needs a stack's ``shape``, indexing by
 integer arrays, assignment to a slice of rows, and ``@`` between two
 stacks of one length, one product per row.
@@ -128,7 +130,7 @@ def _jacobi(hat, s):
             for q in range(p + 1, n):
                 a, b = hat[..., :, p], hat[..., :, q]
                 cos = np.sum(a * b, axis=-1)
-                if np.abs(cos).max(initial=0.0) <= tol:
+                if not (live := np.abs(cos) > tol).any():
                     continue
                 converged = False
                 d = s[..., q] - s[..., p]
@@ -139,7 +141,7 @@ def _jacobi(hat, s):
                     z = np.sign(d) * (1.0 - r * r) / (2.0 * cos)
                     x = np.where(z < 0, -1.0, 1.0) / (np.abs(z)
                                                       + np.sqrt(r * r + z * z))
-                x = np.where(cos == 0.0, 0.0, x)
+                x = np.where(live, x, 0.0)
                 c = 1.0 / np.sqrt(1.0 + (x * r) ** 2)
                 # tan(theta) e^d and tan(theta) e^-d
                 up = np.where(d > 0, x, x * r * r)
@@ -150,8 +152,8 @@ def _jacobi(hat, s):
                 jp, jq = j[..., :, p].copy(), j[..., :, q]
                 j[..., :, p] = c[..., None] * jp - sn * jq
                 j[..., :, q] = sn * jp + c[..., None] * jq
-                na = np.linalg.norm(new_a, axis=-1)
-                nb = np.linalg.norm(new_b, axis=-1)
+                na = np.where(live, np.linalg.norm(new_a, axis=-1), 1.0)
+                nb = np.where(live, np.linalg.norm(new_b, axis=-1), 1.0)
                 hat[..., :, p] = new_a / na[..., None]
                 hat[..., :, q] = new_b / nb[..., None]
                 s[..., p] += np.log(na)

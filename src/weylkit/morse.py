@@ -19,7 +19,6 @@ cannot vouch for raises SingularInput.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -60,22 +59,23 @@ class ZetaType:
 
 
 def _frame(frames, vectors):
-    """Chamber frame of a segment, refused when it is degenerate or lies
-    on a wall."""
-    gaps = vectors[:-1] - vectors[1:]
-    if np.linalg.norm(vectors) < GAP_TOL or gaps.min() < GAP_TOL:
+    """Chamber frames of a stack of segments, refused when one of them is
+    degenerate or lies on a wall."""
+    gaps = vectors[..., :-1] - vectors[..., 1:]
+    norms = np.sqrt(np.vecdot(vectors, vectors))  # np.linalg.norm's dot
+    if np.any((norms < GAP_TOL) | (gaps.min(axis=-1) < GAP_TOL)):
         raise TieError("segment is degenerate or lies on a wall")
     return frames
 
 
 def _frame_angle(u1, u2, zeta):
-    """Angle between the unit matrices W_i = u_i diag(zeta) u_i^T, read as
-    2 atan2(|W_1 - W_2|, |W_1 + W_2|): arccos of their trace cannot
-    resolve angles below about 1e-8."""
-    w1 = (u1 * zeta.array) @ u1.T
-    w2 = (u2 * zeta.array) @ u2.T
-    return float(2.0 * np.arctan2(np.linalg.norm(w1 - w2),
-                                  np.linalg.norm(w1 + w2)))
+    """Angles between the unit matrices W_i = u_i diag(zeta) u_i^T of two
+    stacks of frames, read as 2 atan2(|W_1 - W_2|, |W_1 + W_2|): arccos
+    of their trace cannot resolve angles below about 1e-8."""
+    w1 = (u1 * zeta.array) @ np.swapaxes(u1, -1, -2)
+    w2 = (u2 * zeta.array) @ np.swapaxes(u2, -1, -2)
+    w = np.stack([w1 - w2, w1 + w2]).reshape(2, *w1.shape[:-2], -1)
+    return 2.0 * np.arctan2(*np.sqrt(np.vecdot(w, w)))
 
 
 def _chamber_frame(x, y):
@@ -104,7 +104,8 @@ def zeta_angle(x, y1, y2, zeta=None):
     the angle between W_1 and W_2."""
     if zeta is None:
         zeta = ZetaType.default(x.n)
-    return _frame_angle(_chamber_frame(x, y1), _chamber_frame(x, y2), zeta)
+    return float(_frame_angle(_chamber_frame(x, y1), _chamber_frame(x, y2),
+                              zeta))
 
 
 def flat_zeta_vector(direction, zeta):
@@ -180,6 +181,13 @@ def straightness_check(path, cone, zeta=None, epsilon=0.2, spacing=10.0):
 
 # --- free group certificates -------------------------------------------------
 
+def _check_power(name, value):
+    """ValueError naming ``name`` unless value is an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+
+
 def _power_letters(gens, N):
     """Letters g0^N, g0^-N, g1^N, ... as one graded stack for
     flagdyn.reduced_words."""
@@ -203,16 +211,20 @@ def _midpoint_segments(letters):
     m_a -> e^{-h_b} u_b^T u_a e^{h_a}, o -> e^{-h_b} u_b^T,
     b.o -> e^{h_b} w_b^T and b m_c -> e^{h_b} w_b^T u_c e^{h_c}.
     Returns (frames, chamber vectors) of these four, indexed [b, a],
-    [b], [b] and [b, c].
+    [b], [b] and [b, c], read as one stack by one ``_segments`` call.
     """
     u, logs, w = letters.svd()
-    h = logs / 2.0
+    h, (k, n) = logs / 2.0, logs.shape
     ut, wt = np.swapaxes(u, -1, -2), np.swapaxes(w, -1, -2)
-    zero = np.zeros_like(h)
-    return (_segments(-h[:, None], ut[:, None] @ u[None], h[None]),
-            _segments(-h, ut, zero),
-            _segments(h, wt, zero),
-            _segments(h[:, None], wt[:, None] @ u[None], h[None]))
+    back, ahead = ((m[:, None] @ u[None]).reshape(-1, n, n) for m in (ut, wt))
+    hb, ha = np.repeat(h, k, axis=0), np.tile(h, (k, 1))
+    frames, vectors = _segments(np.concatenate([-hb, -h, h, hb]),
+                                np.concatenate([back, ut, wt, ahead]),
+                                np.concatenate([ha, np.zeros((2 * k, n)), ha]))
+    cuts = np.cumsum([k * k, k, k])
+    return tuple((f.reshape(*s, n, n), v.reshape(*s, n)) for f, v, s in zip(
+        np.split(frames, cuts), np.split(vectors, cuts),
+        [(k, k), (k,), (k,), (k, k)]))
 
 
 @dataclass
@@ -245,18 +257,17 @@ class SchottkyReport:
 
 
 def _check_general_position(generators):
-    flags = []
-    for g in generators:
-        flags.append(flagdyn.attracting_flag(g))
-        flags.append(flagdyn.repelling_flag(g))
-    for i in range(len(flags)):
-        for j in range(i + 1, len(flags)):
-            try:
-                ok = flagdyn.is_antipodal(flags[i], flags[j])
-            except AmbiguousRank as exc:
+    flags = [f for g in generators for f in (flagdyn.attracting_flag(g),
+                                             flagdyn.repelling_flag(g))]
+    for i, f in enumerate(flags[:-1]):
+        _, w, _, _, refusals = flagdyn._positions(
+            f, np.array([g.basis for g in flags[i + 1:]]), flagdyn.RANK_TOL)
+        for j, (pos, refusal) in enumerate(zip(w, refusals), start=i + 1):
+            if refusal is not None:
                 raise NotAntipodalGenerators(
-                    f"flag pair ({i},{j}) too degenerate to decide") from exc
-            if not ok:
+                    f"flag pair ({i},{j}) too degenerate to decide"
+                ) from AmbiguousRank(refusal)
+            if np.any(pos != f.n - np.arange(f.n)):  # not the longest one
                 raise NotAntipodalGenerators(
                     f"axis flags {i} and {j} are not antipodal")
 
@@ -274,6 +285,7 @@ def schottky_certificate(generators, N, cone=None, zeta=None, epsilon=0.2,
     toward the orbit point bend by less than epsilon / 2 at the middle
     midpoint.
     """
+    _check_power("N", N)
     symspace.check_finite(epsilon=epsilon, spacing=spacing)
     gens = symspace._square_generators(generators)
     if not gens:
@@ -286,35 +298,30 @@ def schottky_certificate(generators, N, cone=None, zeta=None, epsilon=0.2,
         zeta = ZetaType.default(n)
     (back, back_v), (to_o, to_o_v), (to_b, to_b_v), (ahead, ahead_v) = \
         _midpoint_segments(_power_letters(gens, N))
-
-    report = SchottkyReport(N, epsilon, spacing)
-    for alpha, beta, gamma in product(range(len(back)), repeat=3):
-        if alpha == beta or gamma == beta ^ 1:
-            continue  # alpha = beta, or beta gamma = 1
-        # midpoints of the orbit quadruple (alpha o, o, beta o,
-        # beta gamma o), handled in graded form throughout: the points
-        # themselves are too ill-conditioned to materialize for large N
-        d1 = back_v[alpha, beta]
-        d2 = ahead_v[beta, gamma]
-        seg1 = 2.0 * float(np.linalg.norm(d1))
-        seg2 = 2.0 * float(np.linalg.norm(d2))
-        reg1 = cone.contains(d1)
-        reg2 = cone.contains(d2)
-        ang1 = _frame_angle(_frame(back[beta, alpha], back_v[beta, alpha]),
-                            _frame(to_o[beta], to_o_v[beta]), zeta)
-        ang2 = _frame_angle(_frame(ahead[beta, gamma], d2),
-                            _frame(to_b[beta], to_b_v[beta]), zeta)
-        passed = (seg1 >= spacing and seg2 >= spacing and reg1 and reg2
-                  and ang1 < epsilon / 2 and ang2 < epsilon / 2)
-        name = flagdyn._word_label((alpha, beta, gamma))
-        report.triples.append(TripleReport(
-            name, (float(seg1), float(seg2)), (reg1, reg2),
-            (float(ang1), float(ang2)), bool(passed)))
-    return report
+    # the triples (alpha, beta, gamma) in product order, but for alpha = beta
+    # and beta gamma = 1; the midpoints of (alpha o, o, beta o, beta gamma o)
+    # stay graded: the points are too ill-conditioned to form for large N
+    abc = np.indices((len(back),) * 3).reshape(3, -1)
+    a, b, c = abc[:, (abc[0] != abc[1]) & (abc[2] != abc[1] ^ 1)]
+    d1, d2 = back_v[a, b], ahead_v[b, c]
+    seg1, seg2 = (2.0 * np.sqrt(np.vecdot(d, d)) for d in (d1, d2))
+    reg1, reg2 = cone.contains(d1), cone.contains(d2)
+    ang1 = _frame_angle(_frame(back[b, a], back_v[b, a]),
+                        _frame(to_o[b], to_o_v[b]), zeta)
+    ang2 = _frame_angle(_frame(ahead[b, c], d2), _frame(to_b[b], to_b_v[b]),
+                        zeta)
+    passed = ((seg1 >= spacing) & (seg2 >= spacing) & reg1 & reg2
+              & (ang1 < epsilon / 2) & (ang2 < epsilon / 2))
+    rows = zip(*(x.tolist() for x in (a, b, c, seg1, seg2, reg1, reg2, ang1,
+                                      ang2, passed)))
+    return SchottkyReport(N, epsilon, spacing, [TripleReport(
+        flagdyn._word_label(r[:3]), r[3:5], r[5:7], r[7:9], r[9])
+        for r in rows])
 
 
 def find_schottky_threshold(generators, max_power=60, **kwargs):
     """Smallest N whose certificate passes, by incremental search."""
+    _check_power("max_power", max_power)
     for N in range(1, max_power + 1):
         if schottky_certificate(generators, N, **kwargs).passed:
             return N
@@ -325,6 +332,7 @@ def orbit_growth(generators, N, max_word_length):
     """Word length vs orbit distance for all short reduced words of the
     N-th powers: the undistortion witness data, twice the norms of the
     chamber vectors (so a scalar factor of a generator drops out)."""
+    _check_power("N", N)
     gens = symspace._square_generators(generators)
     if not gens:
         raise ValueError("need at least one generator")

@@ -260,13 +260,13 @@ class RegularityCone:
             raise ValueError("margin must be positive")
 
     def contains(self, v):
+        """Is v, or each row of a stack v, in the cone?  0 is not."""
         v = np.asarray(v, dtype=float)
         check_finite(**{"chamber vector": v})
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return False
-        u = v / nv
-        return bool(np.min(u[:-1] - u[1:]) >= self.lower_margin)
+        nv = np.sqrt(np.vecdot(v, v))[..., None]  # np.linalg.norm's dot
+        u = np.divide(v, nv, out=np.zeros_like(v), where=nv > 0)
+        inside = np.min(u[..., :-1] - u[..., 1:], axis=-1) >= self.lower_margin
+        return bool(inside) if inside.ndim == 0 else inside
 
 
 @dataclass
@@ -329,27 +329,31 @@ def horofunction_estimate(p, direction, x, t_list, phi=None, offset=None):
     p_t from p with chamber-valued speed ``direction``; the values
     converge (to the horofunction of the ray's chamber, normalized to
     vanish at the origin).  ``offset`` shifts the sampling inside the
-    same sector, which must not change the limit.
+    same sector, which must not change the limit.  Every t, for x and
+    for the origin, is read in one stacked graded read-out.
     """
     direction = np.asarray(direction, dtype=float)
     off = np.zeros(p.n) if offset is None else np.asarray(offset, dtype=float)
     check_finite(direction=direction, t_list=t_list, offset=off)
+    t = np.asarray(t_list, dtype=float)
+    if t.ndim != 1 or not t.size or t[0] <= 0 or np.any(t[1:] <= t[:-1]):
+        raise ValueError("t_list must be a nonempty increasing list of "
+                         f"positive times, got {t.tolist()}")
     direction = direction - direction.mean()
     if np.min(direction[:-1] - direction[1:]) <= 0:
         raise NonRegularDirection("direction must have strictly positive gaps")
     if phi is None:
         phi = FinslerFunctional.default(p.n)
     off = off - off.mean()
-    # dx, do: chamber vectors of m e^h, m = chol(x^-1)^T p^1/2 and p^1/2,
-    # read graded because the spread of h can exceed float conditioning
+    # chamber vectors of m e^h, m = chol(x^-1)^T p^1/2 and p^1/2, read graded
+    # (the spread of h can exceed float conditioning); vecdot is phi's dot
     rp = p.sqrt()
     mx = np.linalg.cholesky(np.linalg.inv(x.mat)).T @ rp
-    estimates = []
-    for t in t_list:
-        h = t * direction + off
-        _, dx = graded.Graded(np.eye(p.n), h, mx.T).chamber()
-        _, do = graded.Graded(np.eye(p.n), h, rp.T).chamber()
-        estimates.append(phi(dx) - phi(do))
+    h = np.tile(t[:, None] * direction + off, (2, 1))
+    right = np.repeat([mx.T, rp.T], len(t), axis=0)
+    fx, fo = np.vecdot(graded.Graded(np.eye(p.n), h, right).chamber()[1],
+                       phi.c).reshape(2, -1)
+    estimates = (fx - fo).tolist()
     diffs = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
     converged = bool(diffs) and diffs[-1] < 1e-6 and \
         all(d2 <= d1 + 1e-6 for d1, d2 in zip(diffs, diffs[1:]))

@@ -2,21 +2,29 @@
 
 The brute-force Bruhat oracle, random and iterated flags, the chart of
 the n=3 model flat, ray points, the dual-cone defect of a triangle,
-rigid rotations of circle configurations and the nondiscreteness probe
-that builds every word length.  The tests compare the library against
-them or build their inputs with them.
+rigid rotations of circle configurations, the nondiscreteness probe
+that builds every word length, the standard Schottky pair, and the
+Schottky certificate and horofunction estimate read one triple and one
+ray parameter at a time.  The tests compare the library against them or
+build their inputs with them.
 """
+
+from itertools import product
 
 import numpy as np
 
 from weylkit.configurations import TWO_PI, WeightedConfig
 from weylkit.coxeter import _same_group
-from weylkit import symspace
-from weylkit.errors import BudgetExceeded
+from weylkit import flagdyn, graded, morse, symspace
+from weylkit.errors import (AmbiguousRank, BudgetExceeded,
+                            NotAntipodalGenerators)
 from weylkit.flagdyn import (NondiscretenessCertificate, NondiscretenessResult,
                              _near_identity, _word_label, flag_from_basis,
                              reduced_words, stack_letters, word_of)
-from weylkit.symspace import SymPoint, delta_distance, flat_point
+from weylkit.morse import (SchottkyReport, TripleReport, ZetaType, _frame,
+                           _frame_angle)
+from weylkit.symspace import (FinslerFunctional, RegularityCone, SymPoint,
+                              delta_distance, flat_point)
 
 
 def subword_leq(u, v):
@@ -141,3 +149,103 @@ def probe_building_every_length(generators, epsilon=0.1, max_len=12,
                     norm)
                 return NondiscretenessResult(cert, searched, exhausted)
     return NondiscretenessResult(None, searched, exhausted)
+
+
+def standard_pair():
+    """diag(4, 1, 1/4) and its conjugate by a fixed rotation: the pair
+    whose powers pass the Schottky certificate from N = 6 on."""
+    def rot(t, i, j):
+        m = np.eye(3)
+        m[i, i] = m[j, j] = np.cos(t)
+        m[j, i] = np.sin(t)
+        m[i, j] = -m[j, i]
+        return m
+    g1 = np.diag([4.0, 1.0, 0.25])
+    h = rot(0.8, 0, 1) @ rot(0.5, 1, 2) @ rot(0.3, 0, 1)
+    return [g1, h @ g1 @ h.T]
+
+
+def general_position_pair_by_pair(generators):
+    """The axis flag check one pair at a time through ``is_antipodal``:
+    the reference for ``morse._check_general_position``, which reads each
+    flag against all later ones in one stack."""
+    flags = []
+    for g in generators:
+        flags.append(flagdyn.attracting_flag(g))
+        flags.append(flagdyn.repelling_flag(g))
+    for i in range(len(flags)):
+        for j in range(i + 1, len(flags)):
+            try:
+                ok = flagdyn.is_antipodal(flags[i], flags[j])
+            except AmbiguousRank as exc:
+                raise NotAntipodalGenerators(
+                    f"flag pair ({i},{j}) too degenerate to decide") from exc
+            if not ok:
+                raise NotAntipodalGenerators(
+                    f"axis flags {i} and {j} are not antipodal")
+
+
+def schottky_triple_by_triple(generators, N, cone=None, zeta=None,
+                              epsilon=0.2, spacing=10.0):
+    """``morse.schottky_certificate`` read one triple at a time, with
+    norms, cone tests, frames and angles of single segments, from the
+    same ``_midpoint_segments``: the reference for its stacked arithmetic
+    over all triples."""
+    symspace.check_finite(epsilon=epsilon, spacing=spacing)
+    gens = symspace._square_generators(generators)
+    if not gens:
+        raise ValueError("need at least one generator")
+    n = gens[0].shape[0]
+    general_position_pair_by_pair(gens)
+    if cone is None:
+        cone = RegularityCone(0.05)
+    if zeta is None:
+        zeta = ZetaType.default(n)
+    (back, back_v), (to_o, to_o_v), (to_b, to_b_v), (ahead, ahead_v) = \
+        morse._midpoint_segments(morse._power_letters(gens, N))
+
+    report = SchottkyReport(N, epsilon, spacing)
+    for alpha, beta, gamma in product(range(len(back)), repeat=3):
+        if alpha == beta or gamma == beta ^ 1:
+            continue  # alpha = beta, or beta gamma = 1
+        # midpoints of the orbit quadruple (alpha o, o, beta o,
+        # beta gamma o), handled in graded form throughout: the points
+        # themselves are too ill-conditioned to materialize for large N
+        d1 = back_v[alpha, beta]
+        d2 = ahead_v[beta, gamma]
+        seg1 = 2.0 * float(np.linalg.norm(d1))
+        seg2 = 2.0 * float(np.linalg.norm(d2))
+        reg1 = cone.contains(d1)
+        reg2 = cone.contains(d2)
+        ang1 = _frame_angle(_frame(back[beta, alpha], back_v[beta, alpha]),
+                            _frame(to_o[beta], to_o_v[beta]), zeta)
+        ang2 = _frame_angle(_frame(ahead[beta, gamma], d2),
+                            _frame(to_b[beta], to_b_v[beta]), zeta)
+        passed = (seg1 >= spacing and seg2 >= spacing and reg1 and reg2
+                  and ang1 < epsilon / 2 and ang2 < epsilon / 2)
+        name = _word_label((alpha, beta, gamma))
+        report.triples.append(TripleReport(
+            name, (float(seg1), float(seg2)), (reg1, reg2),
+            (float(ang1), float(ang2)), bool(passed)))
+    return report
+
+
+def horofunction_per_t(p, direction, x, t_list, phi=None, offset=None):
+    """The estimates of ``symspace.horofunction_estimate`` read one t at a
+    time, two graded read-outs each: the reference for its one stacked
+    read of all t."""
+    direction = np.asarray(direction, dtype=float)
+    off = np.zeros(p.n) if offset is None else np.asarray(offset, dtype=float)
+    direction = direction - direction.mean()
+    if phi is None:
+        phi = FinslerFunctional.default(p.n)
+    off = off - off.mean()
+    rp = p.sqrt()
+    mx = np.linalg.cholesky(np.linalg.inv(x.mat)).T @ rp
+    estimates = []
+    for t in t_list:
+        h = t * direction + off
+        _, dx = graded.Graded(np.eye(p.n), h, mx.T).chamber()
+        _, do = graded.Graded(np.eye(p.n), h, rp.T).chamber()
+        estimates.append(phi(dx) - phi(do))
+    return estimates

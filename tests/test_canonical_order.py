@@ -63,8 +63,8 @@ ENUMERATE_DIGESTS = {
 WORD_DIGESTS = {
     "limit_set_sample": "403cdfa24b504689f4468e5dc07378e4442dd009bf602b4ed432a89cb0cb99d4",
     "limit_set_sample_L5": "9eebc437265476db611334b68ec5a4b43303bb79a7255d85d176c7f80835b412",
-    "orbit_growth": "edde47af20ee8f0b64380ae781f10c4e177811ff8fbb5d6b2e36aa8198a51cec",
-    "schottky_certificate": "8517d18faa4719c287c1bc40bf611c8727fb3934ebd7708aa861c4c94214e1e2",
+    "orbit_growth": "1c2e58d41d711f707049fe6fd307b697436c942bd26fe061e937a33c7fe2d317",
+    "schottky_certificate": "3ca774ad8bb6c2ef07ad363aa8c795220f0c3c2d810e8a51feea1552f4be74a4",
 }
 
 

@@ -741,6 +741,29 @@ def test_horo_estimate_refuses_entries_that_are_not_finite(capsys, option,
     assert data["error"] == "ValueError" and data["message"] == message
 
 
+@pytest.mark.parametrize("t", ["5,5", "40,5", "0,5"])
+def test_horo_estimate_refuses_a_t_list_that_is_not_increasing(capsys, t):
+    # "5,5" and "40,5" were printed as converged from one ray point
+    code, out = run(capsys, "horo", "estimate", "--p", "[[1,0],[0,1]]",
+                    "--x", "[[2,0],[0,0.5]]", "--direction", "1,0", "--t", t)
+    assert code == 1
+    data = json.loads(out)
+    got = [float(v) for v in t.split(",")]
+    assert (data["error"], data["message"]) == (
+        "ValueError", "t_list must be a nonempty increasing list of positive "
+                      f"times, got {got}")
+
+
+def test_schottky_refuses_a_power_below_one(capsys):
+    # N = 0 was refused as a segment on a wall
+    gens = json.dumps([np.diag([4.0, 1.0, 0.25]).tolist()])
+    code, out = run(capsys, "morse", "schottky", "--gens", gens, "--N", "0")
+    assert code == 1
+    data = json.loads(out)
+    assert (data["error"], data["message"]) == (
+        "ValueError", "N must be an integer >= 1, got 0")
+
+
 def test_discreteness_probe_prints_a_certificate(capsys):
     def rotation(c, s, axes):
         g = np.eye(3)

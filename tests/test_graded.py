@@ -1,13 +1,15 @@
 """The graded product kernel: letters, products and read-outs.
 
 Long products against mpmath are in test_morse.py and test_symspace.py;
-these tests cover the letter factorisation and the refusals.
+these tests cover the letter factorisation, the stack invariance of the
+read-out and the refusals.
 """
 
 import numpy as np
 import pytest
 
-from weylkit import flagdyn, graded
+from helpers import standard_pair
+from weylkit import flagdyn, graded, morse
 from weylkit.errors import SingularInput
 
 
@@ -43,6 +45,33 @@ def test_reduced_words_on_graded_letters():
     for (p1, l1, mats), (p2, l2, words) in zip(plain, kernel, strict=True):
         assert np.array_equal(p1, p2) and np.array_equal(l1, l2)
         assert np.abs(_dense(words) - mats).max() < 1e-12
+
+
+def _mixed_stack(n, m, rng):
+    """m products of size n, about half of them diagonal (nothing for the
+    read-out to rotate) and the others generic, with log spreads of up to
+    60."""
+    u = np.linalg.qr(rng.standard_normal((m, n, n)))[0]
+    logs = rng.uniform(-30.0, 30.0, (m, n))
+    t = np.eye(n) + 0.3 * rng.standard_normal((m, n, n))
+    diagonal = rng.random(m) < 0.5
+    u[diagonal] = t[diagonal] = np.eye(n)
+    return graded.Graded(u, logs, t)
+
+
+def test_read_out_depends_only_on_its_own_product():
+    # a member that has converged is not rotated while others still are,
+    # so its frames, logs and right frames are the bits of its own read
+    rng = np.random.default_rng(3703)
+    stacks = [_mixed_stack(n, 40, rng) for n in (2, 3, 4, 5)]
+    stacks += [words for _, _, words in flagdyn.reduced_words(
+        morse._power_letters(standard_pair(), 6), 4)]
+    for stack in stacks:
+        whole = stack.svd()
+        for i in range(len(stack)):
+            alone = stack[i:i + 1].svd()
+            for a, b in zip(alone, whole, strict=True):
+                assert np.array_equal(a[0], b[i])
 
 
 def test_refusals():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mp_oracle
+import helpers
 from helpers import sl3_flat_chart
 from weylkit import flagdyn, morse
 from weylkit import symspace as ss
@@ -631,6 +632,21 @@ def test_orbit_internals_match_point_computations():
          _rot_z(2e-8) @ np.diag([4.0, 1.0, 0.25]) @ _rot_z(2e-8).T], 6),
         NotAntipodalGenerators, "flag pair (0,2) too degenerate to decide",
         id="axes-too-degenerate"),
+    # a power that is not an integer >= 1 is refused by name: N = 0 was
+    # refused as a segment on a wall, N = 2.5 and N = True were certified
+    *[pytest.param(lambda N=N: schottky_certificate(list(_schottky_pair()), N),
+                   ValueError, f"N must be an integer >= 1, got {N}",
+                   id=f"schottky-N-{N}") for N in (0, -1, 2.5, True)],
+    pytest.param(lambda: morse.orbit_growth(list(_schottky_pair()), 0, 2),
+                 ValueError, "N must be an integer >= 1, got 0",
+                 id="orbit-growth-N-0"),
+    pytest.param(lambda: morse.orbit_growth(list(_schottky_pair()), 1.5, 2),
+                 ValueError, "N must be an integer >= 1, got 1.5",
+                 id="orbit-growth-N-1.5"),
+    *[pytest.param(lambda m=m: morse.find_schottky_threshold(
+        list(_schottky_pair()), max_power=m), ValueError,
+        f"max_power must be an integer >= 1, got {m}", id=f"threshold-{m}")
+      for m in (0, 6.0, False)],
     # a flat path along (1, 1, -2): both segments at vertex 1 on a wall
     pytest.param(lambda: straightness_check(
         [ss.flat_point(k * np.array([5.0, 5.0, -10.0])) for k in range(3)],
@@ -641,6 +657,81 @@ def test_refusals_name_their_condition(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_numpy_integer_powers_are_accepted():
+    gens = list(_schottky_pair())
+    want = schottky_certificate(gens, 6)
+    assert schottky_certificate(gens, np.int64(6)).triples == want.triples
+    assert morse.orbit_growth(gens, np.int32(2), 2) == \
+        morse.orbit_growth(gens, 2, 2)
+    assert morse.find_schottky_threshold(gens, max_power=np.uint8(6)) == 6
+
+
+def _seeded_pair(n, seed):
+    """Two axial generators q diag(e^l) q^-1 with random q and spectra."""
+    rng = np.random.default_rng(seed)
+
+    def axial():
+        q = np.eye(n) + 0.5 * rng.standard_normal((n, n))
+        logs = np.sort(rng.uniform(-1.5, 1.5, n))[::-1]
+        return q @ np.diag(np.exp(logs)) @ np.linalg.inv(q)
+    return [axial(), axial()]
+
+
+def _outcome(certificate, gens, N):
+    try:
+        rep = certificate(gens, N)
+    except Exception as exc:  # the refusal is compared, type and message
+        return type(exc), str(exc)
+    return repr([(t.triple, t.spacing, t.regular, t.angles, t.passed)
+                 for t in rep.triples])
+
+
+@pytest.mark.parametrize("gens", [
+    list(_schottky_pair()), _seeded_pair(3, 1), _seeded_pair(3, 2),
+    _seeded_pair(4, 3), _seeded_pair(4, 4),
+    [np.diag([4.0, 1.0, 0.25])] * 2,
+    [np.diag([4.0, 1.0, 0.25]),
+     _rot_z(2e-8) @ np.diag([4.0, 1.0, 0.25]) @ _rot_z(2e-8).T],
+    [np.diag([4.0, 1.0, 0.25]), _rot_z(0.7)],
+], ids=["standard", "3x3-1", "3x3-2", "4x4-3", "4x4-4", "not-antipodal",
+        "too-degenerate", "not-regular"])
+def test_stacked_certificate_matches_the_triple_by_triple_reference(gens):
+    # the stacked norms, cone tests, frames and angles over all triples,
+    # and the axis flags read against all later flags at once, give the
+    # rows and refusals of one triple and one flag pair at a time
+    for N in range(1, 41):
+        assert _outcome(schottky_certificate, gens, N) == \
+            _outcome(helpers.schottky_triple_by_triple, gens, N)
+
+
+def test_stacked_frames_refuse_a_segment_on_a_wall():
+    frames = np.broadcast_to(np.eye(3), (4, 3, 3))
+    vectors = np.array([[2.0, 0.0, -2.0]] * 4)
+    assert morse._frame(frames, vectors) is frames
+    vectors[2] = [1.0, 1.0, -2.0]
+    with pytest.raises(TieError, match="^segment is degenerate or lies on "
+                                       "a wall$"):
+        morse._frame(frames, vectors)
+
+
+def test_midpoint_segments_in_one_stack_match_four_reads():
+    # the fused read gives the bits of reading each segment stack alone
+    for gens, N in ((list(_schottky_pair()), 6), (_seeded_pair(3, 1), 17),
+                    (_seeded_pair(4, 3), 2), (_seeded_pair(4, 4), 40)):
+        letters = morse._power_letters(gens, N)
+        u, logs, w = letters.svd()
+        h = logs / 2.0
+        ut, wt = np.swapaxes(u, -1, -2), np.swapaxes(w, -1, -2)
+        zero = np.zeros_like(h)
+        want = (morse._segments(-h[:, None], ut[:, None] @ u[None], h[None]),
+                morse._segments(-h, ut, zero),
+                morse._segments(h, wt, zero),
+                morse._segments(h[:, None], wt[:, None] @ u[None], h[None]))
+        got = morse._midpoint_segments(letters)
+        for (f1, v1), (f2, v2) in zip(got, want, strict=True):
+            assert np.array_equal(f1, f2) and np.array_equal(v1, v2)
 
 
 def test_threshold_search_without_a_passing_power_returns_none():

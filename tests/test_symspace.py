@@ -10,7 +10,8 @@ import re
 import numpy as np
 import pytest
 
-from helpers import chamber_ray_point, dual_cone_defect
+from helpers import (chamber_ray_point, dual_cone_defect,
+                     horofunction_per_t)
 from weylkit import symspace as ss
 from weylkit.errors import (DegenerateSegment, NonRegularDirection,
                             NotPositiveDefinite, SingularInput)
@@ -444,6 +445,45 @@ def test_horofunction_generic_convergence_and_scheme_independence():
         est_b = ss.horofunction_estimate(p, direction, x, [5, 10, 20, 40],
                                          offset=off)
         assert abs(est_a.value - est_b.value) < 1e-6
+
+
+def test_horofunction_reads_every_t_as_the_per_t_reference():
+    # one stacked read of all t, for x and for the origin, gives the bits
+    # of one pair of read-outs per t
+    rng = np.random.default_rng(3701)
+    for k in range(30):
+        n = 3 + k % 2
+        p, x = _random_point(rng, n), _random_point(rng, n)
+        direction = np.cumsum(1.0 + rng.random(n))[::-1]
+        offset = rng.standard_normal(n) if k % 3 else None
+        t_list = np.cumsum(rng.uniform(0.5, 20.0, 1 + k % 6)).tolist()
+        est = ss.horofunction_estimate(p, direction, x, t_list, offset=offset)
+        want = horofunction_per_t(p, direction, x, t_list, offset=offset)
+        assert est.estimates == want and est.value == want[-1]
+
+
+@pytest.mark.parametrize("t_list", [[], [0, 5], [-1, 5], [5, 5], [40, 5],
+                                    [5, 10, 10]],
+                         ids=["empty", "zero", "negative", "repeated",
+                              "decreasing", "repeated-last"])
+def test_horofunction_refuses_a_bad_t_list(t_list):
+    # [] raised IndexError, and [5, 5] or [40, 5] reported convergence
+    o = ss.origin(3)
+    with pytest.raises(ValueError) as exc:
+        ss.horofunction_estimate(o, [1.0, 0.0, -1.0], o, t_list)
+    got = [float(t) for t in t_list]
+    assert str(exc.value) == ("t_list must be a nonempty increasing list of "
+                              f"positive times, got {got}")
+
+
+def test_cone_reads_a_stack_as_row_by_row():
+    rng = np.random.default_rng(3702)
+    cone = ss.RegularityCone(0.2)
+    v = rng.standard_normal((50, 4))
+    v[::7] = 0.0
+    got = cone.contains(v)
+    assert got.tolist() == [cone.contains(row) for row in v]
+    assert cone.contains(v[0]) is False and type(cone.contains(v[1])) is bool
 
 
 def test_horofunction_rejects_wall_direction():
