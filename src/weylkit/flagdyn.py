@@ -16,18 +16,16 @@ Lambda_k, with one stacked SVD per corner, so ``thickening_membership``
 reads one stack against the whole sample and ``relative_position`` is
 the case k = 1.
 
-Limit-set samples (and the orbit growth data in ``morse``, on graded
-products) walk reduced words one length at a time through
-``reduced_words``; the nondiscreteness probe walks them depth first, a
-block of parents at a time, through its GEMM ``_children``, and never
-holds a whole length.  Letter a is generator 0 and A its inverse, b is
-generator 1, and so on; words come in shortlex order, shorter first and
-then by letters ordered a < A < b < B < ...  Both screen before the
-exact test: the sample takes one SVD per word length and reads
-``flag_angles`` only against stored flags whose first line lies within
-2 DEDUP_ANGLE of its own, in one call (none when there are none), and
-the probe takes the spectral norm only of the few words whose Frobenius
-distance to the identity allows it.
+One walker, ``walk_words``, forms the reduced words of limit-set samples,
+the nondiscreteness probe and the (graded) orbit growth data of
+``morse``: depth first, never a whole length at a time.  Letter a is
+generator 0 and A its inverse, b is generator 1, and so on; every output
+is in shortlex order, shorter words first and then by letters ordered
+a < A < b < B < ....  The sample reads ``flag_angles`` only against
+stored flags whose first line lies within 2 DEDUP_ANGLE of its own, in
+one call (none when there are none), and the probe takes the spectral
+norm only of the few words whose Frobenius distance to the identity
+allows it.
 """
 
 from __future__ import annotations
@@ -306,50 +304,55 @@ def _children(mats, letters, keep):
         -1, n, len(letters), n).swapaxes(1, 2)[keep]
 
 
-def reduced_words(letters, max_len, max_words=None):
-    """Reduced words in stacked ``letters``, one length at a time in
-    shortlex order.
+def word_depth(k, name, max_len, max_words):
+    """The deepest length up to ``max_len`` whose words over k letters,
+    k (k-1)^(L-1) of each length L, fit in ``max_words`` together (None:
+    no budget), and their count.  ValueError naming ``name`` unless
+    ``max_len`` is an integer >= 0."""
+    symspace.check_integer(name, max_len, 0)
+    count, depth, size = 0, 0, k
+    while depth < max_len and (max_words is None
+                               or count + size <= max_words):
+        count, depth, size = count + size, depth + 1, size * (k - 1)
+    return depth, count
 
-    Yields ``(parent, letter, products)`` per length: word i is word
-    ``parent[i]`` of the previous length followed by ``letter[i]``, and
-    ``products[i]`` is its matrix.  Raises BudgetExceeded before building
-    a length that would take the count of words past ``max_words``.
-    ``letters`` come in inverse pairs a, a ^ 1: a stack of matrices, or
-    one like ``graded.Graded``.  Words are parent-major and parents of
-    length >= 1 have k - 1 children, so parents s..e make rows
-    (k-1)s..(k-1)e in one block: ``_children`` for dense letters, or for
-    a graded stack one batched ``@``.
-    """
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
+
+def walk_words(letters, depth):
+    """Reduced words in stacked ``letters`` up to length ``depth``.
+
+    Yields blocks ``(length, first, last, products)``: words first,
+    first + 1, ... of one length in shortlex order, their last letters
+    and products.  ``letters`` come in inverse pairs a, a ^ 1, as a stack
+    of matrices or one like ``graded.Graded``.  Blocks of BLOCK_ENTRIES
+    // (k n^2) + 1 parents wait on an explicit stack, and a popped one's
+    children come from one product (``_children``, or ``@`` of graded
+    stacks): the walk holds one block's children per length, a word has
+    the same bits in any block, and blocks come out of shortlex order."""
+    if not depth:
+        return
     k, n = letters.shape[0], letters.shape[-1]
-    step = BLOCK_ENTRIES // max(k * n * n, 1) + 1  # parents per block
-    mats = None
-    last = np.array([-1])
-    total = 0
-    for _ in range(max_len):
+    step = BLOCK_ENTRIES // (k * n * n) + 1  # parents per block
+    stack, block = [], (1, 0, np.arange(k), letters)
+    while True:
+        yield block
+        length, first, last, mats = block
+        if length < depth:
+            stack.extend((length, first + s, last[s:s + step],
+                          mats[s:s + step]) for s in range(0, len(mats), step))
+        if not stack:
+            return
+        length, first, last, mats = stack.pop()
         keep = last[:, None] != np.arange(k) ^ 1
-        total += int(keep.sum())
-        if max_words is not None and total > max_words:
-            raise BudgetExceeded(f"word budget {max_words} exhausted")
         parent, last = np.nonzero(keep)
-        dense = mats is not None and isinstance(letters, np.ndarray)
-        # the letters at length 1; from length 2 on, rows are overwritten
-        out = np.empty((len(last), n, n)) if dense else letters[last]
-        for s in range(0, 0 if mats is None else len(mats), step):
-            rows = slice((k - 1) * s, (k - 1) * (s + step))
-            if dense:
-                out[rows] = _children(mats[s:s + step], letters,
-                                      keep[s:s + step])
-            else:
-                out[rows] = mats[parent[rows]] @ letters[last[rows]]
-        mats = out
-        yield parent, last, mats
+        block = (length + 1, (k - 1) * first, last,
+                 _children(mats, letters, keep)
+                 if isinstance(letters, np.ndarray)
+                 else mats[parent] @ letters[last])
 
 
 def word_of(k, length, row):
     """Letter indices of word ``row`` of length ``length`` in the shortlex
-    order of ``reduced_words`` over k letters.  Row r of length >= 2 is
+    order of ``walk_words`` over k letters.  Row r of length >= 2 is
     child j = r mod (k-1) of row r // (k-1), and child j of a word ending
     in letter a takes the j-th letter other than a ^ 1."""
     prefixes = [int(row) // (k - 1) ** e for e in range(length - 1, -1, -1)]
@@ -408,12 +411,15 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
     can be duplicates, all read in one call; the factor 2 keeps rounding
     from dropping a pair.
 
-    A length with a product past the float range is refused with
-    SingularInput before its SVD.  The sample runs under ``np.errstate``,
-    so neither that overflow nor a singular value that reads 0 warns.
-    One such value logs to -inf and its margin reads +inf, so the word's
-    other margins decide; between two of them the margin reads NaN, an
-    unknown gap, and the word is skipped."""
+    The words come from ``walk_words``, after a BudgetExceeded if
+    ``word_depth`` falls short of ``max_word_length``.  Each block keeps
+    flags (copies) and margins of its candidates, deduplicated in
+    shortlex order after the walk.  A block with a product past the float
+    range is refused with SingularInput before its SVD.  The sample runs
+    under ``np.errstate``, so neither that overflow nor a singular value
+    that reads 0 warns.  One such value logs to -inf and its margin reads
+    +inf, so the word's other margins decide; between two of them the
+    margin reads NaN, an unknown gap, and the word is skipped."""
     symspace.check_finite(margin_threshold=margin_threshold)
     try:
         gens = [symspace.unimodular(g)
@@ -423,26 +429,32 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
     sample = FlagSample([], [], [])
     if not gens:
         return sample
-    screen = np.cos(2 * DEDUP_ANGLE)
-    lines = np.empty((0, len(gens[0])))  # first columns of the stored flags
-    for length, (_, _, mats) in enumerate(reduced_words(
-            stack_letters(gens), max_word_length, max_words), start=1):
+    k, n = 2 * len(gens), len(gens[0])
+    depth, _ = word_depth(k, "max_word_length", max_word_length, max_words)
+    if depth < max_word_length:
+        raise BudgetExceeded(f"word budget {max_words} exhausted")
+    found = []
+    for length, first, _, mats in walk_words(stack_letters(gens), depth):
         if not np.isfinite(mats).all():
             raise SingularInput("product spans more than the float range")
         u, mu, _ = np.linalg.svd(mats)
         lo = np.log(mu)
         margins = lo[:, :-1] - lo[:, 1:]
-        for row in np.nonzero(margins.min(axis=1) >= margin_threshold)[0]:
-            flag = Flag(u[row])
+        rows = np.nonzero(margins.min(axis=1) >= margin_threshold)[0]
+        found.append((length, first, first + rows,
+                      [Flag(u[row]) for row in rows], margins[rows]))
+    screen = np.cos(2 * DEDUP_ANGLE)
+    lines = np.empty((0, n))  # first columns of the stored flags
+    for length, _, rows, flags, margins in sorted(found, key=lambda b: b[:2]):
+        for row, flag, margin in zip(rows, flags, margins):
             near = np.nonzero(np.abs(lines @ flag.basis[:, 0]) >= screen)[0]
             stored = np.array([sample.flags[t].basis for t in near])
             if near.size and (flag_angles(flag, stored) < DEDUP_ANGLE).any():
                 continue
             lines = np.vstack([lines, flag.basis[:, 0]])
             sample.flags.append(flag)
-            sample.words.append(_word_label(word_of(2 * len(gens), length,
-                                                    row)))
-            sample.margins.append(margins[row])
+            sample.words.append(_word_label(word_of(k, length, row)))
+            sample.margins.append(margin)
     return sample
 
 
@@ -514,17 +526,13 @@ class NondiscretenessResult:
 
 def _near_identity(mats, epsilon):
     """Rows of a stack that may lie within ``epsilon`` of the identity in
-    spectral norm.  ||X||_2 >= ||X||_F / sqrt(n), so a row with
-    ||M - I||_F^2 >= n epsilon^2 cannot; the factor 1 + 1e-9 covers
-    rounding.  One einsum over M - I per block of rows; a square past
-    the float range is inf and drops its row."""
+    spectral norm: ||X||_2 >= ||X||_F / sqrt(n), so not a row with
+    ||M - I||_F^2 >= n epsilon^2 (1 + 1e-9, for rounding), nor one whose
+    square is past the float range (inf)."""
     n = mats.shape[-1]
-    frob = np.empty(len(mats))
-    step = BLOCK_ENTRIES // max(n * n, 1) + 1
-    for s in range(0, len(mats), step):
-        d = mats[s:s + step] - np.eye(n)
-        frob[s:s + step] = np.einsum("kij,kij->k", d, d)
-    return np.nonzero(frob < n * epsilon ** 2 * (1 + 1e-9))[0]
+    d = mats - np.eye(n)
+    return np.nonzero(np.einsum("kij,kij->k", d, d)
+                      < n * epsilon ** 2 * (1 + 1e-9))[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -539,19 +547,11 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
     words certify that the generated subgroup is not discrete.  No
     certificate is inconclusive (budget: ``max_words``, 5000 tuples).
 
-    The sizes k (k-1)^(L-1) of the lengths L give the deepest length
-    within ``max_words``.  The words are walked depth first over an
-    explicit stack of blocks of parents, as many per block as in
-    ``reduced_words``: a popped block's children are formed by its GEMM,
-    ``_children``, so they have its bits, and are screened by
-    ``_near_identity`` and pushed as blocks.  Only the rows the screen
-    keeps outlive their block, and the stack holds the children of one
-    block per length, so no length is held whole (about 3 MB at length
-    12 for two generators in SO(3)).  The kept rows take one exact SVD
-    and are sorted by (length, row), the order of the lengths, and each
-    first element's commutator tuples are formed as one stack.  A word
-    past the float range is dropped; the search runs under
-    ``np.errstate``, so it does not warn.
+    ``_near_identity`` screens each block of ``walk_words``: only the
+    rows it keeps outlive their block (about 3 MB at length 12 for two
+    generators in SO(3)), take one exact SVD and are sorted by (length,
+    row).  Each first element's commutator tuples are one stack.  A word
+    past the float range is dropped, under ``np.errstate``: no warning.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -561,33 +561,13 @@ def nondiscreteness_certificate(generators, epsilon=0.1, max_len=12,
     n = gens[0].shape[0]
     ident = np.eye(n)
     letters = stack_letters(gens)
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
     k = len(letters)
-    searched, depth, size = 0, 0, k
-    while depth < max_len and (max_words is None
-                               or searched + size <= max_words):
-        searched, depth, size = searched + size, depth + 1, size * (k - 1)
-    exhausted = depth < max_len
-    step = BLOCK_ENTRIES // (k * n * n) + 1  # parents per block
-
-    stack = []  # (length, first shortlex row, last letters, matrices)
+    depth, searched = word_depth(k, "max_len", max_len, max_words)
+    exhausted = bool(depth < max_len)
     kept = [(np.empty(0, int), np.empty(0, int), np.empty((0, n, n)))]
-
-    def visit(length, first, last, mats):
+    for length, first, _, mats in walk_words(letters, depth):
         rows = _near_identity(mats, epsilon)
         kept.append((np.full(len(rows), length), first + rows, mats[rows]))
-        if length < depth:
-            stack.extend((length, first + s, last[s:s + step],
-                          mats[s:s + step]) for s in range(0, len(mats), step))
-
-    if depth:
-        visit(1, 0, np.arange(k), letters)
-    while stack:
-        length, first, last, mats = stack.pop()
-        keep = last[:, None] != np.arange(k) ^ 1
-        visit(length + 1, (k - 1) * first, np.nonzero(keep)[1],
-              _children(mats, letters, keep))
     lengths, rows, small = map(np.concatenate, zip(*kept))
     dist = np.linalg.svd(small - ident, compute_uv=False).max(axis=1)
     near = np.nonzero((dist > 1e-12) & (dist < epsilon))[0]

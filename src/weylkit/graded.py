@@ -14,8 +14,8 @@ Veselic, SIMAX 13, 1992), and ``chamber`` centres the logs into the
 chamber vectors.  Every operation works on stacks of matrices, and the
 Jacobi read-out rotates only members that are not yet orthogonal, so a
 read-out depends only on its own product, the same bits in any stack.
-``flagdyn.reduced_words`` needs a stack's ``shape``, indexing by
-integer arrays, assignment to a slice of rows, and ``@`` between two
+``flagdyn.walk_words`` needs of a stack its ``shape`` and length,
+indexing by integer arrays and by slices of rows, and ``@`` between two
 stacks of one length, one product per row.
 
 When an eigenbasis or T is worse conditioned than COND_LIMIT, or a

@@ -18,6 +18,7 @@ cannot vouch for raises SingularInput.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,16 +182,9 @@ def straightness_check(path, cone, zeta=None, epsilon=0.2, spacing=10.0):
 
 # --- free group certificates -------------------------------------------------
 
-def _check_power(name, value):
-    """ValueError naming ``name`` unless value is an integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value}")
-
-
 def _power_letters(gens, N):
-    """Letters g0^N, g0^-N, g1^N, ... as one graded stack for
-    flagdyn.reduced_words."""
+    """Letters g0^N, g0^-N, g1^N, ... as one graded stack, the letters of
+    ``flagdyn.walk_words`` for graded products."""
     return graded.power(flagdyn.stack_letters(gens), N)
 
 
@@ -256,20 +250,30 @@ class SchottkyReport:
         return max((max(t.angles) for t in self.triples), default=0.0)
 
 
-def _check_general_position(generators):
-    flags = [f for g in generators for f in (flagdyn.attracting_flag(g),
-                                             flagdyn.repelling_flag(g))]
-    for i, f in enumerate(flags[:-1]):
-        _, w, _, _, refusals = flagdyn._positions(
-            f, np.array([g.basis for g in flags[i + 1:]]), flagdyn.RANK_TOL)
-        for j, (pos, refusal) in enumerate(zip(w, refusals), start=i + 1):
-            if refusal is not None:
-                raise NotAntipodalGenerators(
-                    f"flag pair ({i},{j}) too degenerate to decide"
-                ) from AmbiguousRank(refusal)
-            if np.any(pos != f.n - np.arange(f.n)):  # not the longest one
-                raise NotAntipodalGenerators(
-                    f"axis flags {i} and {j} are not antipodal")
+def _checked_generators(generators, epsilon, spacing):
+    """The generators, after the checks that do not depend on N: finite
+    bounds, matrices, and NotAntipodalGenerators for the first axis flag
+    pair (i, j), i < j, refused or not antipodal, all read in one stack."""
+    symspace.check_finite(epsilon=epsilon, spacing=spacing)
+    gens = symspace._square_generators(generators)
+    if not gens:
+        raise ValueError("need at least one generator")
+    flags = np.array([f.basis for g in gens for f in (
+        flagdyn.attracting_flag(g), flagdyn.repelling_flag(g))])
+    first, second = np.triu_indices(len(flags), 1)
+    ranks, _, early = flagdyn._corner_ranks(
+        np.swapaxes(flags[first], -1, -2) @ flags[second], flagdyn.RANK_TOL)
+    w, _, late = flagdyn._read_positions(ranks)
+    refusals = np.where(np.equal(early, None), late, early)
+    for i, j, pos, refusal in zip(first, second, w, refusals):
+        if refusal is not None:
+            raise NotAntipodalGenerators(
+                f"flag pair ({i},{j}) too degenerate to decide"
+            ) from AmbiguousRank(refusal)
+        if np.any(pos != np.arange(len(pos), 0, -1)):  # not the longest one
+            raise NotAntipodalGenerators(
+                f"axis flags {i} and {j} are not antipodal")
+    return gens
 
 
 def schottky_certificate(generators, N, cone=None, zeta=None, epsilon=0.2,
@@ -285,17 +289,17 @@ def schottky_certificate(generators, N, cone=None, zeta=None, epsilon=0.2,
     toward the orbit point bend by less than epsilon / 2 at the middle
     midpoint.
     """
-    _check_power("N", N)
-    symspace.check_finite(epsilon=epsilon, spacing=spacing)
-    gens = symspace._square_generators(generators)
-    if not gens:
-        raise ValueError("need at least one generator")
-    n = gens[0].shape[0]
-    _check_general_position(gens)
+    symspace.check_integer("N", N, 1)
+    return _certificate(_checked_generators(generators, epsilon, spacing), N,
+                        cone, zeta, epsilon, spacing)
+
+
+def _certificate(gens, N, cone, zeta, epsilon, spacing):
+    """``schottky_certificate`` of checked generators."""
     if cone is None:
         cone = RegularityCone(0.05)
     if zeta is None:
-        zeta = ZetaType.default(n)
+        zeta = ZetaType.default(gens[0].shape[0])
     (back, back_v), (to_o, to_o_v), (to_b, to_b_v), (ahead, ahead_v) = \
         _midpoint_segments(_power_letters(gens, N))
     # the triples (alpha, beta, gamma) in product order, but for alpha = beta
@@ -320,29 +324,35 @@ def schottky_certificate(generators, N, cone=None, zeta=None, epsilon=0.2,
 
 
 def find_schottky_threshold(generators, max_power=60, **kwargs):
-    """Smallest N whose certificate passes, by incremental search."""
-    _check_power("max_power", max_power)
-    for N in range(1, max_power + 1):
-        if schottky_certificate(generators, N, **kwargs).passed:
-            return N
-    return None
+    """Smallest N whose certificate passes, by incremental search, with
+    the options and checks of ``schottky_certificate`` taken once."""
+    symspace.check_integer("max_power", max_power, 1)
+    options = inspect.signature(schottky_certificate).bind(generators, 1,
+                                                           **kwargs)
+    options.apply_defaults()
+    _, _, cone, zeta, epsilon, spacing = options.args
+    gens = _checked_generators(generators, epsilon, spacing)
+    return next((N for N in range(1, max_power + 1) if _certificate(
+        gens, N, cone, zeta, epsilon, spacing).passed), None)
 
 
 def orbit_growth(generators, N, max_word_length):
     """Word length vs orbit distance for all short reduced words of the
     N-th powers: the undistortion witness data, twice the norms of the
     chamber vectors (so a scalar factor of a generator drops out)."""
-    _check_power("N", N)
+    symspace.check_integer("N", N, 1)
     gens = symspace._square_generators(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    out = []
-    for length, (_, _, words) in enumerate(
-            flagdyn.reduced_words(_power_letters(gens, N), max_word_length),
-            start=1):
-        _, v = words.chamber()
-        out.extend((length, 2.0 * float(d)) for d in np.linalg.norm(v, axis=1))
-    return out
+    letters = _power_letters(gens, N)
+    depth, _ = flagdyn.word_depth(len(letters), "max_word_length",
+                                  max_word_length, None)
+    walk = flagdyn.walk_words(letters, depth)
+    # no two blocks share (length, first row): they sort into shortlex order
+    blocks = sorted((length, first, np.linalg.norm(w.chamber()[1], axis=1))
+                    for length, first, _, w in walk)
+    return [(length, 2.0 * float(d)) for length, _, dist in blocks
+            for d in dist]
 
 
 # --- quasigeodesic defect reports --------------------------------------------

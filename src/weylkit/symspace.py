@@ -88,6 +88,15 @@ def check_finite(**params):
             raise ValueError(f"{name} entries must be finite, got {bad[0]}")
 
 
+def check_integer(name, value, minimum):
+    """ValueError naming ``name`` unless value is an integer >= minimum
+    (not a bool; a numpy integer is one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, "
+                         f"got {value}")
+
+
 def origin(n):
     return SymPoint(np.eye(n))
 

@@ -2,11 +2,11 @@
 
 The brute-force Bruhat oracle, random and iterated flags, the chart of
 the n=3 model flat, ray points, the dual-cone defect of a triangle,
-rigid rotations of circle configurations, the nondiscreteness probe
-that builds every word length, the standard Schottky pair, and the
-Schottky certificate and horofunction estimate read one triple and one
-ray parameter at a time.  The tests compare the library against them or
-build their inputs with them.
+rigid rotations of circle configurations, reduced words and the
+nondiscreteness probe built one whole word length at a time, the
+standard Schottky pair, and the Schottky certificate and horofunction
+estimate read one triple and one ray parameter at a time.  The tests
+compare the library against them or build their inputs with them.
 """
 
 from itertools import product
@@ -18,9 +18,10 @@ from weylkit.coxeter import _same_group
 from weylkit import flagdyn, graded, morse, symspace
 from weylkit.errors import (AmbiguousRank, BudgetExceeded,
                             NotAntipodalGenerators)
-from weylkit.flagdyn import (NondiscretenessCertificate, NondiscretenessResult,
-                             _near_identity, _word_label, flag_from_basis,
-                             reduced_words, stack_letters, word_of)
+from weylkit.flagdyn import (BLOCK_ENTRIES, NondiscretenessCertificate,
+                             NondiscretenessResult, _children, _near_identity,
+                             _word_label, flag_from_basis, stack_letters,
+                             word_of)
 from weylkit.morse import (SchottkyReport, TripleReport, ZetaType, _frame,
                            _frame_angle)
 from weylkit.symspace import (FinslerFunctional, RegularityCone, SymPoint,
@@ -97,6 +98,48 @@ def rotate(config, angle):
     return WeightedConfig(pts, config.weights, sphere=False)
 
 
+def reduced_words(letters, max_len, max_words=None):
+    """Reduced words in stacked ``letters``, one length at a time in
+    shortlex order: the level-by-level reference for ``flagdyn.walk_words``,
+    at the default block size.
+
+    Yields ``(parent, letter, products)`` per length: word i is word
+    ``parent[i]`` of the previous length followed by ``letter[i]``, and
+    ``products[i]`` is its matrix.  Raises BudgetExceeded before building
+    a length that would take the count of words past ``max_words``.
+    ``letters`` come in inverse pairs a, a ^ 1: a stack of matrices, or
+    one like ``graded.Graded``.  Words are parent-major and parents of
+    length >= 1 have k - 1 children, so parents s..e make rows
+    (k-1)s..(k-1)e in one block: ``_children`` for dense letters, or for
+    a graded stack one batched ``@``.
+    """
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    k, n = letters.shape[0], letters.shape[-1]
+    step = BLOCK_ENTRIES // max(k * n * n, 1) + 1  # parents per block
+    mats = None
+    last = np.array([-1])
+    total = 0
+    for _ in range(max_len):
+        keep = last[:, None] != np.arange(k) ^ 1
+        total += int(keep.sum())
+        if max_words is not None and total > max_words:
+            raise BudgetExceeded(f"word budget {max_words} exhausted")
+        parent, last = np.nonzero(keep)
+        dense = mats is not None and isinstance(letters, np.ndarray)
+        # the letters at length 1; from length 2 on, rows are overwritten
+        out = np.empty((len(last), n, n)) if dense else letters[last]
+        for s in range(0, 0 if mats is None else len(mats), step):
+            rows = slice((k - 1) * s, (k - 1) * (s + step))
+            if dense:
+                out[rows] = _children(mats[s:s + step], letters,
+                                      keep[s:s + step])
+            else:
+                out[rows] = mats[parent[rows]] @ letters[last[rows]]
+        mats = out
+        yield parent, last, mats
+
+
 def probe_building_every_length(generators, epsilon=0.1, max_len=12,
                                 max_words=3_000_000):
     """The nondiscreteness probe that forms every word up to ``max_len``
@@ -167,8 +210,8 @@ def standard_pair():
 
 def general_position_pair_by_pair(generators):
     """The axis flag check one pair at a time through ``is_antipodal``:
-    the reference for ``morse._check_general_position``, which reads each
-    flag against all later ones in one stack."""
+    the reference for the general position check of ``morse``, which
+    reads all pairs in one stack."""
     flags = []
     for g in generators:
         flags.append(flagdyn.attracting_flag(g))

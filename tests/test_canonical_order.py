@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import mp_oracle
+from helpers import reduced_words
 from weylkit import flagdyn, morse
 from weylkit.cli import main
 from weylkit.coxeter import WeylGroup, poset_dot
@@ -149,8 +150,8 @@ def test_orbit_growth_pinned():
     levels, want = [], []
     with mp.workdps(30):
         letters = mp_oracle.power_letters(gens, 1)
-        for parent, letter, _ in flagdyn.reduced_words(
-                flagdyn.stack_letters(gens), 5):
+        for parent, letter, _ in reduced_words(flagdyn.stack_letters(gens),
+                                               5):
             levels.append((parent, letter))
             logs = [mp_oracle.word_logs(
                         letters, flagdyn.word_of(4, len(levels), row))
@@ -161,6 +162,24 @@ def test_orbit_growth_pinned():
     assert np.allclose([d for _, d in data], [d for _, d in want],
                        rtol=1e-12, atol=0)
     assert _sha(repr(data)) == WORD_DIGESTS["orbit_growth"]
+
+
+def test_word_outputs_do_not_depend_on_blocks(monkeypatch):
+    # 50 floats per block: 2 parents, so the walk's blocks pop far out of
+    # shortlex order; the sorted outputs are the pinned default-block ones
+    gens = _standard_pair()
+    want = [repr(morse.orbit_growth(gens, N, L)) for N, L in ((6, 6), (2, 6))]
+    monkeypatch.setattr(flagdyn, "BLOCK_ENTRIES", 50)
+    order = [(length, first) for length, first, _, _ in flagdyn.walk_words(
+        flagdyn.stack_letters(gens), 5)]
+    assert len(order) > 50 and order != sorted(order)
+    for L, key in ((4, "limit_set_sample"), (5, "limit_set_sample_L5")):
+        sample = flagdyn.limit_set_sample(gens, L, 1.0)
+        assert _sha(repr(sample.to_json_obj())) == WORD_DIGESTS[key]
+    assert _sha(repr(morse.orbit_growth(gens, 1, 5))) == \
+        WORD_DIGESTS["orbit_growth"]
+    assert [repr(morse.orbit_growth(gens, N, L))
+            for N, L in ((6, 6), (2, 6))] == want
 
 
 def test_schottky_rows_pinned():

@@ -389,7 +389,7 @@ def test_thickening_dict_of_an_equal_type_is_read(capsys):
     ("--epsilon", "0", "epsilon must be positive and finite, got 0.0"),
     ("--epsilon", "inf", "epsilon must be positive and finite, got inf"),
     ("--epsilon", "nan", "epsilon must be positive and finite, got nan"),
-    ("--max-len", "-2", "max_len must be >= 0, got -2"),
+    ("--max-len", "-2", "max_len must be an integer >= 0, got -2"),
 ], ids=["epsilon-negative", "epsilon-zero", "epsilon-inf", "epsilon-nan",
         "max-len-negative"])
 def test_discreteness_probe_refuses_bad_configuration(capsys, option, value,

@@ -14,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import iterate_flag, probe_building_every_length, random_flag
+from helpers import (iterate_flag, probe_building_every_length, random_flag,
+                     reduced_words)
 from test_thickenings import all_ideals
 from weylkit import flagdyn as fd
 from weylkit import morse
@@ -309,18 +310,42 @@ def _three_generators():
     return [np.eye(3) + 0.3 * rng.standard_normal((3, 3)) for _ in range(3)]
 
 
+def _walk_levels(letters, max_len):
+    """The blocks of ``walk_words`` reassembled into whole lengths by
+    (length, row), each length tiled by its blocks without gap or
+    overlap: (last letters, products) per length."""
+    levels = {}
+    for length, first, last, mats in fd.walk_words(letters, max_len):
+        levels.setdefault(length, []).append((first, last, mats))
+    out = []
+    for length in sorted(levels):
+        blocks = sorted(levels[length], key=lambda b: b[0])
+        assert [b[0] for b in blocks] == np.cumsum(
+            [0] + [len(b[1]) for b in blocks[:-1]]).tolist()
+        out.append((np.concatenate([b[1] for b in blocks]),
+                    _concatenate([b[2] for b in blocks])))
+    return out
+
+
+def _concatenate(stacks):
+    """One stack of matrices, or of graded products, from several."""
+    if isinstance(stacks[0], np.ndarray):
+        return np.concatenate(stacks)
+    return type(stacks[0])(*(np.concatenate([getattr(p, a) for p in stacks])
+                             for a in ("u", "logs", "t")))
+
+
 def test_reduced_words_levels():
     gens = _three_generators()
     letters = fd.stack_letters(gens)
     k = len(gens)
     rank = {ch: i for i, ch in enumerate("aAbBcC")}
-    levels = []
-    for length, (parent, letter, mats) in enumerate(
-            fd.reduced_words(letters, 4), start=1):
-        levels.append((parent, letter))
-        assert len(mats) == len(parent) == 2 * k * (2 * k - 1) ** (length - 1)
+    levels = _walk_levels(letters, 4)
+    for length, (last, mats) in enumerate(levels, start=1):
+        assert len(mats) == len(last) == 2 * k * (2 * k - 1) ** (length - 1)
         labels = [fd._word_label(fd.word_of(2 * k, length, row))
                   for row in range(len(mats))]
+        assert [rank[label[-1]] for label in labels] == last.tolist()
         keys = [[rank[ch] for ch in label] for label in labels]
         assert keys == sorted(keys) and len(set(labels)) == len(labels)
         for label, mat in zip(labels, mats):
@@ -337,11 +362,11 @@ def test_reduced_words_levels():
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_word_of_reads_the_parent_and_letter_arrays(count):
     # every row up to length 5, against the word read back through the
-    # (parent, letter) arrays of reduced_words
+    # (parent, letter) arrays of the level-by-level reference
     letters = fd.stack_letters(_three_generators()[:count])
     levels = []
     for length, (parent, letter, _) in enumerate(
-            fd.reduced_words(letters, 5), start=1):
+            reduced_words(letters, 5), start=1):
         levels.append((parent, letter))
         for row in range(len(parent)):
             word, r = [], row
@@ -358,18 +383,23 @@ def test_reduced_words_budget(max_words):
     # 186 words up to lengths 1, 2 and 3
     letters = fd.stack_letters(_three_generators())
     fits = [c for c in (6, 36, 186) if max_words is None or c <= max_words]
-    counts = []
-
-    def enumerate_all():
-        for _, _, mats in fd.reduced_words(letters, 3, max_words):
-            counts.append(len(mats))
-
-    if len(fits) == 3:
-        enumerate_all()
-    else:
-        with pytest.raises(BudgetExceeded):
-            enumerate_all()
+    depth, count = fd.word_depth(6, "max_len", 3, max_words)
+    assert (depth, count) == (len(fits), ([0] + fits)[-1])
+    counts = [len(last) for last, _ in _walk_levels(letters, depth)]
     assert np.cumsum(counts).tolist() == fits
+
+
+@pytest.mark.parametrize("max_words", [0, 5, 6, 35, 36, 185, 186, None])
+def test_limit_set_sample_budget_grid(max_words):
+    # refused exactly when the words up to length 3 do not fit, as when
+    # the sample walked one length at a time
+    gens = _three_generators()
+    if max_words is not None and max_words < 186:
+        with pytest.raises(BudgetExceeded,
+                           match=f"^word budget {max_words} exhausted$"):
+            fd.limit_set_sample(gens, 3, 0.1, max_words)
+    else:
+        assert len(fd.limit_set_sample(gens, 3, 0.1, max_words)) > 0
 
 
 def _reduced_words_per_letter(letters, max_len):
@@ -396,12 +426,15 @@ def _bits(stack):
 
 
 def _assert_levels_match_oracle(letters, max_len):
-    levels = list(fd.reduced_words(letters, max_len))
+    levels = _walk_levels(letters, max_len)
     oracle = list(_reduced_words_per_letter(letters, max_len))
     assert len(levels) == len(oracle) == max_len
-    for (parent, last, mats), (o_parent, o_last, o_mats) in zip(levels,
-                                                                oracle):
-        assert np.array_equal(parent, o_parent)
+    k = len(letters)
+    for length, ((last, mats), (o_parent, o_last, o_mats)) in enumerate(
+            zip(levels, oracle), start=1):
+        # row r of length >= 2 extends row r // (k - 1)
+        if length >= 2:
+            assert np.array_equal(o_parent, np.arange(len(last)) // (k - 1))
         assert np.array_equal(last, o_last)
         assert _bits(mats) == _bits(o_mats)
 
@@ -412,7 +445,7 @@ def _assert_levels_match_oracle(letters, max_len):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_reduced_words_match_per_letter_oracle(n, count, block_entries,
                                                 monkeypatch):
-    # tiny blocks hold 1 to 7 parents, so most blocks end inside a level
+    # tiny blocks hold 1 to 7 parents, so most blocks end inside a length
     if block_entries is not None:
         monkeypatch.setattr(fd, "BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(100 * n + count)
@@ -441,9 +474,29 @@ def test_reduced_words_on_graded_letters_match_oracle(block_entries,
 
 def test_reduced_words_refuse_negative_length():
     letters = fd.stack_letters(_three_generators())
-    assert list(fd.reduced_words(letters, 0)) == []
-    with pytest.raises(ValueError, match="^max_len must be >= 0, got -1$"):
-        next(fd.reduced_words(letters, -1))
+    assert list(fd.walk_words(letters, 0)) == []
+    assert fd.word_depth(6, "max_len", 0, None) == (0, 0)
+    with pytest.raises(ValueError,
+                       match="^max_len must be an integer >= 0, got -1$"):
+        fd.word_depth(6, "max_len", -1, None)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda L: fd.nondiscreteness_certificate(_three_generators(), 0.1, L),
+     "max_len"),
+    (lambda L: fd.limit_set_sample(_three_generators(), L, 1.0),
+     "max_word_length"),
+    (lambda L: morse.orbit_growth(_three_generators(), 1, L),
+     "max_word_length"),
+], ids=["probe", "limit_set_sample", "orbit_growth"])
+def test_word_length_must_be_an_integer(call, name):
+    # 2.5 walked to length 3 in the probe and raised a bare TypeError from
+    # range in the others; True walked length 1
+    for bad in (2.5, True, -1, "2"):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer >= 0, got "):
+            call(bad)
+    assert repr(call(np.int64(2))) == repr(call(2))
 
 
 @pytest.mark.parametrize("gens,shapes", [
@@ -773,7 +826,8 @@ def test_probe_refuses_bad_configuration():
         with pytest.raises(ValueError,
                            match="^epsilon must be positive and finite"):
             fd.nondiscreteness_certificate(gens, epsilon=eps, max_len=2)
-    with pytest.raises(ValueError, match="^max_len must be >= 0, got -2$"):
+    with pytest.raises(ValueError,
+                       match="^max_len must be an integer >= 0, got -2$"):
         fd.nondiscreteness_certificate(gens, max_len=-2)
 
 

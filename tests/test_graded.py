@@ -8,7 +8,7 @@ read-out and the refusals.
 import numpy as np
 import pytest
 
-from helpers import standard_pair
+from helpers import reduced_words, standard_pair
 from weylkit import flagdyn, graded, morse
 from weylkit.errors import SingularInput
 
@@ -35,15 +35,16 @@ def test_power_of_real_and_complex_spectra():
 
 
 def test_reduced_words_on_graded_letters():
-    # the one enumerator builds graded products in the same order and
-    # with the same values as float products, while both are exact enough
+    # the one walker builds graded products in the same blocks, order and
+    # values as float products, while both are exact enough
     gens = [np.diag([2.0, 1.0, 0.5]), _rot(0.4) @ np.diag([1.5, 1.0, 2 / 3])
             @ _rot(-0.4)]
     letters = flagdyn.stack_letters(gens)
-    plain = flagdyn.reduced_words(letters, 4)
-    kernel = flagdyn.reduced_words(graded.power(letters, 1), 4)
-    for (p1, l1, mats), (p2, l2, words) in zip(plain, kernel, strict=True):
-        assert np.array_equal(p1, p2) and np.array_equal(l1, l2)
+    plain = flagdyn.walk_words(letters, 4)
+    kernel = flagdyn.walk_words(graded.power(letters, 1), 4)
+    for (l1, f1, a1, mats), (l2, f2, a2, words) in zip(plain, kernel,
+                                                       strict=True):
+        assert (l1, f1) == (l2, f2) and np.array_equal(a1, a2)
         assert np.abs(_dense(words) - mats).max() < 1e-12
 
 
@@ -64,7 +65,7 @@ def test_read_out_depends_only_on_its_own_product():
     # so its frames, logs and right frames are the bits of its own read
     rng = np.random.default_rng(3703)
     stacks = [_mixed_stack(n, 40, rng) for n in (2, 3, 4, 5)]
-    stacks += [words for _, _, words in flagdyn.reduced_words(
+    stacks += [words for _, _, words in reduced_words(
         morse._power_letters(standard_pair(), 6), 4)]
     for stack in stacks:
         whole = stack.svd()

@@ -5,13 +5,15 @@ closed-form oracle for configurations inside the diagonal flat, and the
 |x|-graph vs bounded-slope-graph dichotomy is measured directly.
 """
 
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 import mp_oracle
 import helpers
-from helpers import sl3_flat_chart
+from helpers import reduced_words, sl3_flat_chart
 from weylkit import flagdyn, morse
 from weylkit import symspace as ss
 from weylkit.errors import (DegenerateSegment, NotAntipodalGenerators,
@@ -290,7 +292,7 @@ def test_graded_logs_match_mpmath_on_criterion_6_words():
     worst = 0.0
     with mp.workdps(100):  # the longest words span about e^133
         letters = mp_oracle.power_letters(gens, 6)
-        for parent, letter, words in flagdyn.reduced_words(
+        for parent, letter, words in reduced_words(
                 morse._power_letters(gens, 6), 8):
             levels.append((parent, letter))
             _, logs, _ = words.svd()
@@ -666,6 +668,57 @@ def test_numpy_integer_powers_are_accepted():
     assert morse.orbit_growth(gens, np.int32(2), 2) == \
         morse.orbit_growth(gens, 2, 2)
     assert morse.find_schottky_threshold(gens, max_power=np.uint8(6)) == 6
+
+
+@pytest.mark.parametrize("gens, kwargs", [
+    ([], {}),
+    ([], {"epsilon": np.nan}),
+    ([np.eye(3), np.eye(2)], {"spacing": np.inf}),
+    ([np.eye(3), np.eye(2)], {}),
+    ([np.diag([4.0, 1.0, 0.25])] * 2, {"spacing": 1.0}),
+    ([np.diag([4.0, 1.0, 0.25]),
+      _rot_z(2e-8) @ np.diag([4.0, 1.0, 0.25]) @ _rot_z(2e-8).T], {}),
+    ([np.diag([4.0, 1.0, 0.25]), _rot_z(0.7)], {}),
+], ids=["no-generators", "epsilon-nan", "spacing-inf", "two-sizes",
+        "not-antipodal", "too-degenerate", "not-regular"])
+def test_threshold_refuses_as_the_certificate_at_N_1(gens, kwargs):
+    # the search checks its generators once, with the certificate's
+    # errors in the certificate's order
+    with pytest.raises(Exception) as want:
+        schottky_certificate(gens, 1, **kwargs)
+    with pytest.raises(want.type) as got:
+        morse.find_schottky_threshold(gens, max_power=5, **kwargs)
+    assert str(got.value) == str(want.value)
+    assert repr(got.value.__cause__) == repr(want.value.__cause__)
+
+
+def test_threshold_reads_the_axis_flags_once(monkeypatch):
+    calls = []
+    attracting = flagdyn.attracting_flag
+
+    def counted(g):
+        calls.append(1)
+        return attracting(g)
+    monkeypatch.setattr(flagdyn, "attracting_flag", counted)
+    gens = list(_schottky_pair())
+    assert morse.find_schottky_threshold(gens, max_power=8) == 6
+    assert len(calls) == 2
+    with pytest.raises(TypeError, match="unexpected keyword argument 'eps'"):
+        morse.find_schottky_threshold(gens, eps=0.1)
+
+
+def test_orbit_growth_never_holds_a_whole_length():
+    # the walk holds one block's children per length; forming each length
+    # whole, as one graded product, took a traced peak of about 53 MiB
+    gens = list(_schottky_pair())
+    tracemalloc.start()
+    try:
+        data = morse.orbit_growth(gens, 2, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) == 4 * (3 ** 10 - 1) // 2
+    assert peak < 32 * 2 ** 20
 
 
 def _seeded_pair(n, seed):
