@@ -16,9 +16,9 @@ Lambda_k, with one stacked SVD per corner, so ``thickening_membership``
 reads one stack against the whole sample and ``relative_position`` is
 the case k = 1.
 
-One walker, ``walk_words``, forms the reduced words of limit-set samples,
-the nondiscreteness probe and the (graded) orbit growth data of
-``morse``: depth first, never a whole length at a time.  Letter a is
+One walker, ``walk_words``, forms the reduced words of the nondiscreteness
+probe and the graded words of limit-set samples and of ``morse``'s orbit
+growth data: depth first, never a whole length at a time.  Letter a is
 generator 0 and A its inverse, b is generator 1, and so on; every output
 is in shortlex order, shorter words first and then by letters ordered
 a < A < b < B < ....  The sample reads ``flag_angles`` only against
@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import coxeter, symspace
+from . import coxeter, graded, symspace
 from .coxeter import WeylElement
 from .errors import (AmbiguousRank, BudgetExceeded, NearSingular, NotRegular,
                      SingularInput)
@@ -399,7 +399,6 @@ class FlagSample:
                           [np.array(m) for m in obj["margins"]])
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def limit_set_sample(generators, max_word_length, margin_threshold,
                      max_words=200000):
     """Attracting flags of all short reduced words whose singular value
@@ -411,15 +410,12 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
     can be duplicates, all read in one call; the factor 2 keeps rounding
     from dropping a pair.
 
-    The words come from ``walk_words``, after a BudgetExceeded if
-    ``word_depth`` falls short of ``max_word_length``.  Each block keeps
-    flags (copies) and margins of its candidates, deduplicated in
-    shortlex order after the walk.  A block with a product past the float
-    range is refused with SingularInput before its SVD.  The sample runs
-    under ``np.errstate``, so neither that overflow nor a singular value
-    that reads 0 warns.  One such value logs to -inf and its margin reads
-    +inf, so the word's other margins decide; between two of them the
-    margin reads NaN, an unknown gap, and the word is skipped."""
+    The words come from ``walk_words`` over graded letters, one SVD of
+    each, after a BudgetExceeded if ``word_depth`` falls short of
+    ``max_word_length``; ``Graded.svd`` reads frames and margins, and
+    ``graded`` refuses a product whose scales span more than e^700 with
+    SingularInput.  Each block keeps flags (copies) and margins of its
+    candidates, deduplicated in shortlex order after the walk."""
     symspace.check_finite(margin_threshold=margin_threshold)
     try:
         gens = [symspace.unimodular(g)
@@ -433,25 +429,25 @@ def limit_set_sample(generators, max_word_length, margin_threshold,
     depth, _ = word_depth(k, "max_word_length", max_word_length, max_words)
     if depth < max_word_length:
         raise BudgetExceeded(f"word budget {max_words} exhausted")
+    u, s, vt = np.linalg.svd(stack_letters(gens))
     found = []
-    for length, first, _, mats in walk_words(stack_letters(gens), depth):
-        if not np.isfinite(mats).all():
-            raise SingularInput("product spans more than the float range")
-        u, mu, _ = np.linalg.svd(mats)
-        lo = np.log(mu)
+    for length, first, _, words in walk_words(
+            graded.Graded(u, np.log(s), vt), depth):
+        u, lo, _ = words.svd()
         margins = lo[:, :-1] - lo[:, 1:]
         rows = np.nonzero(margins.min(axis=1) >= margin_threshold)[0]
         found.append((length, first, first + rows,
                       [Flag(u[row]) for row in rows], margins[rows]))
     screen = np.cos(2 * DEDUP_ANGLE)
-    lines = np.empty((0, n))  # first columns of the stored flags
+    lines = np.empty((sum(len(b[2]) for b in found), n))  # first columns
     for length, _, rows, flags, margins in sorted(found, key=lambda b: b[:2]):
         for row, flag, margin in zip(rows, flags, margins):
-            near = np.nonzero(np.abs(lines @ flag.basis[:, 0]) >= screen)[0]
+            near = np.nonzero(np.abs(lines[:len(sample)] @ flag.basis[:, 0])
+                              >= screen)[0]
             stored = np.array([sample.flags[t].basis for t in near])
             if near.size and (flag_angles(flag, stored) < DEDUP_ANGLE).any():
                 continue
-            lines = np.vstack([lines, flag.basis[:, 0]])
+            lines[len(sample)] = flag.basis[:, 0]
             sample.flags.append(flag)
             sample.words.append(_word_label(word_of(k, length, row)))
             sample.margins.append(margin)

@@ -190,8 +190,12 @@ def delta_stack(xi, ys):
     the chamber vectors of the matrices ``ys`` seen from the points whose
     inverse square roots are ``xi`` (one matrix, or a stack matched with
     ``ys``).  Each row is bit-identical to ``delta_distance``."""
-    w = np.linalg.eigvalsh(xi @ ys @ xi)
-    if not w[..., 0].min(initial=np.inf) > 0:  # NaN after an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = xi @ ys @ xi
+    if not np.isfinite(form).all():
+        raise SingularInput("relative form spans more than the float range")
+    w = np.linalg.eigvalsh(form)
+    if not w[..., 0].min(initial=np.inf) > 0:
         raise NotPositiveDefinite("relative form is not positive definite")
     v = 0.5 * np.log(w)[..., ::-1]
     # the arithmetic of mean, without its per-call cost on one pair

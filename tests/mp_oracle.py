@@ -24,14 +24,28 @@ def _svd(m):
     return u, [s[i] for i in order], order
 
 
-def word_logs(letters, word):
-    """Descending log singular values of the product of ``letters``
-    along ``word`` (letter indices, left to right)."""
+def _word(letters, word):
+    """Product of ``letters`` along ``word`` (letter indices, left to
+    right)."""
     prod = mp.eye(letters[0].rows)
     for a in word:
         prod = prod * letters[a]
-    _, s, _ = _svd(prod)
+    return prod
+
+
+def word_logs(letters, word):
+    """Descending log singular values of the product of ``letters``
+    along ``word`` (letter indices, left to right)."""
+    _, s, _ = _svd(_word(letters, word))
     return np.array([float(mp.log(x)) for x in s])
+
+
+def word_frame(letters, word):
+    """Left singular frame of the same product, columns in order of
+    descending singular value, rounded to a float array: the basis of
+    the word's attracting flag."""
+    u, _, order = _svd(_word(letters, word))
+    return np.array([[float(u[i, j]) for j in order] for i in range(u.rows)])
 
 
 def _chamber(m):

@@ -62,8 +62,8 @@ ENUMERATE_DIGESTS = {
 }
 
 WORD_DIGESTS = {
-    "limit_set_sample": "403cdfa24b504689f4468e5dc07378e4442dd009bf602b4ed432a89cb0cb99d4",
-    "limit_set_sample_L5": "9eebc437265476db611334b68ec5a4b43303bb79a7255d85d176c7f80835b412",
+    "limit_set_sample": "36d49e288bef256a3f26e82166d9dfdcf446de4d8db0d0aea2f27229aaae14cd",
+    "limit_set_sample_L5": "116b6fdb62235e16852968809460b03bb5fd7b10c7da807908043f6e898a9daa",
     "orbit_growth": "1c2e58d41d711f707049fe6fd307b697436c942bd26fe061e937a33c7fe2d317",
     "schottky_certificate": "3ca774ad8bb6c2ef07ad363aa8c795220f0c3c2d810e8a51feea1552f4be74a4",
 }

@@ -715,6 +715,16 @@ def test_dist_refuses_a_point_past_the_float_range(capsys):
         ("NotPositiveDefinite", "matrix is not positive definite")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dist_refuses_a_relative_form_past_the_float_range(capsys):
+    # x^-1/2 y x^-1/2 = diag(1e400, 1e-400) overflows: no warning, and a
+    # refusal that names the float range, not positive definiteness
+    data = _refused(capsys, ["dist", "delta", "--x", "[[1e-200,0],[0,1e200]]",
+                             "--y", "[[1e200,0],[0,1e-200]]"])
+    assert (data["error"], data["message"]) == \
+        ("SingularInput", "relative form spans more than the float range")
+
+
 def test_limits_sample_refuses_a_product_past_the_float_range(capsys):
     # a cube of the first generator overflows; the SVD of that length hung
     data = _refused(capsys, [

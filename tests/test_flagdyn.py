@@ -11,14 +11,16 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import mp_oracle
 from helpers import (iterate_flag, probe_building_every_length, random_flag,
                      reduced_words)
 from test_thickenings import all_ideals
 from weylkit import flagdyn as fd
-from weylkit import morse
+from weylkit import morse, symspace
 from weylkit import thickenings as th
 from weylkit.coxeter import build_group, bruhat_leq, multiply
 from weylkit.errors import (AmbiguousRank, BudgetExceeded, NearSingular,
@@ -660,27 +662,85 @@ def test_limit_set_sample_at_extreme_scales(scale):
         assert np.abs(a.basis - b.basis).max() < 1e-13
 
 
+def _label_letters(label):
+    """Letter indices of a sample word: a is 0, A is 1, b is 2, ..."""
+    return [2 * (ord(c.lower()) - ord("a")) + c.isupper() for c in label]
+
+
+def _sample_errors(gens, sample, rows):
+    """Largest angle between a flag of ``sample`` and the attracting flag
+    of its word, and largest margin error relative to max(1, |log
+    sigma_1|), over ``rows``: the words are formed and read in 80-digit
+    mpmath from the float letters that the sample starts from."""
+    angles, margins = [0.0], [0.0]
+    with mp.workdps(80):
+        letters = [mp.matrix(m.tolist()) for m in fd.stack_letters(
+            [symspace.unimodular(g) for g in gens])]
+        for row in rows:
+            word = _label_letters(sample.words[row])
+            frame = fd.Flag(mp_oracle.word_frame(letters, word))
+            angles.append(fd.flag_distance(sample.flags[row], frame))
+            logs = mp_oracle.word_logs(letters, word)
+            margins.append(np.abs(sample.margins[row] - logs[:-1] + logs[1:])
+                           .max() / max(1.0, abs(logs[0])))
+    return max(angles), max(margins)
+
+
+@pytest.mark.parametrize("N, L", [(1, 5), (2, 5), (3, 5), (4, 5), (6, 5),
+                                  (1, 8)])
+def test_limit_set_sample_matches_mpmath(N, L):
+    # a float product of a long word loses its small singular value gaps
+    # and with them its flag: up to 1.57 rad off at N = 6, L = 5
+    gens = [np.linalg.matrix_power(g, N) for g in _schottky_pair()]
+    sample = fd.limit_set_sample(gens, L, 1.0)
+    rows = np.random.default_rng(10 * N + L).choice(
+        len(sample), min(len(sample), 30), replace=False)
+    angle, margin = _sample_errors(gens, sample, rows)
+    assert angle < 1e-10 and margin < 1e-10
+
+
+def _elementary(n, i, j):
+    m = np.eye(n)
+    m[i, j] = 1.0
+    return m
+
+
+@pytest.mark.parametrize("gens, L, words", [
+    ([_elementary(2, 0, 1), _elementary(2, 1, 0)], 4,
+     "a A b B aa AA bb BB aaa aab abb AAA AAB ABB baa bba bbb BAA BBA BBB "
+     "aaaa aaab aaba abaa abba abbb AAAA AAAB AABA ABAA ABBA ABBB baaa baab "
+     "babb bbab bbba bbbb BAAA BAAB BABB BBAB BBBA BBBB"),
+    ([_elementary(3, 0, 1), _elementary(3, 1, 0), _elementary(3, 1, 2)], 3,
+     "aa ab AA AB ba bb bc bC BA BB Bc BC cc CC aaa aab aac aaC abb abc abC "
+     "aca acA acc aCa aCA aCC AAA AAB AAc AAC ABB ABc ABC Aca AcA Acc ACa "
+     "ACA ACC baa bac baC bAc bAC bba bbb bbc bbC bca bcc bCa bCC Bac BaC "
+     "BAA BAc BAC BBA BBB BBc BBC BcA Bcc BCA BCC caa cab cac cAA cAB cAc "
+     "cca ccA ccc Caa Cab CaC CAA CAB CAC CCa CCA CCC"),
+], ids=["SL2Z", "SL3Z"])
+def test_limit_set_sample_of_unipotent_generators(gens, L, words):
+    # graded.power refuses these defective letters; the sample takes its
+    # graded letters from an SVD of each and keeps the words it had when
+    # it read float products
+    sample = fd.limit_set_sample(gens, L, 0.5)
+    assert sample.words == words.split()
+    angle, margin = _sample_errors(gens, sample, range(len(sample)))
+    assert angle < 1e-10 and margin < 1e-10
+
+
 # --- thickened limit sets ----------------------------------------------------------------
 
 def test_limit_sample_reads_zero_singular_values_without_warning():
-    # aa reads singular values (1e300, 1, 0): its log -inf makes its last
-    # margin +inf, and its flag is the one of a, so the sample keeps the
-    # six flags it kept when the log warned
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        sample = fd.limit_set_sample(_PROBE_SETS["past-float-range"], 2, 1.0)
-    assert sample.words == ["a", "A", "ba", "bA", "Ba", "BA"]
-    assert [m.tolist() for m in sample.margins] == \
-        2 * [[345.38776394910684, 345.38776394910684]] \
-        + 2 * [[345.3877644491066, 345.3877634491071]] \
-        + 2 * [[345.3877634491071, 345.3877644491066]]
-    # aaa reads singular values (1e300, 1e100, 0, 0): the gap between the
-    # two zeros reads NaN, and is unknown, so the word is skipped like a
-    # and aa, whose last two singular values are equal
+    # aa spans e^1381, and a float product read its singular values as
+    # (1e300, 1, 0); graded products refuse it at length 2.  They refuse
+    # aa of the 4 x 4 g too (e^767), before aaa, which a float product
+    # read as (1e300, 1e100, 0, 0)
     g = np.diag([1e100, 10 ** (100 / 3), 10 ** (-200 / 3), 10 ** (-200 / 3)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert fd.limit_set_sample([g], 3, 1.0).words == []
+    for gens in (_PROBE_SETS["past-float-range"], [g]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularInput, match="^product spans more "
+                               "than the float range$"):
+                fd.limit_set_sample(gens, 2, 1.0)
 
 
 def test_membership_of_sample_flag():

@@ -675,6 +675,11 @@ def test_point_is_read_only_and_keeps_its_roots():
     pytest.param(lambda: ss.delta_stack(np.eye(2), np.diag([1.0, -1.0])),
                  NotPositiveDefinite, "relative form is not positive definite",
                  id="relative-form-indefinite"),
+    # x^-1/2 y x^-1/2 = diag(1e400, 1e-400) overflows
+    pytest.param(lambda: ss.delta_stack(np.diag([1e100, 1e-100]),
+                                        np.diag([1e200, 1e-200])),
+                 SingularInput, "relative form spans more than the float range",
+                 id="relative-form-past-float-range"),
     # the eigen solver scales the matrix down, and 1e-308 underflows to 0
     pytest.param(lambda: ss.SymPoint([[1e308, 0.0], [0.0, 1e-308]]),
                  NotPositiveDefinite, "matrix is not positive definite",
