@@ -24,8 +24,8 @@ is in shortlex order, shorter words first and then by letters ordered
 a < A < b < B < ....  The sample reads ``flag_angles`` only against
 stored flags whose first line lies within 2 DEDUP_ANGLE of its own, in
 one call (none when there are none), and the probe takes the spectral
-norm only of the few words whose Frobenius distance to the identity
-allows it.
+norm only of the few words that pass a trace screen, then a
+Frobenius-norm screen, of their distance to the identity.
 """
 
 from __future__ import annotations
@@ -294,14 +294,14 @@ def stack_letters(gens):
                      for m in (g, np.linalg.inv(g))])
 
 
-def _children(mats, letters, keep):
-    """Products P L_a of a stack of parents P by the letters a that
-    ``keep`` (parents x letters) allows, in shortlex order: one GEMM by
-    all k letters, masked to the reduced words."""
-    n = letters.shape[-1]
+def _children(mats, letters, parent, last):
+    """Products P_p L_a of parents ``mats[parent]`` by letters ``last``:
+    one GEMM by all k letters, whose row (p n + i) k + a, in rows of n, is
+    row i of P_p L_a; a child is n rows k apart, taken in one gather."""
+    n, k = letters.shape[-1], len(letters)
     right = letters.transpose(1, 0, 2).reshape(n, -1)
-    return (mats.reshape(-1, n) @ right).reshape(
-        -1, n, len(letters), n).swapaxes(1, 2)[keep]
+    rows = (parent * (n * k) + last)[:, None] + np.arange(0, n * k, k)
+    return np.take((mats.reshape(-1, n) @ right).reshape(-1, n), rows, axis=0)
 
 
 def word_depth(k, name, max_len, max_words):
@@ -345,7 +345,7 @@ def walk_words(letters, depth):
         keep = last[:, None] != np.arange(k) ^ 1
         parent, last = np.nonzero(keep)
         block = (length + 1, (k - 1) * first, last,
-                 _children(mats, letters, keep)
+                 _children(mats, letters, parent, last)
                  if isinstance(letters, np.ndarray)
                  else mats[parent] @ letters[last])
 
@@ -522,13 +522,16 @@ class NondiscretenessResult:
 
 def _near_identity(mats, epsilon):
     """Rows of a stack that may lie within ``epsilon`` of the identity in
-    spectral norm: ||X||_2 >= ||X||_F / sqrt(n), so not a row with
-    ||M - I||_F^2 >= n epsilon^2 (1 + 1e-9, for rounding), nor one whose
-    square is past the float range (inf)."""
+    spectral norm: ||X||_2 >= ||X||_F / sqrt(n) and (tr X)^2 <= n ||X||_F^2
+    for X = M - I, so a trace screen |tr X| < sqrt(n b), then a Frobenius
+    screen ||X||_F^2 < b, b = n epsilon^2 (1 + 1e-9), whose slack covers the
+    few n ulps of each rounded sum.  Inf, NaN fail; ``einsum`` won't warn."""
     n = mats.shape[-1]
-    d = mats - np.eye(n)
-    return np.nonzero(np.einsum("kij,kij->k", d, d)
-                      < n * epsilon ** 2 * (1 + 1e-9))[0]
+    bound = n * epsilon ** 2 * (1 + 1e-9)
+    d = np.subtract(mats.diagonal(0, 1, 2).T, 1, order="C")  # M_ii - 1
+    rows = np.nonzero(np.abs(np.einsum("ik->k", d)) < np.sqrt(n * bound))[0]
+    d = mats[rows] - np.eye(n)
+    return rows[np.einsum("kij,kij->k", d, d) < bound]
 
 
 @np.errstate(over="ignore", invalid="ignore")

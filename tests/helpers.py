@@ -110,8 +110,9 @@ def reduced_words(letters, max_len, max_words=None):
     ``letters`` come in inverse pairs a, a ^ 1: a stack of matrices, or
     one like ``graded.Graded``.  Words are parent-major and parents of
     length >= 1 have k - 1 children, so parents s..e make rows
-    (k-1)s..(k-1)e in one block: ``_children`` for dense letters, or for
-    a graded stack one batched ``@``.
+    (k-1)s..(k-1)e in one block: ``_children`` of those rows' parents
+    (less s) and last letters for dense letters, or for a graded stack
+    one batched ``@``.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -133,7 +134,7 @@ def reduced_words(letters, max_len, max_words=None):
             rows = slice((k - 1) * s, (k - 1) * (s + step))
             if dense:
                 out[rows] = _children(mats[s:s + step], letters,
-                                      keep[s:s + step])
+                                      parent[rows] - s, last[rows])
             else:
                 out[rows] = mats[parent[rows]] @ letters[last[rows]]
         mats = out

@@ -464,6 +464,30 @@ def test_reduced_words_level_spans_default_blocks():
     _assert_levels_match_oracle(letters, 7)
 
 
+def _children_by_mask(mats, letters, keep):
+    # the masked gather of a swapaxes view that _children replaced: the
+    # same GEMM, its children picked by ``keep`` (parents x letters)
+    n = letters.shape[-1]
+    right = letters.transpose(1, 0, 2).reshape(n, -1)
+    return (mats.reshape(-1, n) @ right).reshape(
+        -1, n, len(letters), n).swapaxes(1, 2)[keep]
+
+
+@pytest.mark.parametrize("parents", [1, 2, 1821])
+@pytest.mark.parametrize("k", [2, 4, 6])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_children_match_the_masked_gather(n, k, parents):
+    rng = np.random.default_rng(1000 * n + 10 * k + parents)
+    letters = rng.standard_normal((k, n, n))
+    mats = rng.standard_normal((parents, n, n))
+    keep = rng.integers(0, k, parents)[:, None] != np.arange(k) ^ 1
+    parent, last = np.nonzero(keep)
+    got = fd._children(mats, letters, parent, last)
+    want = _children_by_mask(mats, letters, keep)
+    assert got.shape == want.shape == (parents * (k - 1), n, n)
+    assert _bits(got) == _bits(want)
+
+
 @pytest.mark.parametrize("block_entries", [None, 100],
                          ids=["default-blocks", "tiny-blocks"])
 def test_reduced_words_on_graded_letters_match_oracle(block_entries,
@@ -878,6 +902,37 @@ def test_near_identity_screen_keeps_every_small_word():
     mats[huge[4]] = np.eye(n)
     mats[huge[4], 0, 1] = 1e160
     assert fd._near_identity(mats, 0.1).tolist() == small
+    # where the trace screen is tight: scalar rows (1 +- delta) I, for
+    # which (tr X)^2 = n ||X||_F^2, and rotations by angles just under eps
+    for n in (2, 3, 6):
+        for eps in (1e-6, 0.1):
+            delta = eps * (1 - 10.0 ** -rng.uniform(3, 15, 200))
+            scalar = (1 + np.concatenate([delta, -delta]))[:, None, None]
+            q = np.linalg.qr(rng.standard_normal((200, n, n)))[0]
+            turn = np.tile(np.eye(n), (200, 1, 1))
+            turn[:, 0, 0] = turn[:, 1, 1] = np.cos(delta)
+            turn[:, 1, 0] = np.sin(delta)
+            turn[:, 0, 1] = -np.sin(delta)
+            mats = np.concatenate([scalar * np.eye(n),
+                                   q @ turn @ q.transpose(0, 2, 1)])
+            small = np.linalg.svd(mats - np.eye(n),
+                                  compute_uv=False).max(axis=1) < eps
+            assert small.sum() > 300
+            assert set(np.nonzero(small)[0]) <= set(fd._near_identity(mats,
+                                                                      eps))
+    # rows whose trace is +-inf or NaN go, with no warning
+    n = 3
+    mats = np.tile(np.eye(n), (8, 1, 1))
+    mats[1, 0, 0] = np.inf
+    mats[2, 1, 1] = -np.inf
+    mats[3, 0, 0], mats[3, 1, 1] = np.inf, -np.inf
+    mats[4, 2, 2] = np.nan
+    mats[5] = np.diag([1e308, 1e308, 1e308])
+    mats[6, 0, 1] = np.nan
+    mats[7, 0, 1] = 0.01
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fd._near_identity(mats, 0.1).tolist() == [0, 7]
 
 
 def test_probe_refuses_bad_configuration():
