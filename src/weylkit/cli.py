@@ -429,9 +429,8 @@ def main(argv=None):
         args.tol = float(env) if env else flagdyn.RANK_TOL
     except ValueError:
         args.tol = math.nan
-    if not 0 < args.tol < math.inf:
-        parser.error(f"{ENV_TOL} must be a positive finite number, "
-                     f"not {env!r}")
+    if not 0 < args.tol < 0.5:
+        parser.error(f"{ENV_TOL} must be a number in (0, 0.5), not {env!r}")
     try:
         out = args.fn(args)
         if not isinstance(out, str):

@@ -8,13 +8,13 @@ exact fraction-arithmetic oracle read d[i][j] = j - rank(C[i:, :j]) from
 C = A^-1 B, for bases A and B adapted to the flags, and differ only in
 the rank.  The exact path refuses a singular basis.  The float path takes
 C = A^T B and maps each singular value sin(theta) of a corner to
-sqrt(1 - cos(theta)) before the threshold ``tol`` (RANK_TOL unless passed
-in; WEYLKIT_TOLERANCE on the command line): a value in the gray band
-[tol, 2 tol], or a gap below RANK_SAFETY, makes it refuse to guess.
-The float reading works on a stack: C = f^T Lambda_k for k flags
-Lambda_k, with one stacked SVD per corner, so ``thickening_membership``
-reads one stack against the whole sample and ``relative_position`` is
-the case k = 1.
+sqrt(1 - cos(theta)) before the threshold ``tol`` in (0, 0.5) (RANK_TOL
+unless passed in): a value in [tol, 2 tol], or a gap below RANK_SAFETY,
+makes it refuse to guess.  It reads a stack, C = f^T Lambda_k for k flags
+(``relative_position`` is k = 1), from (n-1)^2 corners; the j = n corner
+is n-i orthonormal rows.  Each is one stacked call of the SVD kernel that
+``np.linalg.svd`` wraps (checked on numpy 2.4.6): on corners this small
+the wrapper costs more than LAPACK does.
 
 One walker, ``walk_words``, forms the reduced words of the nondiscreteness
 probe and the graded words of limit-set samples and of ``morse``'s orbit
@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.linalg._linalg import (_umath_linalg,
+    _raise_linalgerror_svd_nonconvergence as _svd_failed)
 
 from . import coxeter, graded, symspace
 from .coxeter import WeylElement
@@ -44,10 +46,14 @@ RANK_TOL = 1e-8
 RANK_SAFETY = 100.0
 DEDUP_ANGLE = 1e-6
 BLOCK_ENTRIES = 1 << 16  # floats per block product (512 KB): small temporaries
+_PLANS = {}  # n: corners (i, j), 1 <= i, j < n, and their reduceat starts
 
 
 def position_group(n):
     """The permutation group indexing relative positions in dimension n."""
+    if n == 1:
+        raise ValueError("the flag manifold of R^1 is a point: "
+                         "it has no relative positions")
     return coxeter.build_group(f"A{n - 1}")
 
 
@@ -120,18 +126,25 @@ class PositionResult:
 
 
 def _corner_ranks(c, tol):
-    """Ranks of the corners C[:, i:, :j], 1 <= i < n, 1 <= j <= n, of a
-    stack of orthogonal C = A^T B (k x n x n): one stacked SVD per corner.
-    Returns the ranks (k x (n-1) x n), the smallest gap between kept and
-    dropped values and, per stack entry, the refusal of its first corner
-    in the gray band or below RANK_SAFETY (None if there is none)."""
+    """Ranks (k x (n-1) x n) of the corners C[:, i:, :j], 1 <= i < n,
+    1 <= j <= n, of a stack of orthogonal C = A^T B (k x n x n), the
+    smallest gap between kept and dropped values and, per stack entry, the
+    refusal of its first corner in the gray band or below RANK_SAFETY (or
+    None).  (n-1)^2 corners; the j = n corner is n-i orthonormal rows, of
+    rank n-i for tol < 0.5 (else ValueError).  Each other is one call, in
+    one ``errstate``, of the kernel of ``np.linalg.svd`` (numpy 2.4.6)."""
+    if not 0 < tol < 0.5:
+        raise ValueError(f"tol must lie in (0, 0.5), got {tol}")
     k, n = len(c), c.shape[-1]
-    corners = [(i, j) for i in range(1, n) for j in range(1, n + 1)]
-    s = np.concatenate([np.linalg.svd(c[:, i:, :j], compute_uv=False)
-                        for i, j in corners], axis=1)
+    if n not in _PLANS:
+        ij = [(i, j) for i in range(1, n) for j in range(1, n)]
+        _PLANS[n] = ij, np.cumsum([0] + [min(n - i, j) for i, j in ij[:-1]])
+    corners, starts = _PLANS[n]
+    with np.errstate(all="ignore", invalid="call", call=_svd_failed):
+        s = np.concatenate([_umath_linalg.svd(c[:, i:, :j], signature="d->d")
+                            for i, j in corners], axis=1)
     # s = sin(theta) -> sqrt(1 - cos(theta)), the value of a stacked basis
     s = s / np.sqrt(1.0 + np.sqrt(np.maximum(0.0, 1.0 - s * s)))
-    starts = np.cumsum([0] + [min(n - i, j) for i, j in corners[:-1]])
     kept = s >= tol
     gray = np.logical_or.reduceat(kept & (s <= 2 * tol), starts, axis=1)
     # a corner of the orthogonal C has no singular value above 1
@@ -147,7 +160,9 @@ def _corner_ranks(c, tol):
             f"singular value inside the gray band [{tol:.0e}, {2 * tol:.0e}]"
             if gray[r, first] else
             f"singular value gap {gap[r, first]:.2e} below safety factor")
-    ranks = np.add.reduceat(kept, starts, axis=1).reshape(k, n - 1, n)
+    ranks = np.empty((k, n - 1, n), dtype=int)
+    ranks[..., :-1].flat = np.add.reduceat(kept, starts, axis=1)
+    ranks[..., -1] = np.arange(n - 1, 0, -1)
     return ranks, gap.min(axis=1, initial=np.inf), refusals
 
 
@@ -332,6 +347,8 @@ def walk_words(letters, depth):
         return
     k, n = letters.shape[0], letters.shape[-1]
     step = BLOCK_ENTRIES // (k * n * n) + 1  # parents per block
+    # row a: the k - 1 letters allowed after letter a, all but a ^ 1
+    succ = np.arange(k - 1) + (np.arange(k - 1) >= (np.arange(k) ^ 1)[:, None])
     stack, block = [], (1, 0, np.arange(k), letters)
     while True:
         yield block
@@ -342,8 +359,7 @@ def walk_words(letters, depth):
         if not stack:
             return
         length, first, last, mats = stack.pop()
-        keep = last[:, None] != np.arange(k) ^ 1
-        parent, last = np.nonzero(keep)
+        parent, last = np.repeat(np.arange(len(last)), k - 1), succ[last].ravel()
         block = (length + 1, (k - 1) * first, last,
                  _children(mats, letters, parent, last)
                  if isinstance(letters, np.ndarray)

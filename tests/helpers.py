@@ -4,9 +4,10 @@ The brute-force Bruhat oracle, random and iterated flags, the chart of
 the n=3 model flat, ray points, the dual-cone defect of a triangle,
 rigid rotations of circle configurations, reduced words and the
 nondiscreteness probe built one whole word length at a time, the
-standard Schottky pair, and the Schottky certificate and horofunction
-estimate read one triple and one ray parameter at a time.  The tests
-compare the library against them or build their inputs with them.
+standard Schottky pair, the Schottky certificate and horofunction
+estimate read one triple and one ray parameter at a time, and the flag
+position corners read all n(n-1) of them through ``np.linalg.svd``.  The
+tests compare the library against them or build their inputs with them.
 """
 
 from itertools import product
@@ -293,3 +294,31 @@ def horofunction_per_t(p, direction, x, t_list, phi=None, offset=None):
         _, do = graded.Graded(np.eye(p.n), h, rp.T).chamber()
         estimates.append(phi(dx) - phi(do))
     return estimates
+
+
+def corner_ranks_every_corner(c, tol):
+    """The reading that ``flagdyn._corner_ranks`` replaces: all n(n-1)
+    corners C[:, i:, :j], 1 <= i < n, 1 <= j <= n, the j = n ones too,
+    each through ``np.linalg.svd``.  Same returns: ranks, smallest gaps
+    and refusals."""
+    k, n = len(c), c.shape[-1]
+    corners = [(i, j) for i in range(1, n) for j in range(1, n + 1)]
+    s = np.concatenate([np.linalg.svd(c[:, i:, :j], compute_uv=False)
+                        for i, j in corners], axis=1)
+    s = s / np.sqrt(1.0 + np.sqrt(np.maximum(0.0, 1.0 - s * s)))
+    starts = np.cumsum([0] + [min(n - i, j) for i, j in corners[:-1]])
+    kept = s >= tol
+    gray = np.logical_or.reduceat(kept & (s <= 2 * tol), starts, axis=1)
+    lo = np.minimum.reduceat(np.where(kept, s, 1.0), starts, axis=1)
+    hi = np.maximum.reduceat(np.where(kept, 0.0, s), starts, axis=1)
+    gap = np.divide(lo, hi, out=np.full_like(lo, np.inf), where=hi > 0)
+    bad = gray | (gap < flagdyn.RANK_SAFETY)
+    refusals = np.full(k, None, dtype=object)
+    for r in np.nonzero(bad.any(axis=1))[0]:
+        first = bad[r].argmax()
+        refusals[r] = (
+            f"singular value inside the gray band [{tol:.0e}, {2 * tol:.0e}]"
+            if gray[r, first] else
+            f"singular value gap {gap[r, first]:.2e} below safety factor")
+    ranks = np.add.reduceat(kept, starts, axis=1).reshape(k, n - 1, n)
+    return ranks, gap.min(axis=1, initial=np.inf), refusals

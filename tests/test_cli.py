@@ -608,6 +608,45 @@ def test_env_tolerance_rejects_garbage(capsys, monkeypatch):
     assert flagdyn.RANK_TOL == old
 
 
+@pytest.mark.parametrize("value", ["0.5", "1", "0", "-1e-8", "nan", "inf"])
+def test_env_tolerance_outside_its_range_is_a_usage_error(capsys, monkeypatch,
+                                                          value):
+    # 0.5 and 1 made every pair refuse; the range is that of the library
+    monkeypatch.setenv("WEYLKIT_TOLERANCE", value)
+    a = json.dumps(np.eye(3).tolist())
+    with pytest.raises(SystemExit) as exc:
+        main(["flags", "position", "--a", a, "--b", a])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert (f"WEYLKIT_TOLERANCE must be a number in (0, 0.5), not "
+            f"{value!r}") in captured.err
+
+
+def test_env_tolerance_just_under_one_half_reads(capsys, monkeypatch):
+    monkeypatch.setenv("WEYLKIT_TOLERANCE", "0.4999")
+    a = json.dumps(np.eye(3).tolist())
+    code, out = run(capsys, "flags", "position", "--a", a, "--b", a)
+    assert code == 0 and json.loads(out)["position"] == "123"
+
+
+@pytest.mark.parametrize("verb", [
+    ("flags", "position", "--a", "[[1.5]]", "--b", "[[2.5]]"),
+    ("flags", "position", "--a", "[[1]]", "--b", "[[2]]"),
+    ("flags", "antipodal", "--a", "[[1.5]]", "--b", "[[-2.5]]"),
+    ("domain", "membership", "--flag", "[[1.5]]", "--thickening", "[]")],
+    ids=["position", "exact-position", "antipodal", "membership"])
+def test_positions_refuse_the_line(capsys, tmp_path, verb):
+    sample = tmp_path / "sample.json"
+    sample.write_text('{"flags": [[[1.0]]], "words": ["a"], '
+                      '"margins": [[]]}')
+    argv = (*verb, "--sample", str(sample)) if verb[0] == "domain" else verb
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "ValueError", "argv": list(argv),
+        "message": "the flag manifold of R^1 is a point: "
+                   "it has no relative positions"}
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

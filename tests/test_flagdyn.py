@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import mp_oracle
-from helpers import (iterate_flag, probe_building_every_length, random_flag,
-                     reduced_words)
+from helpers import (corner_ranks_every_corner, iterate_flag,
+                     probe_building_every_length, random_flag, reduced_words)
 from test_thickenings import all_ideals
 from weylkit import flagdyn as fd
 from weylkit import morse, symspace
@@ -235,6 +235,130 @@ def test_exact_position_refuses_ragged_basis():
         with pytest.raises(NearSingular, match=f"basis {name} "):
             fd.relative_position_exact(a, b)
 
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-8, 0.0, 0.5, 1.0, np.inf, np.nan])
+def test_rank_tolerance_outside_its_range_is_refused(tol):
+    # tol = -1 read a flag against itself as the longest element
+    f = random_flag(3, _rng())
+    sample = fd.FlagSample([f], ["e"], [np.zeros(2)])
+    group = fd.position_group(3)
+    for call in (lambda: fd.relative_position(f, f, tol=tol),
+                 lambda: fd.is_antipodal(f, f, tol=tol),
+                 lambda: fd.thickening_membership(f, sample, {group.w0},
+                                                  tol=tol)):
+        with pytest.raises(ValueError,
+                           match=r"^tol must lie in \(0, 0\.5\), got "):
+            call()
+
+
+def test_rank_tolerance_just_under_one_half_reads():
+    f = random_flag(4, _rng())
+    assert fd.relative_position(f, f, tol=0.4999).w.label() == "1234"
+    assert fd.is_antipodal(f, fd.flag_from_basis(f.basis[:, ::-1]),
+                           tol=0.4999)
+
+
+def test_positions_refuse_the_line():
+    f, g = fd.standard_flag(1), fd.Flag([[-1.0]])
+    sample = fd.FlagSample([g], ["e"], [np.zeros(0)])
+    for call in (lambda: fd.relative_position(f, g),
+                 lambda: fd.is_antipodal(f, g),
+                 lambda: fd.thickening_membership(f, sample, set()),
+                 lambda: fd.relative_position_exact([[1]], [[2]])):
+        with pytest.raises(ValueError, match=r"^the flag manifold of R\^1 is "
+                           r"a point: it has no relative positions$"):
+            call()
+
+
+def _position_stack(kind, n, k, tol, rng):
+    """k orthogonal C = A^T B (k x n x n) of one kind: generic; signed
+    permutations; signed permutations times Cayley rotations
+    (I - S)^-1 (I + S) by skew S of norm 1e-12 to 1e-6, or 1e-3 tol to
+    10 tol; or A^T B for orthonormalised integer bases, half of them
+    B = A U P V (U, V unit upper triangular), so that corners are rank
+    deficient in exact arithmetic."""
+    if kind == "generic":
+        return np.linalg.qr(rng.standard_normal((k, n, n)))[0]
+    if kind == "integer":
+        m = rng.integers(-1, 2, (16 * k, n, n)).astype(float)
+        a, b = m[np.abs(np.linalg.det(m)) > 0.5][:2 * k].reshape(2, k, n, n)
+        u = np.triu(rng.integers(-2, 3, (2, k, n, n)), 1) + np.eye(n)
+        p = np.eye(n)[np.array([rng.permutation(n) for _ in range(k)])]
+        b[::2] = (a @ u[0] @ p @ u[1])[::2]
+        qa, qb = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+        return qa.swapaxes(1, 2) @ qb
+    signed = (np.eye(n)[np.array([rng.permutation(n) for _ in range(k)])]
+              * rng.choice([-1.0, 1.0], (k, 1, n)))
+    if kind == "permutation":
+        return signed
+    lo, hi = (-12, -6) if kind == "rotation" else np.log10(tol) + (-3, 1)
+    s = rng.standard_normal((k, n, n))
+    s -= s.swapaxes(1, 2)
+    s *= (10 ** rng.uniform(lo, hi, k) / np.linalg.norm(s, axis=(1, 2)))[
+        :, None, None]
+    return signed @ np.linalg.solve(np.eye(n) - s, np.eye(n) + s)
+
+
+def _same_reading(c, tol):
+    """Assert that ``_corner_ranks`` reads the stack as the reader of every
+    corner through ``np.linalg.svd`` does; return the refusals."""
+    ranks, gaps, refusals = fd._corner_ranks(c, tol)
+    want = corner_ranks_every_corner(c, tol)
+    assert ranks.dtype == want[0].dtype and np.array_equal(ranks, want[0])
+    assert gaps.tobytes() == want[1].tobytes()
+    assert refusals.tolist() == want[2].tolist()
+    return refusals
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("kind", ["generic", "permutation", "rotation",
+                                  "rotation-near-tol", "integer"])
+def test_corner_ranks_match_the_reading_of_every_corner(kind, n):
+    rng = np.random.default_rng(sum(map(ord, kind)) * 10 + n)
+    refused = []
+    for tol in (1e-8, 1e-6, 1e-3):
+        c = _position_stack(kind, n, 448, tol, rng)
+        refused += _same_reading(c, tol).tolist()
+        for r in range(8):
+            refused += _same_reading(c[r:r + 1], tol).tolist()
+    kinds = {m.split(" ")[2] for m in refused if m is not None}
+    if kind.startswith("rotation"):
+        # a gap refusal needs two small values in one corner: near a
+        # permutation, a corner of at least 2 x 2 outside its ones, n >= 4
+        assert kinds == ({"inside"} if n < 4 else {"inside", "gap"})
+
+
+def test_corner_ranks_refuse_nan_as_svd_does():
+    c = np.linalg.qr(_rng().standard_normal((5, 4, 4)))[0]
+    c[3, 2, 0] = np.nan
+    state = np.geterr()
+    for read in (fd._corner_ranks, corner_ranks_every_corner):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^SVD did not converge$"):
+            read(c, fd.RANK_TOL)
+    assert np.geterr() == state
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_corner_ranks_read_each_corner_j_below_n_once(n, monkeypatch):
+    kernel, calls, states = fd._umath_linalg.svd, [], []
+
+    class Counting:
+        @staticmethod
+        def svd(a, signature):
+            calls.append(a.shape[1:])
+            return kernel(a, signature=signature)
+
+    errstate = np.errstate
+    monkeypatch.setattr(fd, "_umath_linalg", Counting)
+    monkeypatch.setattr(np, "errstate",
+                        lambda **kw: states.append(kw) or errstate(**kw))
+    monkeypatch.setattr(np.linalg, "svd", None)
+    c = np.linalg.qr(_rng().standard_normal((3, n, n)))[0]
+    fd._corner_ranks(c, fd.RANK_TOL)
+    assert calls == [(n - i, j) for i in range(1, n) for j in range(1, n)]
+    assert len(states) == 1 and states[0]["invalid"] == "call"
 
 # --- antipodality ----------------------------------------------------------------
 
@@ -487,6 +611,30 @@ def test_children_match_the_masked_gather(n, k, parents):
     assert got.shape == want.shape == (parents * (k - 1), n, n)
     assert _bits(got) == _bits(want)
 
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_walk_index_arrays_match_the_mask_form(k, monkeypatch):
+    # each block's parents and last letters, as np.nonzero of the mask
+    # last[:, None] != np.arange(k) ^ 1 over its whole length gives them
+    monkeypatch.setattr(fd, "BLOCK_ENTRIES", 40)
+    children, parents = fd._children, []
+    monkeypatch.setattr(fd, "_children", lambda mats, letters, parent, last:
+                        parents.append(parent) or children(mats, letters,
+                                                           parent, last))
+    letters = fd.stack_letters(np.random.default_rng(k).standard_normal(
+        (k // 2, 2, 2)))
+    blocks = [(length, first, last, parents[-1] if length > 1 else None)
+              for length, first, last, _ in fd.walk_words(letters, 5)]
+    levels = {length: np.concatenate([b[2] for b in sorted(
+        (b for b in blocks if b[0] == length), key=lambda b: b[1])])
+        for length in range(1, 6)}
+    assert levels[1].tolist() == list(range(k))
+    for length, first, last, parent in blocks[1:]:
+        want_parent, want_last = np.nonzero(
+            levels[length - 1][:, None] != np.arange(k) ^ 1)
+        rows = slice(first, first + len(last))
+        assert np.array_equal(last, want_last[rows])
+        assert np.array_equal(parent + first // (k - 1), want_parent[rows])
 
 @pytest.mark.parametrize("block_entries", [None, 100],
                          ids=["default-blocks", "tiny-blocks"])
@@ -805,15 +953,16 @@ def _memberships_in_sample_order(flags, sample, thickening):
     the sample in order up to its first witness or refused position, as
     relative_position reads it.  The flags still walking are read against
     one sample flag lambda at a time, as one stack C = f^T lambda, where
-    thickening_membership stacks over the sample instead.  Returns the
-    outcome of each flag in the form of ``_outcome``."""
+    thickening_membership stacks over the sample instead, by the reader of
+    every corner in ``helpers``.  Returns the outcome of each flag in the
+    form of ``_outcome``."""
     W = fd.position_group(3)
     transposed = np.array([f.basis.T for f in flags])
     outcomes = [(False, None)] * len(flags)
     walking = np.arange(len(flags))
     for lam in sample.flags:
-        ranks, _, first = fd._corner_ranks(transposed[walking] @ lam.basis,
-                                           fd.RANK_TOL)
+        ranks, _, first = corner_ranks_every_corner(
+            transposed[walking] @ lam.basis, fd.RANK_TOL)
         w, _, late = fd._read_positions(ranks)
         still = np.ones(len(walking), dtype=bool)
         for r, (k, p, corner, jump) in enumerate(
