@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -426,11 +425,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     env = os.environ.get(ENV_TOL)
     try:
-        args.tol = float(env) if env else flagdyn.RANK_TOL
-    except ValueError:
-        args.tol = math.nan
-    if not 0 < args.tol < 0.5:
-        parser.error(f"{ENV_TOL} must be a number in (0, 0.5), not {env!r}")
+        args.tol = flagdyn.check_tol(float(env) if env else flagdyn.RANK_TOL)
+    except ValueError as exc:
+        parser.error(f"{ENV_TOL}={env!r}: {exc}")
     try:
         out = args.fn(args)
         if not isinstance(out, str):

@@ -13,8 +13,8 @@ unless passed in): a value in [tol, 2 tol], or a gap below RANK_SAFETY,
 makes it refuse to guess.  It reads a stack, C = f^T Lambda_k for k flags
 (``relative_position`` is k = 1), from (n-1)^2 corners; the j = n corner
 is n-i orthonormal rows.  Each is one stacked call of the SVD kernel that
-``np.linalg.svd`` wraps (checked on numpy 2.4.6): on corners this small
-the wrapper costs more than LAPACK does.
+``np.linalg.svd`` wraps (checked on numpy 2.4.6, so pyproject.toml pins
+numpy 2.4): on corners this small the wrapper costs more than LAPACK.
 
 One walker, ``walk_words``, forms the reduced words of the nondiscreteness
 probe and the graded words of limit-set samples and of ``morse``'s orbit
@@ -47,6 +47,14 @@ RANK_SAFETY = 100.0
 DEDUP_ANGLE = 1e-6
 BLOCK_ENTRIES = 1 << 16  # floats per block product (512 KB): small temporaries
 _PLANS = {}  # n: corners (i, j), 1 <= i, j < n, and their reduceat starts
+
+
+def check_tol(tol):
+    """``tol`` if 0 < tol < 0.5, else ValueError (NaN too): from 0.5 on, the
+    gray band reaches the j = n corners that ``_corner_ranks`` skips."""
+    if not 0 < tol < 0.5:
+        raise ValueError(f"tol must lie in (0, 0.5), got {tol}")
+    return tol
 
 
 def position_group(n):
@@ -127,14 +135,11 @@ class PositionResult:
 
 def _corner_ranks(c, tol):
     """Ranks (k x (n-1) x n) of the corners C[:, i:, :j], 1 <= i < n,
-    1 <= j <= n, of a stack of orthogonal C = A^T B (k x n x n), the
-    smallest gap between kept and dropped values and, per stack entry, the
-    refusal of its first corner in the gray band or below RANK_SAFETY (or
-    None).  (n-1)^2 corners; the j = n corner is n-i orthonormal rows, of
-    rank n-i for tol < 0.5 (else ValueError).  Each other is one call, in
-    one ``errstate``, of the kernel of ``np.linalg.svd`` (numpy 2.4.6)."""
-    if not 0 < tol < 0.5:
-        raise ValueError(f"tol must lie in (0, 0.5), got {tol}")
+    1 <= j <= n, of a stack of orthogonal C = A^T B (k x n x n), smallest
+    gaps and first refusals (gray band or gap; None if none).  It reads the
+    (n-1)^2 corners j < n, one SVD kernel call each (see above); the j = n
+    corner is n-i orthonormal rows, of rank n-i for a ``check_tol`` tol."""
+    check_tol(tol)
     k, n = len(c), c.shape[-1]
     if n not in _PLANS:
         ij = [(i, j) for i in range(1, n) for j in range(1, n)]
@@ -160,9 +165,8 @@ def _corner_ranks(c, tol):
             f"singular value inside the gray band [{tol:.0e}, {2 * tol:.0e}]"
             if gray[r, first] else
             f"singular value gap {gap[r, first]:.2e} below safety factor")
-    ranks = np.empty((k, n - 1, n), dtype=int)
+    ranks = np.full((k, n - 1, n), np.arange(n - 1, 0, -1)[:, None])
     ranks[..., :-1].flat = np.add.reduceat(kept, starts, axis=1)
-    ranks[..., -1] = np.arange(n - 1, 0, -1)
     return ranks, gap.min(axis=1, initial=np.inf), refusals
 
 
@@ -474,11 +478,10 @@ def thickening_membership(f, sample, th, *, tol=RANK_TOL):
     """Is the flag inside the thickened sampled limit set?  Returns the
     verdict together with the first witness limit flag.  The positions
     against all sample flags are read from one stack; the first sample
-    flag that is a witness or whose position is refused decides."""
-    if not sample.flags:
-        return False, None
-    W, w, _, _, refusals = _positions(
-        f, np.array([lam.basis for lam in sample.flags]), tol)
+    flag that is a witness or whose position is refused decides (none
+    does in an empty sample, which is read through the same checks)."""
+    W, w, _, _, refusals = _positions(f, np.reshape(
+        [lam.basis for lam in sample.flags], (len(sample), f.n, f.n)), tol)
     read = np.equal(refusals, None)
     inside = np.zeros(len(w), dtype=bool)
     perms, at = np.unique(w[read], axis=0, return_inverse=True)

@@ -618,8 +618,8 @@ def test_env_tolerance_outside_its_range_is_a_usage_error(capsys, monkeypatch,
         main(["flags", "position", "--a", a, "--b", a])
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
-    assert (f"WEYLKIT_TOLERANCE must be a number in (0, 0.5), not "
-            f"{value!r}") in captured.err
+    assert (f"WEYLKIT_TOLERANCE={value!r}: tol must lie in (0, 0.5), got "
+            f"{float(value)}") in captured.err
 
 
 def test_env_tolerance_just_under_one_half_reads(capsys, monkeypatch):

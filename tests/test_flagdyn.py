@@ -10,6 +10,7 @@ import re
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -242,10 +243,13 @@ def test_rank_tolerance_outside_its_range_is_refused(tol):
     # tol = -1 read a flag against itself as the longest element
     f = random_flag(3, _rng())
     sample = fd.FlagSample([f], ["e"], [np.zeros(2)])
+    empty = fd.FlagSample([], [], [])
     group = fd.position_group(3)
     for call in (lambda: fd.relative_position(f, f, tol=tol),
                  lambda: fd.is_antipodal(f, f, tol=tol),
                  lambda: fd.thickening_membership(f, sample, {group.w0},
+                                                  tol=tol),
+                 lambda: fd.thickening_membership(f, empty, {group.w0},
                                                   tol=tol)):
         with pytest.raises(ValueError,
                            match=r"^tol must lie in \(0, 0\.5\), got "):
@@ -265,6 +269,8 @@ def test_positions_refuse_the_line():
     for call in (lambda: fd.relative_position(f, g),
                  lambda: fd.is_antipodal(f, g),
                  lambda: fd.thickening_membership(f, sample, set()),
+                 lambda: fd.thickening_membership(f, fd.FlagSample([], [], []),
+                                                  set()),
                  lambda: fd.relative_position_exact([[1]], [[2]])):
         with pytest.raises(ValueError, match=r"^the flag manifold of R\^1 is "
                            r"a point: it has no relative positions$"):
@@ -359,6 +365,14 @@ def test_corner_ranks_read_each_corner_j_below_n_once(n, monkeypatch):
     fd._corner_ranks(c, fd.RANK_TOL)
     assert calls == [(n - i, j) for i in range(1, n) for j in range(1, n)]
     assert len(states) == 1 and states[0]["invalid"] == "call"
+
+
+def test_numpy_is_pinned_to_the_release_whose_kernel_names_were_checked():
+    # _corner_ranks binds numpy.linalg._linalg's _umath_linalg.svd and its
+    # non-convergence handler, private names checked on numpy 2.4 only
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'"numpy\b[^"]*"', pyproject) == ['"numpy>=2.4,<2.5"']
+    assert "2.4.0" <= np.lib.NumpyVersion(np.__version__) < "2.5.0"
 
 # --- antipodality ----------------------------------------------------------------
 
