@@ -211,8 +211,11 @@ def _read_positions(ranks):
 def _positions(f, bases, tol):
     """Positions of flag f relative to a stack of orthonormal ``bases``:
     the position group, one-line positions, rank matrices, confidences
-    and refusals."""
+    and refusals; ValueError unless the bases are n x n for f's n."""
     W = position_group(f.n)
+    if bases.shape[1:] != (f.n, f.n):
+        raise ValueError(f"a flag of R^{f.n} has no position relative to "
+                         f"a flag of R^{bases.shape[1]}")
     ranks, confidence, refusals = _corner_ranks(f.basis.T @ bases, tol)
     w, d, late = _read_positions(ranks)
     # a refused corner comes first, as it would stop a pair-by-pair reading
@@ -480,8 +483,8 @@ def thickening_membership(f, sample, th, *, tol=RANK_TOL):
     against all sample flags are read from one stack; the first sample
     flag that is a witness or whose position is refused decides (none
     does in an empty sample, which is read through the same checks)."""
-    W, w, _, _, refusals = _positions(f, np.reshape(
-        [lam.basis for lam in sample.flags], (len(sample), f.n, f.n)), tol)
+    W, w, _, _, refusals = _positions(f, np.array(
+        [lam.basis for lam in sample.flags] or np.empty((0, f.n, f.n))), tol)
     read = np.equal(refusals, None)
     inside = np.zeros(len(w), dtype=bool)
     perms, at = np.unique(w[read], axis=0, return_inverse=True)

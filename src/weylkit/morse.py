@@ -379,22 +379,31 @@ def morse_defect_report(path, cone=None, window=10.0, L=2.0, A=1.0, phi=None):
     The chamber vectors of all m(m-1)/2 pairs are read row by row: row s
     is one batched eigvalsh over x_s^-1/2 x_t x_s^-1/2 for t > s, from
     each point's own x^-1/2, bit-identical to ``delta_distance``.  Each
-    row folds into the (L, A) margins and into an m x m table of Finsler
-    distances, and each window length reads its defects from that table
-    in one indexed pass.  So the temporaries are O(m n^2) per row and
-    O(m^2) per window length, where one stack of all pairs would take
-    O(m^2 n^2).
+    row folds into the (L, A) margins and into two skewed m x m tables,
+    ahead[s, j] = d(x_s, x_{s+j}) and behind[t, i] = d(x_{t-i}, x_t), of
+    Finsler distances.  Each window length reads its defects from slices
+    of the two tables; O(m^2) memory, no index arrays.  The temporaries
+    are O(m n^2) per row, where one stack of all pairs would take O(m^2 n^2).
     """
     symspace.check_finite(window=window, L=L, A=A)
+    if not L > 0:
+        raise ValueError(f"L must be positive, got {L}")
+    if not A >= 0:
+        raise ValueError(f"A must be non-negative, got {A}")
     m = len(path)
     if m < 2:
         raise ValueError("need at least two points")
+    n = path[0].n
+    for i, p in enumerate(path):
+        if p.n != n:
+            raise ValueError(f"path points must share one dimension: "
+                             f"point 0 has n = {n}, point {i} has n = {p.n}")
     if phi is None:
-        phi = FinslerFunctional.default(path[0].n)
+        phi = FinslerFunctional.default(n)
     mats, xi = map(np.array, zip(*[(p.mat, p.inv_sqrt()) for p in path]))
     qi_lower = qi_upper = np.inf
-    fins = np.zeros((m, m))
-    steps = np.empty((m - 1, path[0].n))
+    ahead, behind = np.zeros((m, m)), np.zeros((m, m))
+    steps = np.empty((m - 1, n))
     for s in range(m - 1):
         v = symspace.delta_stack(xi[s], mats[s + 1:])
         # np.vecdot takes the 1-D dot that norm and phi take, so the
@@ -403,7 +412,7 @@ def morse_defect_report(path, cone=None, window=10.0, L=2.0, A=1.0, phi=None):
         gap = np.arange(1, m - s)
         qi_lower = min(qi_lower, (riem - (gap / L - A)).min())
         qi_upper = min(qi_upper, ((L * gap + A) - riem).min())
-        fins[s, s + 1:] = np.vecdot(v, phi.c)
+        ahead[s, 1:m - s] = behind[s + gap, gap] = np.vecdot(v, phi.c)
         steps[s] = v[0]
     segment_regular = None
     if cone is not None:
@@ -415,11 +424,10 @@ def morse_defect_report(path, cone=None, window=10.0, L=2.0, A=1.0, phi=None):
                 segment_regular.append(False)
     lengths = [gap for gap in range(2, m) if gap > window]
     defects = []
-    for gap in lengths:
-        s = np.arange(m - gap)[:, None]
-        k = s + np.arange(1, gap)
-        inner = fins[s, k] + fins[k, s + gap] - fins[s, s + gap]
+    for g in lengths:
+        inner = (ahead[:m - g, 1:g] + behind[g:, g - 1:0:-1]
+                 - ahead[:m - g, g, None])
         defects.append(max(0.0, float(inner.max())))
     return MorseDefectReport(float(qi_lower), float(qi_upper),
-                             np.array(lengths), np.array(defects),
+                             np.array(lengths, dtype=int), np.array(defects),
                              segment_regular)

@@ -439,6 +439,47 @@ def test_nan_certificate_parameters_are_refused(capsys, verb, options,
     assert json.loads(out)["message"] == message
 
 
+@pytest.mark.parametrize("options,message", [
+    (["--L", "0"], "L must be positive, got 0.0"),
+    (["--L", "-1"], "L must be positive, got -1.0"),
+    (["--A", "-1"], "A must be non-negative, got -1.0"),
+], ids=["L-zero", "L-negative", "A-negative"])
+def test_defect_refuses_l_and_a_outside_their_range(capsys, options, message):
+    # L = 0 printed a -inf margin after a divide-by-zero warning, and
+    # L = -1 printed margins; both exited 0
+    path = [np.diag(np.exp([2.0 * t, 0.0, -2.0 * t])).tolist()
+            for t in range(4)]
+    data = _refused(capsys, ["morse", "defect", "--path", json.dumps(path),
+                             "--B", "1", *options])
+    assert (data["error"], data["message"]) == ("ValueError", message)
+
+
+def test_defect_names_a_point_of_another_dimension(capsys):
+    path = [np.eye(3).tolist(), np.eye(3).tolist(), np.eye(2).tolist()]
+    data = _refused(capsys, ["morse", "defect", "--path", json.dumps(path)])
+    assert data["message"] == ("path points must share one dimension: "
+                               "point 0 has n = 3, point 2 has n = 2")
+
+
+@pytest.mark.parametrize("verb", [
+    ("flags", "position", "--a", "[[1.0,0.0],[0.0,1.0]]",
+     "--b", "[[0.0,1.0,0.0],[1.0,0.0,0.0],[0.0,0.0,1.0]]"),
+    ("flags", "antipodal", "--a", "[[1.0,0.0],[0.0,1.0]]",
+     "--b", "[[0.0,1.0,0.0],[1.0,0.0,0.0],[0.0,0.0,1.0]]"),
+    ("domain", "membership", "--flag", "[[1,0],[0,1]]", "--thickening", "[]")],
+    ids=["position", "antipodal", "membership"])
+def test_positions_name_flags_of_different_dimensions(capsys, tmp_path, verb):
+    # numpy's matmul or reshape message before
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps({"flags": [np.eye(3).tolist()] * 2,
+                                  "words": ["a", "A"],
+                                  "margins": [[1.0, 1.0]] * 2}))
+    argv = (*verb, "--sample", str(sample)) if verb[0] == "domain" else verb
+    data = _refused(capsys, argv)
+    assert (data["error"], data["message"]) == (
+        "ValueError", "a flag of R^2 has no position relative to a flag of R^3")
+
+
 def test_output_into_missing_directory(capsys, tmp_path):
     target = tmp_path / "missing" / "c.txt"
     code, out = run(capsys, "thickenings", "count", "--type", "A2",

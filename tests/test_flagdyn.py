@@ -277,6 +277,21 @@ def test_positions_refuse_the_line():
             call()
 
 
+@pytest.mark.parametrize("n,n2", [(2, 3), (3, 2), (4, 5)])
+def test_positions_name_flags_of_different_dimensions(n, n2):
+    rng = _rng()
+    f, g = random_flag(n, rng), random_flag(n2, rng)
+    sample = fd.FlagSample([random_flag(n2, rng) for _ in range(3)],
+                           ["a", "b", "c"], [np.zeros(n2 - 1)] * 3)
+    for call in (lambda: fd.relative_position(f, g),
+                 lambda: fd.is_antipodal(f, g),
+                 lambda: fd.thickening_membership(f, sample, set())):
+        # numpy's reshape or matmul message before
+        with pytest.raises(ValueError, match=rf"^a flag of R\^{n} has no "
+                           rf"position relative to a flag of R\^{n2}$"):
+            call()
+
+
 def _position_stack(kind, n, k, tol, rng):
     """k orthogonal C = A^T B (k x n x n) of one kind: generic; signed
     permutations; signed permutations times Cayley rotations

@@ -489,7 +489,7 @@ def _defect_report_pair_by_pair(path, cone=None, window=10.0, L=2.0, A=1.0):
             worst = max(worst, float(inner.max()))
         lengths.append(gap)
         defects.append(worst)
-    return (float(qi_lower), float(qi_upper), np.array(lengths),
+    return (float(qi_lower), float(qi_upper), np.array(lengths, dtype=int),
             np.array(defects), segment_regular)
 
 
@@ -560,6 +560,70 @@ def test_defect_report_repeated_point_matches_pair_by_pair():
     assert rep.segment_regular[5] is False
     assert rep.segment_regular.count(False) == 1
     assert morse_defect_report(path, window=4.0).segment_regular is None
+
+
+@pytest.mark.parametrize("window", [-3.0, 0.0, 1.9, 2.0, 2.5, 3.0, 13.0, 14.0],
+                         ids=lambda w: f"window={w}")
+def test_defect_report_window_edges_match_pair_by_pair(window):
+    # below 2 every length from 2 is read; 2.5 reads from 3 on; from 14
+    # on no window of the 15-point path is longer, and the lengths stay
+    # integers, as the reference's are
+    rng = np.random.default_rng(63)
+    path = [ss.point_from_group(np.eye(3) + 0.5 * rng.standard_normal((3, 3)))
+            for _ in range(15)]
+    rep = morse_defect_report(path, window=window, L=1.5, A=0.5)
+    _assert_report_is(rep, _defect_report_pair_by_pair(path, None, window,
+                                                       1.5, 0.5))
+
+
+def test_defect_report_of_two_points_has_no_windows():
+    rng = np.random.default_rng(64)
+    for window in (-1.0, 10.0):
+        path = [ss.point_from_group(np.eye(3) + rng.standard_normal((3, 3)))
+                for _ in range(2)]
+        rep = morse_defect_report(path, cone=ss.RegularityCone(0.1),
+                                  window=window, L=1.0, A=1.0)
+        _assert_report_is(rep, _defect_report_pair_by_pair(
+            path, ss.RegularityCone(0.1), window, 1.0, 1.0))
+        assert len(rep.window_defects) == 0
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_defect_report_matches_pair_by_pair_in_other_dimensions(n):
+    rng = np.random.default_rng(65 + n)
+    path = [ss.point_from_group(np.eye(n) + 0.5 * rng.standard_normal((n, n)))
+            for _ in range(30)]
+    path.insert(11, path[10])
+    cone = ss.RegularityCone(0.2)
+    for window, L, A in ((1.0, 2.0, 1.0), (4.5, 0.5, 0.0), (30.0, 2.0, 1.0)):
+        rep = morse_defect_report(path, cone=cone, window=window, L=L, A=A)
+        _assert_report_is(rep, _defect_report_pair_by_pair(path, cone, window,
+                                                           L, A))
+    assert rep.segment_regular[10] is False
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("L", 0.0, "L must be positive, got 0.0"),
+    ("L", -0.0, "L must be positive, got -0.0"),
+    ("L", -1.0, "L must be positive, got -1.0"),
+    ("A", -1e-12, "A must be non-negative, got -1e-12"),
+    ("A", -1.0, "A must be non-negative, got -1.0"),
+])
+def test_defect_report_refuses_l_and_a_outside_their_range(name, value,
+                                                           message):
+    # L = 0 divided by zero into a -inf margin, and a negative L or A
+    # printed margins of a bound that holds for no path
+    path = [ss.flat_point([2.0 * t, 0.0, -2.0 * t]) for t in range(3)]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        morse_defect_report(path, **{name: value})
+
+
+def test_defect_report_names_a_point_of_another_dimension():
+    path = [ss.flat_point([t, 0.0, -t]) for t in range(5)]
+    path.insert(3, ss.flat_point([1.0, -1.0]))
+    with pytest.raises(ValueError, match=r"^path points must share one "
+                       r"dimension: point 0 has n = 3, point 3 has n = 2$"):
+        morse_defect_report(path)
 
 
 def test_zeta_angle_symmetric_and_invariant():
