@@ -74,6 +74,9 @@ class Flag:
     def __init__(self, basis):
         basis = np.array(basis, dtype=float, order="C")
         n = basis.shape[0]
+        if basis.shape != (n, n):
+            raise ValueError(f"flag basis must be square, got shape "
+                             f"{basis.shape}")
         if not np.abs(basis @ basis.T - np.eye(n)).max() <= 1e-10:
             raise NearSingular("flag basis is not orthonormal")
         basis *= symspace.column_signs(basis)
@@ -416,9 +419,13 @@ class FlagSample:
 
     @staticmethod
     def from_json_obj(obj):
-        return FlagSample([Flag(symspace._float_matrix(b))
-                           for b in obj["flags"]],
-                          list(obj["words"]),
+        flags = [Flag(symspace._float_matrix(b)) for b in obj["flags"]]
+        for i, f in enumerate(flags):
+            if f.n != flags[0].n:
+                raise ValueError(f"sample flags must share one dimension: "
+                                 f"flag 0 has n = {flags[0].n}, "
+                                 f"flag {i} has n = {f.n}")
+        return FlagSample(flags, list(obj["words"]),
                           [np.array(m) for m in obj["margins"]])
 
 

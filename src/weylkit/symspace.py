@@ -15,8 +15,10 @@ conditioning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
+from numpy.linalg._linalg import _umath_linalg
 
 from . import graded
 from .errors import (DegenerateSegment, NonRegularDirection,
@@ -27,9 +29,9 @@ DET_TOL = 1e-10
 
 
 class SymPoint:
-    """Read-only positive definite matrix of det 1, and its eigh."""
+    """Read-only positive definite matrix of det 1, its eigh and x^-1/2."""
 
-    __slots__ = ("mat", "n", "_eig")
+    __slots__ = ("mat", "n", "_eig", "_inv_sqrt")
 
     def __init__(self, mat):
         mat = _float_matrix(mat)
@@ -68,8 +70,11 @@ class SymPoint:
         return (v * np.sqrt(w)) @ v.T
 
     def inv_sqrt(self):
-        w, v = self._eig
-        return (v / np.sqrt(w)) @ v.T
+        if not hasattr(self, "_inv_sqrt"):
+            w, v = self._eig
+            self._inv_sqrt = (v / np.sqrt(w)) @ v.T
+            self._inv_sqrt.flags.writeable = False
+        return self._inv_sqrt
 
     def __repr__(self):
         return f"SymPoint({self.mat.tolist()})"
@@ -189,14 +194,19 @@ def delta_stack(xi, ys):
     """``delta_distance`` for a stack of pairs, from one batched eigvalsh:
     the chamber vectors of the matrices ``ys`` seen from the points whose
     inverse square roots are ``xi`` (one matrix, or a stack matched with
-    ``ys``).  Each row is bit-identical to ``delta_distance``."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    ``ys``), each row bit-identical to ``delta_distance``.  The eigvalsh
+    kernel ``_umath_linalg.eigvalsh_lo`` (numpy 2.4.6) reads the lower
+    triangle: a sum of squares below inf vouches for the whole form."""
+    with np.errstate(all="ignore"):
         form = xi @ ys @ xi
-    if not np.isfinite(form).all():
-        raise SingularInput("relative form spans more than the float range")
-    w = np.linalg.eigvalsh(form)
-    if not w[..., 0].min(initial=np.inf) > 0:
-        raise NotPositiveDefinite("relative form is not positive definite")
+        w = _umath_linalg.eigvalsh_lo(form, signature="d->d")
+    if not (w[..., 0].min(initial=np.inf) > 0
+            and np.vdot(form, form) < np.inf):
+        if not np.isfinite(form).all():
+            raise SingularInput("relative form spans more than the float range")
+        np.linalg.eigvalsh(form)  # its LinAlgError where a solve failed
+        if not w[..., 0].min(initial=np.inf) > 0:
+            raise NotPositiveDefinite("relative form is not positive definite")
     v = 0.5 * np.log(w)[..., ::-1]
     # the arithmetic of mean, without its per-call cost on one pair
     return v - v.sum(axis=-1, keepdims=True) / v.shape[-1]
@@ -221,10 +231,12 @@ class FinslerFunctional:
         if np.min(c[:-1] - c[1:]) <= 0:
             raise ValueError("coefficients must be strictly decreasing")
         self.c = c - c.mean()
+        self.c.flags.writeable = False
 
     @staticmethod
+    @cache
     def default(n):
-        """Sum-of-positive-roots functional: c_i = n + 1 - 2 i."""
+        """Sum-of-positive-roots functional c_i = n + 1 - 2 i, once per n."""
         return FinslerFunctional([n + 1 - 2 * i for i in range(1, n + 1)])
 
     def __call__(self, v):

@@ -5,9 +5,11 @@ the n=3 model flat, ray points, the dual-cone defect of a triangle,
 rigid rotations of circle configurations, reduced words and the
 nondiscreteness probe built one whole word length at a time, the
 standard Schottky pair, the Schottky certificate and horofunction
-estimate read one triple and one ray parameter at a time, and the flag
-position corners read all n(n-1) of them through ``np.linalg.svd``.  The
-tests compare the library against them or build their inputs with them.
+estimate read one triple and one ray parameter at a time, the flag
+position corners read all n(n-1) of them through ``np.linalg.svd``, and
+the stacked chamber distance read through ``np.linalg.eigvalsh`` after a
+finiteness test.  The tests compare the library against them or build
+their inputs with them.
 """
 
 from itertools import product
@@ -18,7 +20,8 @@ from weylkit.configurations import TWO_PI, WeightedConfig
 from weylkit.coxeter import _same_group
 from weylkit import flagdyn, graded, morse, symspace
 from weylkit.errors import (AmbiguousRank, BudgetExceeded,
-                            NotAntipodalGenerators)
+                            NotAntipodalGenerators, NotPositiveDefinite,
+                            SingularInput)
 from weylkit.flagdyn import (BLOCK_ENTRIES, NondiscretenessCertificate,
                              NondiscretenessResult, _children, _near_identity,
                              _word_label, flag_from_basis, stack_letters,
@@ -91,6 +94,21 @@ def dual_cone_defect(x, y, z):
     partial = np.cumsum(u)
     worst = min(partial[k] - (k + 1) / n * partial[-1] for k in range(n - 1))
     return -min(worst, 0.0)
+
+
+def delta_stack_reference(xi, ys):
+    """``symspace.delta_stack`` through numpy's public eigvalsh: the whole
+    form tested for finiteness first, then the wrapper, which raises
+    LinAlgError on a solve that does not converge."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = xi @ ys @ xi
+    if not np.isfinite(form).all():
+        raise SingularInput("relative form spans more than the float range")
+    w = np.linalg.eigvalsh(form)
+    if not w[..., 0].min(initial=np.inf) > 0:
+        raise NotPositiveDefinite("relative form is not positive definite")
+    v = 0.5 * np.log(w)[..., ::-1]
+    return v - v.sum(axis=-1, keepdims=True) / v.shape[-1]
 
 
 def rotate(config, angle):

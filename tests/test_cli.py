@@ -480,6 +480,22 @@ def test_positions_name_flags_of_different_dimensions(capsys, tmp_path, verb):
         "ValueError", "a flag of R^2 has no position relative to a flag of R^3")
 
 
+def test_membership_names_a_sample_flag_of_another_dimension(capsys,
+                                                             tmp_path):
+    # numpy's "inhomogeneous shape" message before
+    sample = tmp_path / "mixed.json"
+    sample.write_text(json.dumps({"flags": [np.eye(3).tolist(),
+                                            np.eye(2).tolist()],
+                                  "words": ["a", "A"],
+                                  "margins": [[1.0, 1.0], [1.0]]}))
+    data = _refused(capsys, ["domain", "membership", "--flag",
+                             "[[1,0,0],[0,1,0],[0,0,1]]", "--thickening",
+                             "[]", "--sample", str(sample)])
+    assert (data["error"], data["message"]) == (
+        "ValueError", "sample flags must share one dimension: "
+        "flag 0 has n = 3, flag 1 has n = 2")
+
+
 def test_output_into_missing_directory(capsys, tmp_path):
     target = tmp_path / "missing" / "c.txt"
     code, out = run(capsys, "thickenings", "count", "--type", "A2",

@@ -292,6 +292,19 @@ def test_positions_name_flags_of_different_dimensions(n, n2):
             call()
 
 
+@pytest.mark.parametrize("dims,first", [((3, 2), 1), ((2, 2, 2, 3), 3)])
+def test_sample_names_a_flag_of_another_dimension(dims, first):
+    # numpy's "inhomogeneous shape" message in thickening_membership before
+    obj = {"flags": [np.eye(d).tolist() for d in dims],
+           "words": ["a"] * len(dims),
+           "margins": [[1.0]] * len(dims)}
+    with pytest.raises(ValueError) as exc:
+        fd.FlagSample.from_json_obj(obj)
+    assert str(exc.value) == (
+        f"sample flags must share one dimension: flag 0 has n = {dims[0]}, "
+        f"flag {first} has n = {dims[first]}")
+
+
 def _position_stack(kind, n, k, tol, rng):
     """k orthogonal C = A^T B (k x n x n) of one kind: generic; signed
     permutations; signed permutations times Cayley rotations
@@ -383,8 +396,10 @@ def test_corner_ranks_read_each_corner_j_below_n_once(n, monkeypatch):
 
 
 def test_numpy_is_pinned_to_the_release_whose_kernel_names_were_checked():
-    # _corner_ranks binds numpy.linalg._linalg's _umath_linalg.svd and its
-    # non-convergence handler, private names checked on numpy 2.4 only
+    # private names of numpy.linalg._linalg, checked on numpy 2.4 only:
+    # flagdyn._corner_ranks binds _umath_linalg.svd and its non-convergence
+    # handler, symspace.delta_stack binds _umath_linalg.eigvalsh_lo
+    assert symspace._umath_linalg is fd._umath_linalg
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     assert re.findall(r'"numpy\b[^"]*"', pyproject) == ['"numpy>=2.4,<2.5"']
     assert "2.4.0" <= np.lib.NumpyVersion(np.__version__) < "2.5.0"
@@ -1492,6 +1507,17 @@ def test_key_lemma_sharp_instance():
                  "basis must be square", id="basis-not-square"),
     pytest.param(lambda: fd.Flag([[1, 1], [0, 1]]), NearSingular,
                  "flag basis is not orthonormal", id="flag-not-orthonormal"),
+    # orthonormal rows: taken as a flag of R^2, whose position against
+    # Flag(eye(2)) had confidence inf
+    pytest.param(lambda: fd.Flag([[1, 0, 0], [0, 1, 0]]), ValueError,
+                 "flag basis must be square, got shape (2, 3)",
+                 id="flag-wide"),
+    pytest.param(lambda: fd.Flag(np.eye(3)[:, :2]), ValueError,
+                 "flag basis must be square, got shape (3, 2)",
+                 id="flag-tall"),
+    pytest.param(lambda: fd.Flag([1.0, 0.0]), ValueError,
+                 "flag basis must be square, got shape (2,)",
+                 id="flag-vector"),
     pytest.param(lambda: fd.attracting_flag([[2, 1e12], [0, 2.0000001]]),
                  NotRegular, "eigenbasis is degenerate",
                  id="degenerate-eigenbasis"),

@@ -10,11 +10,11 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (chamber_ray_point, dual_cone_defect,
-                     horofunction_per_t)
+from helpers import (chamber_ray_point, delta_stack_reference,
+                     dual_cone_defect, horofunction_per_t)
 from weylkit import symspace as ss
 from weylkit.errors import (DegenerateSegment, NonRegularDirection,
-                            NotPositiveDefinite, SingularInput)
+                            NotPositiveDefinite, SingularInput, WeylkitError)
 from weylkit.graded import Graded
 
 
@@ -190,6 +190,168 @@ def test_stacked_reader_is_bit_identical_to_delta_distance(n):
     steps = ss.delta_stack(xi[:-1], mats[1:])
     for v, x, y in zip(steps, pts, pts[1:]):
         assert np.array_equal(v, ss.delta_distance(x, y))
+
+
+def _outcome(call):
+    """The dtype, shape and bytes of what ``call`` returns, or the type
+    and message of what it raises."""
+    try:
+        out = np.asarray(call())
+    except (WeylkitError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+def _points_up_to_the_float_range(rng, n):
+    """Rotated points of spread up to e^+-14, whose forms from each other
+    are near-singular, and diagonal ones and their inverses, exact in
+    float, of spread up to e^+-690 where ``SymPoint`` takes them, whose
+    forms from each other come near the float range or pass it."""
+    pts = [_random_point(rng, n, scale) for scale in (0.3, 1.0, 3.0)]
+    for top in (1.0, 8.0, 14.0, 60.0, 250.0, 450.0, 690.0):
+        y = rng.standard_normal(n)
+        y = top * (y - y.mean()) / np.abs(y - y.mean()).max()
+        try:
+            pts += [ss.flat_point(y), ss.flat_point(-y)]
+        except NotPositiveDefinite:  # the eigen solver lost e^-690
+            continue
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        if top < 15.0:
+            pts.append(ss.apply_isometry(q, pts[-1]))
+    return pts
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", range(2, 7))
+def test_distances_are_bit_identical_to_the_reference(n):
+    # x^-1/2 kept per point, one kernel call and the shared default
+    # functional against x^-1/2 formed afresh, numpy's wrapper and a
+    # functional built per call: the same bits, or the same refusal
+    rng = np.random.default_rng(44 + n)
+    pts = _points_up_to_the_float_range(rng, n)
+    c = ss.FinslerFunctional([n + 1 - 2 * i for i in range(1, n + 1)]).c
+    xi = np.array([(p._eig[1] / np.sqrt(p._eig[0])) @ p._eig[1].T
+                   for p in pts])
+    mats = np.array([p.mat for p in pts])
+    refused = set()
+    for s, x in enumerate(pts):
+        for y, ym in zip(pts, mats):
+            ref = _outcome(lambda: delta_stack_reference(xi[s], ym)[None])
+            assert _outcome(lambda: ss.delta_distance(x, y)[None]) == ref
+            refused.add(ref[0] if len(ref) == 2 else None)
+            if len(ref) == 3:
+                v = np.frombuffer(ref[2])
+                assert ss.finsler_distance(x, y) == float(np.dot(c, v))
+                assert ss.riemannian_distance(x, y) == \
+                    2.0 * float(np.linalg.norm(v))
+        for rows in (slice(None), slice(s + 1, None), slice(0, s)):
+            assert _outcome(lambda: ss.delta_stack(xi[s], mats[rows])) == \
+                _outcome(lambda: delta_stack_reference(xi[s], mats[rows]))
+    assert _outcome(lambda: ss.delta_stack(xi, mats[::-1])) == \
+        _outcome(lambda: delta_stack_reference(xi, mats[::-1]))
+    assert refused == {None, SingularInput, NotPositiveDefinite}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", range(2, 7))
+def test_forms_that_are_not_finite_are_refused_as_the_reference_does(n):
+    rng = np.random.default_rng(440 + n)
+    values = [np.inf, -np.inf, np.nan, 1e308, -1e308]
+    not_finite = 0
+    for _ in range(150):
+        k = int(rng.integers(1, 4))
+        xi = np.array([np.linalg.qr(rng.standard_normal((n, n)))[0] * 3
+                       for _ in range(k)])
+        ys = xi @ np.swapaxes(xi, -1, -2) + np.eye(n)
+        for _ in range(int(rng.integers(1, 4))):
+            m, i, j = rng.integers(0, k), *rng.integers(0, n, 2)
+            target = xi if rng.random() < 0.3 else ys
+            target[m, i, j] = values[rng.integers(len(values))]
+            if rng.random() < 0.5:
+                target[m, j, i] = target[m, i, j]
+        ref = _outcome(lambda: delta_stack_reference(xi, ys))
+        assert _outcome(lambda: ss.delta_stack(xi, ys)) == ref
+        with np.errstate(all="ignore"):
+            if not np.isfinite(xi @ ys @ xi).all():
+                not_finite += 1
+                assert ref[0] is SingularInput
+    assert not_finite > 75
+
+
+def test_a_form_past_the_float_range_above_its_diagonal_alone_is_refused():
+    # (x y) x overflows only at [0, 1]; the eigenvalue kernel reads the
+    # lower triangle [[1e308, .], [0, 1]], whose eigenvalues are positive
+    xi = np.array([[1.0, 1.0], [0.0, 1.0]])
+    ys = np.array([[1e308, 1e308], [0.0, 1.0]])
+    with pytest.raises(SingularInput, match="^relative form spans more "
+                       "than the float range$"):
+        ss.delta_stack(xi, ys)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_finite_form_whose_sum_of_squares_overflows_keeps_its_distance():
+    # entries past 1e154 fail the sum-of-squares screen; tested entry by
+    # entry, the form is finite and positive definite, so it is read
+    xi = np.eye(3)
+    ys = np.array([np.diag([1e200, 1.0, 1e-200]), np.diag([1e300, 1e8, 1.0])])
+    assert not np.vdot(ys, ys) < np.inf
+    v = ss.delta_stack(xi, ys)
+    assert np.array_equal(v, delta_stack_reference(xi, ys))
+    assert v[0, 0] == pytest.approx(230.2585, abs=1e-4)
+
+
+def test_distances_read_the_eigenvalue_kernel_once(monkeypatch):
+    kernel, calls = ss._umath_linalg.eigvalsh_lo, []
+
+    class Counting:
+        @staticmethod
+        def eigvalsh_lo(a, signature):
+            calls.append(a.shape)
+            return kernel(a, signature=signature)
+
+    rng = _rng()
+    pts = [_random_point(rng) for _ in range(5)]
+    monkeypatch.setattr(ss, "_umath_linalg", Counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    ss.delta_stack(pts[0].inv_sqrt(), np.array([p.mat for p in pts[1:]]))
+    ss.finsler_distance(pts[0], pts[1])
+    ss.riemannian_distance(pts[0], pts[1])
+    assert calls == [(4, 3, 3), (3, 3), (3, 3)]
+
+
+def test_a_solve_that_does_not_converge_raises_the_wrappers_error(
+        monkeypatch):
+    # the kernel leaves NaN where its solve fails, and np.linalg.eigvalsh
+    # raises on that solve; a stand-in of each shows the form goes on to it
+    class Failing:
+        @staticmethod
+        def eigvalsh_lo(a, signature):
+            return np.full(a.shape[:-1], np.nan)
+
+    def eigvalsh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(ss, "_umath_linalg", Failing)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^Eigenvalues did not converge$"):
+        ss.delta_stack(np.eye(3), np.eye(3))
+
+
+def test_shared_functional_and_kept_roots_are_read_only():
+    rng = _rng()
+    x, y = _random_point(rng), _random_point(rng)
+    before = ss.finsler_distance(x, y), ss.riemannian_distance(x, y)
+    phi = ss.FinslerFunctional.default(3)
+    assert phi is ss.FinslerFunctional.default(3)
+    assert x.inv_sqrt() is x.inv_sqrt()
+    for array in (phi.c, x.inv_sqrt()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7.0
+    assert (ss.finsler_distance(x, y), ss.riemannian_distance(x, y)) == before
+    c = np.array([1.0, 0.0, -1.0])
+    ss.FinslerFunctional(c)
+    c[0] = 2.0  # the caller's coefficients stay theirs
 
 
 def test_iota_examples():
